@@ -11,26 +11,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from . import covering, domination, exact
+from . import exact
+from .covering import ArrivalSequence
 from .errors import BadParameter
 from .geometry import instance_to_graph, random_connected_instance
+from .problems import PROBLEMS, Options
 from .rng import Rng, derive_seed
-
-PROBLEMS = ("vc", "color", "online-color", "mis", "ds", "ids", "tds", "cds")
-
-UNIT_BOUNDS = {
-    "vc": 1.5,
-    "color": 3.0,
-    "online-color": 6.0,
-    "mis": 3.0,
-    "ds": 5.0,
-    "ids": 5.0,
-    "tds": 10.0,
-    "cds": 10.0,
-}
-CIRCLE_BOUNDS = {"vc": 5.0 / 3.0, "color": 6.0, "mis": 5.0}
 
 CSV_HEADER = "seed,n,box,radius,problem,heur,opt,ratio,bound,ms"
 
@@ -124,45 +113,6 @@ def tuned_box(n: int, radius: float, radius_high: Optional[float], mean_degree: 
     return high
 
 
-def _solve_problem(problem, G, inst, variant, order_seed, limits):
-    if problem == "vc":
-        heur = len(covering.vertex_cover(G, 4 if variant == "unit" else 6))
-        opt, _ = exact.exact_vc(G, limits)
-    elif problem == "color":
-        heur = covering.color_offline(G).num_colors
-        opt, _ = exact.exact_chromatic(G, limits)
-    elif problem == "online-color":
-        sequence = covering.ArrivalSequence.random(G.n, order_seed)
-        heur = covering.color_online_firstfit(G, sequence).num_colors
-        opt, _ = exact.exact_chromatic(G, limits)
-    elif problem == "mis":
-        if variant == "unit":
-            heur = len(domination.independent_set_geometric(inst))
-        else:
-            heur = len(domination.independent_set_graph(G, 5))
-        opt, _ = exact.exact_mis(G, limits)
-    elif problem == "ds":
-        heur = len(domination.dominating_set(G))
-        opt, _ = exact.exact_domination(G, "plain", limits)
-    elif problem == "ids":
-        heur = len(domination.dominating_set(G))
-        opt, _ = exact.exact_domination(G, "independent", limits)
-    elif problem == "tds":
-        heur = len(domination.total_dominating_set(G))
-        opt, _ = exact.exact_domination(G, "total", limits)
-    elif problem == "cds":
-        cover, _ = domination.connected_dominating_set(G)
-        heur = len(cover)
-        opt, _ = exact.exact_domination(G, "connected", limits)
-    else:
-        raise BadParameter(f"unknown problem {problem!r}")
-    if problem == "mis":
-        ratio = opt / heur if heur else 1.0
-    else:
-        ratio = heur / opt if opt else 1.0
-    return heur, opt, ratio
-
-
 def run_bench(
     instances: int,
     n_low: int,
@@ -183,9 +133,8 @@ def run_bench(
     if unknown:
         raise BadParameter(f"unknown problems: {unknown}")
     variant = "unit" if radius_high is None else "circle"
-    bounds = UNIT_BOUNDS if variant == "unit" else CIRCLE_BOUNDS
     for p in problems:
-        if p not in bounds:
+        if variant not in PROBLEMS[p].bounds:
             raise BadParameter(f"no {variant}-variant guarantee for problem {p!r}")
 
     size_stream = Rng(derive_seed(seed, 1 << 32))
@@ -196,10 +145,12 @@ def run_bench(
         box = tuned_box(n, radius, radius_high, mean_degree)
         inst = random_connected_instance(n, box, radius, instance_seed, radius_high)
         G = instance_to_graph(inst)
-        for problem in problems:
-            order_seed = derive_seed(instance_seed, 7)
+        options = Options(partial(ArrivalSequence.random, seed=derive_seed(instance_seed, 7)))
+        for name in problems:
+            problem = PROBLEMS[name]
             started = time.perf_counter()
-            heur, opt, ratio = _solve_problem(problem, G, inst, variant, order_seed, limits)
+            heur = problem.size(problem.heuristic(G, inst, variant, options, {}))
+            opt, _ = problem.oracle(G, limits)
             elapsed_ms = int((time.perf_counter() - started) * 1000)
             records.append(
                 BenchRecord(
@@ -208,11 +159,11 @@ def run_bench(
                     box=box,
                     radius=radius,
                     radius_high=radius_high,
-                    problem=problem,
+                    problem=name,
                     heur=heur,
                     opt=opt,
-                    ratio=ratio,
-                    bound=bounds[problem],
+                    ratio=problem.ratio(heur, opt),
+                    bound=problem.bounds[variant],
                     ms=elapsed_ms,
                 )
             )

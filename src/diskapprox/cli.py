@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from . import checks, covering, domination, exact
+from . import covering, exact
 from .errors import ClassCertificateError, DiskApproxError
 from .formats import (
     InstanceFile,
@@ -29,8 +29,9 @@ from .geometry import (
     random_connected_instance,
     random_instance,
 )
+from .problems import PROBLEMS, Options
 
-SOLVE_PROBLEMS = ("vc", "color", "online-color", "mis", "ds", "ids", "tds", "cds")
+SOLVE_PROBLEMS = tuple(PROBLEMS)
 
 
 def _parse_radius_spec(spec: str) -> tuple[float, float | None]:
@@ -63,101 +64,46 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solution(args) -> int:
+    """solve and exact: the problem's heuristic or its exact oracle, as a solution document."""
     doc = read_instance(args.instance)
     G = doc.to_graph()
-    inst = doc.to_geometric_instance() if doc.mode == "geometric" else None
-    if args.variant:
-        variant = args.variant
+    problem = PROBLEMS[args.problem]
+    if args.command == "exact":
+        meta: dict = {"n": G.n, "m": G.m, "oracle": True}
+        value, answer = problem.oracle(G, exact.DEFAULT_LIMITS)
     else:
-        variant = "unit" if inst is None or inst.unit else "circle"
-    meta: dict = {"variant": variant, "n": G.n, "m": G.m}
-    problem = args.problem
-
-    if problem == "vc":
-        cover = covering.vertex_cover(G, 4 if variant == "unit" else 6)
-        result = solution_document(problem, len(cover), vertices=cover, meta=meta)
-    elif problem == "color":
-        coloring = covering.color_offline(G)
-        result = solution_document(problem, coloring.num_colors, colors=coloring.colors, meta=meta)
-    elif problem == "online-color":
-        sequence = _parse_order_spec(args.order, G.n)
-        coloring = covering.color_online_firstfit(G, sequence)
-        meta["order"] = list(sequence.order)
-        result = solution_document(problem, coloring.num_colors, colors=coloring.colors, meta=meta)
-    elif problem == "mis":
-        if inst is not None and variant == "unit" and inst.unit:
-            chosen = domination.independent_set_geometric(inst)
-            meta["method"] = "sweep"
-        else:
-            chosen = domination.independent_set_graph(G, 3 if variant == "unit" else 5)
-            meta["method"] = "eligibility-search"
-        result = solution_document(problem, len(chosen), vertices=chosen, meta=meta)
-    elif problem in ("ds", "ids"):
-        chosen = domination.dominating_set(G)
-        result = solution_document(problem, len(chosen), vertices=chosen, meta=meta)
-    elif problem == "tds":
-        chosen = domination.total_dominating_set(G)
-        result = solution_document(problem, len(chosen), vertices=chosen, meta=meta)
-    elif problem == "cds":
-        chosen, trace = domination.connected_dominating_set(G, args.root)
-        meta["root"] = args.root if args.root is not None else 0
-        meta["trace"] = trace.to_dict()
-        result = solution_document(problem, len(chosen), vertices=chosen, meta=meta)
+        inst = doc.to_geometric_instance() if doc.mode == "geometric" else None
+        variant = args.variant or ("unit" if inst is None or inst.unit else "circle")
+        meta = {"variant": variant, "n": G.n, "m": G.m}
+        options = Options(lambda n: _parse_order_spec(args.order, n), args.root)
+        answer = problem.heuristic(G, inst, variant, options, meta)
+        value = problem.size(answer)
+    if problem.coloring:
+        result = solution_document(args.problem, value, colors=answer.colors, meta=meta)
     else:
-        raise DiskApproxError(f"unknown problem {problem!r}")
-    sys.stdout.write(solution_to_json(result))
-    return 0
-
-
-def _cmd_exact(args) -> int:
-    doc = read_instance(args.instance)
-    G = doc.to_graph()
-    meta = {"n": G.n, "m": G.m, "oracle": True}
-    problem = args.problem
-    if problem == "vc":
-        value, witness = exact.exact_vc(G)
-        result = solution_document(problem, value, vertices=witness, meta=meta)
-    elif problem in ("color", "online-color"):
-        value, coloring = exact.exact_chromatic(G)
-        result = solution_document(problem, value, colors=coloring.colors, meta=meta)
-    elif problem == "mis":
-        value, witness = exact.exact_mis(G)
-        result = solution_document(problem, value, vertices=witness, meta=meta)
-    else:
-        variants = {"ds": "plain", "ids": "independent", "tds": "total", "cds": "connected"}
-        value, witness = exact.exact_domination(G, variants[problem])
-        result = solution_document(problem, value, vertices=witness, meta=meta)
+        result = solution_document(args.problem, value, vertices=answer, meta=meta)
     sys.stdout.write(solution_to_json(result))
     return 0
 
 
 def _validate_solution(G, doc) -> tuple[bool, str]:
-    problem = doc["problem"]
-    value = doc["value"]
-    if "colors" in doc:
-        colors = doc["colors"]
-        if not checks.is_proper_coloring(G, colors):
+    name = doc["problem"]
+    problem = PROBLEMS.get(name)
+    if problem is None:
+        return False, f"unknown problem {name!r}"
+    if problem.coloring:
+        colors = doc.get("colors", [])
+        if not problem.check(G, colors):
             return False, "coloring is not proper"
-        if value != max(colors, default=0):
+        if doc["value"] != max(colors, default=0):
             return False, "value does not match the number of colors"
-        return True, "ok"
-    vertices = doc.get("vertices", [])
-    if value != len(vertices):
-        return False, "value does not match the vertex count"
-    validators = {
-        "vc": checks.is_vertex_cover,
-        "mis": checks.is_independent_set,
-        "ds": checks.is_dominating_set,
-        "ids": checks.is_independent_dominating_set,
-        "tds": checks.is_total_dominating_set,
-        "cds": checks.is_connected_dominating_set,
-    }
-    validator = validators.get(problem)
-    if validator is None:
-        return False, f"unknown problem {problem!r}"
-    if not validator(G, vertices):
-        return False, f"not a valid {problem} solution"
+    else:
+        vertices = doc.get("vertices", [])
+        if doc["value"] != len(vertices):
+            return False, "value does not match the vertex count"
+        if not problem.check(G, vertices):
+            return False, f"not a valid {name} solution"
     return True, "ok"
 
 
@@ -224,12 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="ids",
         help="arrival order for online-color: 'ids', 'random:SEED', or a comma list",
     )
-    solve.set_defaults(func=_cmd_solve)
+    solve.set_defaults(func=_cmd_solution)
 
     exact_cmd = sub.add_parser("exact", help="run an exact oracle on an instance file")
     exact_cmd.add_argument("instance")
     exact_cmd.add_argument("--problem", required=True, choices=SOLVE_PROBLEMS)
-    exact_cmd.set_defaults(func=_cmd_exact)
+    exact_cmd.set_defaults(func=_cmd_solution)
 
     verify = sub.add_parser("verify", help="check a solution file against an instance")
     verify.add_argument("instance")

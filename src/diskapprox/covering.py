@@ -8,7 +8,6 @@ optimal; with 6 colors (arbitrary radii) the factor is 5/3.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -75,36 +74,14 @@ def _first_fit(G: Graph, order: Iterable[int]) -> Coloring:
 
 
 def color_triangle_free(G: Graph, degree_bound: int = 3) -> Coloring:
-    """Peel minimum-degree vertices while <= degree_bound, then color the
-    stack in reverse with first-fit; uses at most degree_bound + 1 colors.
+    """First-fit along the reverse peel of degeneracy_ordering(G, degree_bound).
 
-    If peeling stalls, the remaining vertices induce a subgraph of minimum
-    degree above the bound, which certifies the input is outside the
-    intended class; that witness set rides on MinDegreeExceeded.
+    Uses at most degree_bound + 1 colors.  A stalled peel raises
+    MinDegreeExceeded whose witness, the vertices left, certifies the
+    input is outside the intended class.
     """
-    degree = [G.degree(v) for v in range(G.n)]
-    heap = [(degree[v], v) for v in range(G.n)]
-    heapq.heapify(heap)
-    removed = [False] * G.n
-    stack: list[int] = []
-    while heap:
-        current, v = heapq.heappop(heap)
-        if removed[v] or current != degree[v]:
-            continue
-        if current > degree_bound:
-            alive = [u for u in range(G.n) if not removed[u]]
-            raise MinDegreeExceeded(
-                f"residual subgraph has minimum degree {current} > {degree_bound}",
-                VertexSet.of(alive, G.n),
-            )
-        removed[v] = True
-        stack.append(v)
-        for u in G.neighbors(v):
-            if not removed[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
     # each vertex sees at most degree_bound colored neighbors in this pass
-    return _first_fit(G, reversed(stack))
+    return _first_fit(G, reversed(degeneracy_ordering(G, degree_bound).order))
 
 
 def vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
@@ -121,17 +98,14 @@ def vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
     alive = [True] * G.n
     working = [set(G.neighbors(v)) for v in range(G.n)]
     taken: list[int] = []
-    while True:
-        hit = None
-        for u, v in G.edges:
-            if alive[u] and alive[v]:
-                common = working[u] & working[v]
-                if common:
-                    hit = (u, v, min(common))
-                    break
-        if hit is None:
-            break
-        for w in hit:
+    # A removed vertex keeps an empty working set, and removals only shrink
+    # common neighborhoods, so an edge passed over never becomes a hit later:
+    # one forward pass strips what restarting at the lowest edge would.
+    for u, v in G.edges:
+        common = working[u] & working[v]
+        if not common:
+            continue
+        for w in (u, v, min(common)):
             alive[w] = False
             for x in working[w]:
                 working[x].discard(w)

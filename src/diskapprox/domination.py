@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BadParameter, IsolatedVertex, NoEligibleVertex, NotConnected
+from .errors import BadParameter, IsolatedVertex, ModelMismatch, NoEligibleVertex, NotConnected
 from .geometry import GeometricInstance, instance_adjacency, sweep_order
 from .graphs import Graph, VertexSet, bfs_levels, greedy_maximal_independent_set
 
@@ -108,8 +108,10 @@ def independent_set_geometric(inst: GeometricInstance) -> VertexSet:
 
     The leftmost surviving disk always has neighborhood independence at most
     3, so this matches the guarantee of independent_set_graph(G, 3) in
-    O(n log n + m) time.  Callers must pass a unit instance.
+    O(n log n + m) time.  Raises ModelMismatch unless all radii are equal.
     """
+    if not inst.unit:
+        raise ModelMismatch("the sweep needs equal radii")
     adjacency = instance_adjacency(inst)
     alive = [True] * inst.n
     chosen: list[int] = []

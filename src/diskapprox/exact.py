@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .covering import Coloring
+from .covering import Coloring, _first_fit
 from .errors import BadParameter, IsolatedVertex, NotConnected, Timeout, TooLarge
 from .graphs import Graph, VertexSet, is_connected
 
@@ -222,16 +222,7 @@ def exact_chromatic(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[in
     _, clique = exact_clique(G, limits)
 
     # first-fit in id order caps the search
-    upper = 0
-    greedy = [0] * G.n
-    for v in range(G.n):
-        used = {greedy[u] for u in G.neighbors(v) if greedy[u]}
-        c = 1
-        while c in used:
-            c += 1
-        greedy[v] = c
-        upper = max(upper, c)
-
+    upper = _first_fit(G, range(G.n)).num_colors
     for k in range(len(clique), upper + 1):
         assignment = _try_k_coloring(G, k, clique.members, deadline)
         if assignment is not None:

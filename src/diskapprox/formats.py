@@ -15,6 +15,7 @@ always re-derived from the disks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,6 +110,8 @@ def parse_instance(text: str) -> InstanceFile:
                 x, y, r = (float(t) for t in tokens[2:5])
             except ValueError:
                 raise ParseError(line_no, "bad disk fields") from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
+                raise ParseError(line_no, "disk fields must be finite")
             if disk_id in disks:
                 raise ParseError(line_no, f"duplicate disk id {disk_id}")
             disks[disk_id] = (x, y, r)

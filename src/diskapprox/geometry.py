@@ -50,7 +50,9 @@ class PolygonBound:
 
 
 def _check_radii(disks) -> None:
-    for _, _, r in disks:
+    for x, y, r in disks:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
+            raise BadParameter(f"disk ({x}, {y}, {r}) has a non-finite field")
         if r <= 0:
             raise NonPositiveRadius(f"radius {r} must be positive")
 
@@ -134,12 +136,12 @@ def random_instance(
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
-    if box <= 0:
-        raise BadParameter("box side must be positive")
-    if radius <= 0:
-        raise BadParameter("radius must be positive")
-    if radius_high is not None and radius_high < radius:
-        raise BadParameter("radius_high must be at least radius")
+    if not 0 < box < math.inf:
+        raise BadParameter("box side must be positive and finite")
+    if not 0 < radius < math.inf:
+        raise BadParameter("radius must be positive and finite")
+    if radius_high is not None and not radius <= radius_high < math.inf:
+        raise BadParameter("radius_high must be finite and at least radius")
     rng = Rng(seed)
     centers = [(box * rng.uniform(), box * rng.uniform()) for _ in range(n)]
     if radius_high is None or radius_high == radius:

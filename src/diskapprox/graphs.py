@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import BadParameter, IdOutOfRange, NotConnected, SelfLoop
+from .errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NotConnected, SelfLoop
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,12 @@ def induced_subgraph(G: Graph, subset: VertexSet) -> tuple[Graph, tuple[int, ...
     return build_graph(len(id_map), edges), id_map
 
 
-def degeneracy_ordering(G: Graph) -> DegeneracyResult:
-    """Repeatedly remove a minimum-degree vertex (lowest id on ties)."""
+def degeneracy_ordering(G: Graph, degree_cap: Optional[int] = None) -> DegeneracyResult:
+    """Repeatedly remove a minimum-degree vertex (lowest id on ties).
+
+    With ``degree_cap`` set, a minimum degree above it stops the peel with
+    MinDegreeExceeded; the witness is the vertices still present.
+    """
     degree = [G.degree(v) for v in range(G.n)]
     heap = [(degree[v], v) for v in range(G.n)]
     heapq.heapify(heap)
@@ -144,6 +148,12 @@ def degeneracy_ordering(G: Graph) -> DegeneracyResult:
         current, v = heapq.heappop(heap)
         if removed[v] or current != degree[v]:
             continue  # stale entry
+        if degree_cap is not None and current > degree_cap:
+            alive = [u for u in range(G.n) if not removed[u]]
+            raise MinDegreeExceeded(
+                f"residual subgraph has minimum degree {current} > {degree_cap}",
+                VertexSet.of(alive, G.n),
+            )
         removed[v] = True
         order.append(v)
         if current > degeneracy:

@@ -89,15 +89,41 @@ def max_matching(B: BipartiteGraph) -> tuple[tuple[int, int], ...]:
                     queue.append(nxt)
         return free_right_reachable
 
-    def augment(l: int) -> bool:
-        for r in adjacency[l]:
-            nxt = match_right[r]
-            if nxt == -1 or (layer[nxt] == layer[l] + 1 and augment(nxt)):
-                match_left[l] = r
-                match_right[r] = l
-                return True
-        layer[l] = -1
-        return False
+    def augment(root: int) -> None:
+        """Depth-first search for an augmenting path along the layers.
+
+        An explicit stack replaces recursion, since paths can be as long as
+        the graph; the scan order is that of the recursive formulation.
+        ``path`` holds the left vertices from ``root`` down and ``cursor``
+        the index of the right neighbor each is trying.
+        """
+        path = [root]
+        cursor = [0]
+        while path:
+            l = path[-1]
+            nbrs = adjacency[l]
+            i = cursor[-1]
+            while i < len(nbrs):
+                nxt = match_right[nbrs[i]]
+                if nxt == -1:
+                    cursor[-1] = i
+                    for l, i in zip(path, cursor):
+                        match_left[l] = adjacency[l][i]
+                        match_right[adjacency[l][i]] = l
+                    return
+                if layer[nxt] == layer[l] + 1:
+                    break
+                i += 1
+            if i < len(nbrs):
+                cursor[-1] = i
+                path.append(nxt)
+                cursor.append(0)
+            else:
+                layer[l] = -1  # dead end: no augmenting path through l
+                path.pop()
+                cursor.pop()
+                if cursor:
+                    cursor[-1] += 1
 
     while build_layers():
         for l in range(B.left_n):

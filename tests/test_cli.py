@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
 
 from diskapprox import checks
 from diskapprox.cli import main
 from diskapprox.formats import InstanceFile, read_instance, write_instance
-from diskapprox.geometry import random_instance
+from diskapprox.geometry import GeometricInstance, random_instance
 from diskapprox.graphs import build_graph, is_connected
 
 
@@ -74,6 +75,12 @@ class TestGen:
         code, _, err = run(capsys, "gen", "-n", "0", "--box", "5", "--radius", "1", "--seed", "1")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("box, radius", [("nan", "1"), ("5", "nan"), ("5", "1:inf")])
+    def test_non_finite_parameters(self, capsys, box, radius):
+        argv = ["gen", "-n", "3", "--box", box, "--radius", radius, "--seed", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "finite" in err
+
 
 class TestSolve:
     def test_mis_on_colocated_disks(self, capsys, tmp_path):
@@ -120,6 +127,30 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path), "--problem", "vc", "--variant", "circle")
         assert code == 0
         assert checks.is_vertex_cover(K44, json.loads(out)["vertices"])
+
+    def test_vc_on_a_ring_of_2001_disks(self, capsys, tmp_path):
+        # an odd cycle: valid unit-disk input whose matching needs long augmenting paths
+        n = 2001
+        radius = 0.75 / math.sin(math.pi / n)  # neighbors 1.5 apart, next-nearest 3
+        angles = [2 * math.pi * k / n for k in range(n)]
+        path = tmp_path / "ring.udg"
+        ring = GeometricInstance(
+            tuple((radius * math.cos(a), radius * math.sin(a), 1.0) for a in angles)
+        )
+        write_instance(ring, path)
+        code, out, _ = run(capsys, "solve", str(path), "--problem", "vc")
+        assert code == 0
+        assert json.loads(out)["value"] <= 1.5 * (n + 1) / 2
+        solution = tmp_path / "ring-vc.json"
+        solution.write_text(out)
+        assert run(capsys, "verify", str(path), str(solution))[:2] == (0, "valid\n")
+
+    @pytest.mark.parametrize("line", ["disk 0 nan 0 1", "disk 0 0 inf 1", "disk 0 0 0 inf"])
+    def test_non_finite_disk_fields(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.udg"
+        path.write_text(f"udg 1 geometric\n{line}\n")
+        code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
+        assert code == 1 and "line 2" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "no-such-file.udg", "--problem", "vc")

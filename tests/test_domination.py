@@ -14,6 +14,7 @@ from diskapprox.domination import (
 from diskapprox.errors import (
     BadParameter,
     IsolatedVertex,
+    ModelMismatch,
     NoEligibleVertex,
     NotConnected,
 )
@@ -103,6 +104,11 @@ class TestIndependentSetGeometric:
     def test_colocated(self):
         inst = GeometricInstance(tuple([(3.0, 3.0, 1.0)] * 9))
         assert len(independent_set_geometric(inst)) == 1
+
+    def test_rejects_mixed_radii(self):
+        inst = GeometricInstance(((0.0, 0.0, 1.0), (5.0, 0.0, 2.0)))
+        with pytest.raises(ModelMismatch):
+            independent_set_geometric(inst)
 
     def test_one_third_guarantee(self):
         for index in range(50):

@@ -52,6 +52,21 @@ class TestGeometricFiles:
             parse_instance("udg 1 geometric\ndisk 0 zero 0 1\n")
         assert info.value.line_no == 2
 
+    def test_nan_coordinate(self):
+        with pytest.raises(ParseError) as info:
+            parse_instance("udg 1 geometric\ndisk 0 0 0 1\ndisk 1 nan 0 1\n")
+        assert info.value.line_no == 3
+
+    def test_infinite_coordinate(self):
+        with pytest.raises(ParseError) as info:
+            parse_instance("udg 1 geometric\ndisk 0 0 -inf 1\n")
+        assert info.value.line_no == 2
+
+    def test_infinite_radius(self):
+        with pytest.raises(ParseError) as info:
+            parse_instance("udg 1 geometric\ndisk 0 0 0 1\ndisk 1 1 0 inf\n")
+        assert info.value.line_no == 3
+
 
 class TestAbstractFiles:
     def test_c5_file(self):

@@ -52,6 +52,11 @@ class TestInstanceToGraph:
         with pytest.raises(NonPositiveRadius):
             instance_to_graph(disks((0, 0, 0.0), (1, 1, 1)))
 
+    def test_non_finite_fields(self):
+        for bad in ((math.nan, 0, 1), (0, math.inf, 1), (0, 0, math.inf), (0, 0, math.nan)):
+            with pytest.raises(BadParameter):
+                instance_to_graph(disks((0, 0, 1), bad))
+
     def test_grid_matches_all_pairs(self):
         # the bucketed builder must agree with the O(n^2) definition
         for index in range(30):
@@ -112,6 +117,17 @@ class TestRandomInstance:
             random_instance(5, 1, 0, 0)
         with pytest.raises(BadParameter):
             random_instance(5, 1, 2, 0, radius_high=1)
+
+    def test_non_finite_box(self):
+        for box in (math.nan, math.inf):
+            with pytest.raises(BadParameter):
+                random_instance(5, box, 1, 0)
+
+    def test_non_finite_radius(self):
+        cases = ((math.nan, None), (math.inf, None), (1, math.nan), (1, math.inf))
+        for radius, radius_high in cases:
+            with pytest.raises(BadParameter):
+                random_instance(5, 4, radius, 0, radius_high)
 
     def test_connected_sampler(self):
         inst = random_connected_instance(12, 6.0, 1.0, 31)

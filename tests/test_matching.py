@@ -49,6 +49,15 @@ class TestMaxMatching:
             assert len({l for l, _ in matching}) == len(matching)
             assert len({r for _, r in matching}) == len(matching)
 
+    def test_long_augmenting_paths(self):
+        # the first phase matches left i to right i; the last left vertex
+        # then needs one augmenting path through all the others, deeper
+        # than the interpreter's recursion limit
+        n = 3000
+        edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+        matching = max_matching(build_bipartite(n, n, edges))
+        assert matching == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
+
     def test_edge_validation(self):
         with pytest.raises(IdOutOfRange):
             build_bipartite(2, 2, [(0, 2)])
