@@ -17,7 +17,7 @@ from typing import Optional
 from . import exact
 from .covering import ArrivalSequence
 from .errors import BadParameter
-from .geometry import instance_to_graph, random_connected_instance
+from .geometry import _check_radius_range, instance_to_graph, random_connected_instance
 from .problems import PROBLEMS, Options
 from .rng import Rng, derive_seed
 
@@ -132,6 +132,9 @@ def run_bench(
     unknown = [p for p in problems if p not in PROBLEMS]
     if unknown:
         raise BadParameter(f"unknown problems: {unknown}")
+    if not 0 < mean_degree < math.inf:
+        raise BadParameter("mean_degree must be positive and finite")
+    _check_radius_range(radius, radius_high)
     variant = "unit" if radius_high is None else "circle"
     for p in problems:
         if variant not in PROBLEMS[p].bounds:

@@ -112,6 +112,8 @@ def parse_instance(text: str) -> InstanceFile:
                 raise ParseError(line_no, "bad disk fields") from None
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
                 raise ParseError(line_no, "disk fields must be finite")
+            if r <= 0:
+                raise ParseError(line_no, f"radius {tokens[4]} must be positive")
             if disk_id in disks:
                 raise ParseError(line_no, f"duplicate disk id {disk_id}")
             disks[disk_id] = (x, y, r)

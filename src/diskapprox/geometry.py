@@ -8,12 +8,13 @@ as intersecting and no square root enters any comparison.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .errors import BadParameter, ModelMismatch, NonPositiveRadius
-from .graphs import Graph, VertexSet, build_graph, is_connected
+from .graphs import Graph, VertexSet, build_graph
 from .rng import Rng, derive_seed
 
 _SECTOR = math.pi / 3.0
@@ -49,61 +50,124 @@ class PolygonBound:
     independence_bound: int
 
 
-def _check_radii(disks) -> None:
+def _check_radii(disks) -> tuple[float, float]:
+    """Reject non-finite fields and non-positive radii; return the (min, max) radius."""
+    low = math.inf
+    high = 0.0
     for x, y, r in disks:
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
             raise BadParameter(f"disk ({x}, {y}, {r}) has a non-finite field")
         if r <= 0:
             raise NonPositiveRadius(f"radius {r} must be positive")
+        if r < low:
+            low = r
+        if r > high:
+            high = r
+    return low, high
 
 
-def _intersecting_pairs(disks):
-    """Yield every intersecting pair exactly once.
+def _check_radius_range(radius: float, radius_high: Optional[float]) -> None:
+    if not 0 < radius < math.inf:
+        raise BadParameter("radius must be positive and finite")
+    if radius_high is not None and not radius <= radius_high < math.inf:
+        raise BadParameter("radius_high must be finite and at least radius")
 
-    Centers are bucketed into cells of side 2 * max radius, so an
-    intersecting pair sits in the same or an adjacent cell; scanning each
-    cell against itself and a half-neighborhood of four offsets visits each
-    unordered cell pair once.
+
+def _radius_levels(disks, low: float, high: float) -> list[tuple[float, list[int]]]:
+    """Disk ids split into levels of increasing radius, each with its cell side.
+
+    Each level takes the remaining disks of radius at most twice their lower
+    median, so it holds at least half of them and there are at most
+    log2(n) + 1 levels; every radius of a later level exceeds every radius
+    of an earlier one.  A level's cell side is twice its largest radius.
+    ``low``/``high`` are the smallest and largest radius.  When every disk
+    fits in the first level (``high`` at most twice the lower median, found
+    by counting the radii below ``high / 2``), the ids are not sorted.
     """
-    cell = 2.0 * max(r for _, _, r in disks)
+    n = len(disks)
+    if high <= 2.0 * low or sum(1 for _, _, r in disks if 2.0 * r < high) <= (n - 1) // 2:
+        return [(2.0 * high, range(n))]
+    order = sorted(range(n), key=lambda i: disks[i][2])
+    radii = [disks[i][2] for i in order]
+    levels = []
+    start = 0
+    while start < n:
+        cutoff = 2.0 * radii[start + (n - start - 1) // 2]
+        end = bisect_right(radii, cutoff, start)
+        levels.append((2.0 * radii[end - 1], order[start:end]))
+        start = end
+    return levels
+
+
+def _bucket(disks, ids, cell: float) -> dict[tuple[int, int], list[int]]:
     buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y, _) in enumerate(disks):
+    for i in ids:
+        x, y, _ = disks[i]
         key = (math.floor(x / cell), math.floor(y / cell))
         buckets.setdefault(key, []).append(i)
-    half_neighborhood = ((1, 0), (-1, 1), (0, 1), (1, 1))
-    for (cx, cy), members in buckets.items():
-        for a in range(len(members)):
-            i = members[a]
-            xi, yi, ri = disks[i]
-            for b in range(a + 1, len(members)):
-                j = members[b]
-                xj, yj, rj = disks[j]
-                dx = xi - xj
-                dy = yi - yj
-                reach = ri + rj
-                if dx * dx + dy * dy <= reach * reach:
-                    yield i, j
-        for ox, oy in half_neighborhood:
-            other = buckets.get((cx + ox, cy + oy))
-            if not other:
-                continue
-            for i in members:
-                xi, yi, ri = disks[i]
-                for j in other:
-                    xj, yj, rj = disks[j]
-                    dx = xi - xj
-                    dy = yi - yj
-                    reach = ri + rj
-                    if dx * dx + dy * dy <= reach * reach:
-                        yield i, j
+    return buckets
+
+
+_HALF_NEIGHBORHOOD = ((1, 0), (-1, 1), (0, 1), (1, 1))
+_BLOCK = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
+
+
+def _intersecting_pairs(disks, low: float, high: float):
+    """Yield every intersecting pair exactly once; ``low``/``high`` bound the radii.
+
+    Disks are split into radius levels (see :func:`_radius_levels`); unit
+    disks, or any radii within a factor of two, make a single level.  Each
+    level buckets its centers into cells of side 2 * its largest radius, so
+    a pair within the level sits in the same or an adjacent cell; scanning
+    each cell against itself and a half-neighborhood of four offsets visits
+    each unordered cell pair once.  A pair across levels is found from the
+    smaller disk: its radius is below the larger one's, which is at most
+    half the larger level's cell, so the larger center lies in the 3x3
+    block of that level's cells around the smaller center.  The smaller
+    disks of a level are bucketed on each later level's grid and probe that
+    block per cell, so a large disk never walks the fine grid.
+    """
+    grids = [(cell, ids, _bucket(disks, ids, cell)) for cell, ids in _radius_levels(disks, low, high)]
+    for level, (_, ids, buckets) in enumerate(grids):
+        scans = [(buckets, buckets, _HALF_NEIGHBORHOOD)]
+        scans.extend(
+            (_bucket(disks, ids, cell), upper, _BLOCK) for cell, _, upper in grids[level + 1:]
+        )
+        for probes, targets, offsets in scans:
+            for (cx, cy), members in probes.items():
+                if probes is targets:
+                    for a in range(len(members)):
+                        i = members[a]
+                        xi, yi, ri = disks[i]
+                        for b in range(a + 1, len(members)):
+                            j = members[b]
+                            xj, yj, rj = disks[j]
+                            dx = xi - xj
+                            dy = yi - yj
+                            reach = ri + rj
+                            if dx * dx + dy * dy <= reach * reach:
+                                yield i, j
+                for ox, oy in offsets:
+                    other = targets.get((cx + ox, cy + oy))
+                    if not other:
+                        continue
+                    for i in members:
+                        xi, yi, ri = disks[i]
+                        for j in other:
+                            xj, yj, rj = disks[j]
+                            dx = xi - xj
+                            dy = yi - yj
+                            reach = ri + rj
+                            if dx * dx + dy * dy <= reach * reach:
+                                yield i, j
 
 
 def instance_to_graph(inst: GeometricInstance) -> Graph:
     """Intersection graph of the instance: edge iff dist(centers)^2 <= (r_u + r_v)^2."""
-    _check_radii(inst.disks)
+    low, high = _check_radii(inst.disks)
     if inst.n == 0:
         return build_graph(0, [])
-    return build_graph(inst.n, _intersecting_pairs(inst.disks))
+    return build_graph(inst.n, _intersecting_pairs(inst.disks, low, high))
 
 
 def instance_adjacency(inst: GeometricInstance) -> list[list[int]]:
@@ -112,13 +176,38 @@ def instance_adjacency(inst: GeometricInstance) -> list[list[int]]:
     Same edge set as :func:`instance_to_graph`; meant for sweep-style
     passes over large instances where building a Graph would dominate.
     """
-    _check_radii(inst.disks)
+    low, high = _check_radii(inst.disks)
     adjacency: list[list[int]] = [[] for _ in range(inst.n)]
     if inst.n:
-        for i, j in _intersecting_pairs(inst.disks):
+        for i, j in _intersecting_pairs(inst.disks, low, high):
             adjacency[i].append(j)
             adjacency[j].append(i)
     return adjacency
+
+
+def _is_connected(disks) -> bool:
+    """Union-find over the intersecting pairs, stopping once one component is left."""
+    low, high = _check_radii(disks)
+    parent = list(range(len(disks)))
+    components = len(disks)
+    if components <= 1:
+        return True
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in _intersecting_pairs(disks, low, high):
+        a = root(i)
+        b = root(j)
+        if a != b:
+            parent[a] = b
+            components -= 1
+            if components == 1:
+                return True
+    return False
 
 
 def random_instance(
@@ -138,10 +227,7 @@ def random_instance(
         raise BadParameter("n must be at least 1")
     if not 0 < box < math.inf:
         raise BadParameter("box side must be positive and finite")
-    if not 0 < radius < math.inf:
-        raise BadParameter("radius must be positive and finite")
-    if radius_high is not None and not radius <= radius_high < math.inf:
-        raise BadParameter("radius_high must be finite and at least radius")
+    _check_radius_range(radius, radius_high)
     rng = Rng(seed)
     centers = [(box * rng.uniform(), box * rng.uniform()) for _ in range(n)]
     if radius_high is None or radius_high == radius:
@@ -162,11 +248,13 @@ def random_connected_instance(
     """Rejection-sample :func:`random_instance` until the derived graph is connected.
 
     Attempt k uses the child seed derive_seed(seed, k), which keeps the
-    sampling uniform over connected instances and reproducible.
+    sampling uniform over connected instances and reproducible.  An attempt
+    is tested with a union-find over the intersecting pairs, not a full
+    graph build.
     """
     for attempt in range(max_tries):
         inst = random_instance(n, box, radius, derive_seed(seed, attempt), radius_high)
-        if is_connected(instance_to_graph(inst)):
+        if _is_connected(inst.disks):
             return inst
     raise BadParameter(f"no connected instance found in {max_tries} attempts")
 

@@ -152,6 +152,12 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
         assert code == 1 and "line 2" in err
 
+    def test_negative_radius_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.udg"
+        path.write_text("udg 1 geometric\ndisk 1 1 0 -1\n")
+        code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
+        assert code == 1 and "line 2" in err and "radius" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "no-such-file.udg", "--problem", "vc")
         assert code == 1 and "error" in err
@@ -232,6 +238,27 @@ class TestBench:
             "--problems", "ds", "--seed", "4", "--radius", "0.5:2",
         )
         assert code == 1 and "error" in err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
+    def test_rejects_bad_mean_degree(self, capsys, value):
+        code, out, err = run(
+            capsys, "bench", "--instances", "1", "--n-range", "6:6",
+            "--problems", "vc", "--seed", "4", f"--mean-degree={value}",
+        )
+        assert code == 1 and out == "" and "mean_degree" in err
+
+    @pytest.mark.parametrize("spec, name", [
+        ("nan", "radius"), ("0", "radius"), ("inf", "radius"),
+        ("1:nan", "radius_high"), ("0.5:inf", "radius_high"), ("-1:2", "radius"),
+    ])
+    def test_rejects_bad_radius(self, capsys, spec, name):
+        code, out, err = run(
+            capsys, "bench", "--instances", "1", "--n-range", "6:6",
+            "--problems", "vc", "--seed", "4", f"--radius={spec}",
+        )
+        assert code == 1 and out == ""
+        assert f"error: {name} " in err and "box" not in err
 
 
 class TestUsage:

@@ -68,6 +68,13 @@ class TestGeometricFiles:
         assert info.value.line_no == 3
 
 
+    @pytest.mark.parametrize("line", ["disk 1 1 0 -1", "disk 0 1 0 0", "disk 0 1 0 -0"])
+    def test_nonpositive_radius(self, line):
+        with pytest.raises(ParseError) as info:
+            parse_instance(f"udg 1 geometric\n{line}\n")
+        assert info.value.line_no == 2 and "radius" in str(info.value)
+
+
 class TestAbstractFiles:
     def test_c5_file(self):
         text = "udg 1 abstract\nn 5\n" + "".join(f"edge {u} {v}\n" for u, v in C5_EDGES)

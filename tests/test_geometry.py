@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,10 @@ from diskapprox import checks
 from diskapprox.errors import BadParameter, ModelMismatch, NonPositiveRadius
 from diskapprox.geometry import (
     GeometricInstance,
+    _check_radii,
+    _is_connected,
+    _radius_levels,
+    instance_adjacency,
     instance_to_graph,
     polygon_independence_bound,
     random_connected_instance,
@@ -21,6 +26,31 @@ from refimpl import brute_mis
 
 def disks(*triples):
     return GeometricInstance(tuple(triples))
+
+
+def all_pairs(inst):
+    """The O(n^2) definition of the intersection graph's edge set."""
+    expected = set()
+    for i in range(inst.n):
+        xi, yi, ri = inst.disks[i]
+        for j in range(i + 1, inst.n):
+            xj, yj, rj = inst.disks[j]
+            if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
+                expected.add((i, j))
+    return expected
+
+
+def level_count(inst):
+    return len(_radius_levels(inst.disks, *_check_radii(inst.disks)))
+
+
+def assert_matches_all_pairs(inst, min_levels=2):
+    assert level_count(inst) >= min_levels
+    expected = all_pairs(inst)
+    assert set(instance_to_graph(inst).edges) == expected
+    adjacency = instance_adjacency(inst)
+    assert {(i, j) for i in range(inst.n) for j in adjacency[i] if i < j} == expected
+    assert sum(map(len, adjacency)) == 2 * len(expected)
 
 
 def neighborhood_independence(G, v):
@@ -62,15 +92,7 @@ class TestInstanceToGraph:
         for index in range(30):
             inst = random_instance(40, 9.0, 1.0, derive_seed(99, index),
                                    radius_high=2.0 if index % 3 == 0 else None)
-            G = instance_to_graph(inst)
-            expected = set()
-            for i in range(inst.n):
-                xi, yi, ri = inst.disks[i]
-                for j in range(i + 1, inst.n):
-                    xj, yj, rj = inst.disks[j]
-                    if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
-                        expected.add((i, j))
-            assert set(G.edges) == expected
+            assert set(instance_to_graph(inst).edges) == all_pairs(inst)
 
     def test_translation_and_right_angle_rotation_invariance(self):
         inst = random_instance(30, 8.0, 1.0, 4242)
@@ -79,6 +101,122 @@ class TestInstanceToGraph:
         rotated = GeometricInstance(tuple((-y, x, r) for x, y, r in inst.disks))
         assert instance_to_graph(shifted) == G
         assert instance_to_graph(rotated) == G
+
+
+class TestRadiusLevels:
+    """Mixed radii: the multilevel grid against the O(n^2) definition."""
+
+    def test_levels_partition_by_radius(self):
+        rng = Rng(3)
+        inst = disks(*[(rng.uniform(), rng.uniform(), 2.0 ** (16 * rng.uniform() - 8))
+                       for _ in range(300)])
+        levels = _radius_levels(inst.disks, *_check_radii(inst.disks))
+        assert sorted(i for _, ids in levels for i in ids) == list(range(inst.n))
+        remaining = inst.n
+        for (cell, ids), (_, later) in zip(levels, levels[1:] + [(0.0, [])]):
+            assert 2 * len(ids) >= remaining
+            remaining -= len(ids)
+            assert cell == 2.0 * max(inst.disks[i][2] for i in ids)
+            if later:
+                assert max(inst.disks[i][2] for i in ids) < min(inst.disks[i][2] for i in later)
+        assert len(levels) <= math.log2(inst.n) + 1
+
+    def test_one_level_when_radii_sit_within_twice_the_median(self):
+        assert level_count(random_instance(50, 9.0, 1.0, 1)) == 1
+        assert level_count(random_instance(50, 9.0, 0.5, 1, radius_high=2.0)) == 1
+        assert level_count(disks((0, 0, 1), (1, 1, 1), (2, 2, 2.5))) == 2
+
+    def test_radii_over_sixteen_octaves(self):
+        for index in range(12):
+            rng = Rng(derive_seed(0x1E7E1, index))
+            n = 30 + 10 * index
+            box = 4.0 * n ** 0.5
+            inst = disks(*[(box * rng.uniform(), box * rng.uniform(), 2.0 ** (16 * rng.uniform() - 8))
+                           for _ in range(n)])
+            assert_matches_all_pairs(inst, min_levels=3)
+
+    def test_tangent_across_levels(self):
+        # reach 1 + 100 = 101 along both axes; (3, 4, 5) triangles scaled by
+        # 20.2 put a diagonal neighbor at exactly 101 as well
+        big = (0.0, 0.0, 100.0)
+        small = [(101.0, 0.0, 1.0), (-101.0, 0.0, 1.0), (0.0, 101.0, 1.0),
+                 (0.0, -101.0, 1.0), (60.6, 80.8, 1.0), (-60.6, -80.8, 1.0)]
+        for x, y, r in small:
+            assert (x * x + y * y) == (r + 100.0) ** 2
+        beyond = [(math.nextafter(101.0, math.inf), 0.0, 1.0), (0.0, -math.nextafter(101.0, math.inf), 1.0)]
+        inst = disks(big, *small, *beyond, (1.0, 1.0, 1.0))
+        G = instance_to_graph(inst)
+        assert [G.has_edge(0, v) for v in range(1, inst.n)] == [True] * 6 + [False, False, True]
+        assert_matches_all_pairs(inst)
+
+    def test_tangent_at_scale(self):
+        # tangent pairs on levels separated by nearly-equal radii, around
+        # negative and 1e6-scale centers
+        pairs = [(1.0, 2.0), (1.0, math.nextafter(2.0, math.inf)), (0.25, 64.0), (3.0, 1000.0)]
+        for origin in ((0.0, 0.0), (-1e6, 1e6), (1e6 + 0.5, -3e6), (-7.25, -123.5)):
+            triples = [(origin[0] + 0.1, origin[1] + 0.1, 1.0)] * 3
+            for small, large in pairs:
+                ox, oy = origin[0] + 4e4 * small, origin[1] - 3e4 * large
+                triples += [(ox, oy, small), (ox + small + large, oy, large),
+                            (ox, oy - small - large, large)]
+            assert_matches_all_pairs(disks(*triples))
+
+    def test_coincident_centers(self):
+        radii = [2.0 ** k for k in range(-6, 7)]
+        inst = disks(*[(5.0, -5.0, r) for r in radii])
+        assert instance_to_graph(inst).m == len(radii) * (len(radii) - 1) // 2
+        assert_matches_all_pairs(inst, min_levels=3)
+
+    def test_huge_and_negative_coordinates(self):
+        for index, (sx, sy) in enumerate(((-1e6, -1e6), (1e6, -2e6), (-3.5e6, 4e6))):
+            base = random_instance(120, 25.0, 0.5, derive_seed(71, index), radius_high=2.0)
+            shifted = [(x + sx, y + sy, r) for x, y, r in base.disks]
+            shifted += [(sx + 12.5, sy + 12.5, 9.0), (sx - 1.0, sy + 30.0, 40.0)]
+            assert_matches_all_pairs(disks(*shifted))
+
+    def test_one_tiny_disk_among_large_ones(self):
+        for index in range(5):
+            rng = Rng(derive_seed(72, index))
+            triples = [(200 * rng.uniform(), 200 * rng.uniform(), 2.0 ** (2 + 5 * rng.uniform()))
+                       for _ in range(60)]
+            triples.insert(index * 7, (100 * rng.uniform() + 50, 100 * rng.uniform() + 50, 1e-3))
+            assert_matches_all_pairs(disks(*triples))
+
+    @pytest.mark.parametrize("box", [60.0, 3000.0])
+    def test_half_small_half_large(self, box):
+        rng = Rng(73)
+        inst = disks(*[(box * rng.uniform(), box * rng.uniform(), 1.0 if k % 2 else 100.0)
+                       for k in range(400)])
+        assert_matches_all_pairs(inst)
+
+    def test_radius_at_twice_the_median(self):
+        # lower median 1, so radius 2 stays on the first level and 2 + ulp
+        # starts the second; tangent pairs straddle and share the boundary
+        edge = math.nextafter(2.0, math.inf)
+        triples = [(0.0, 0.0, 1.0), (10.0, 0.0, 1.0), (20.0, 0.0, 1.0), (40.0, 0.0, 1.0),
+                   (50.0, 0.0, 1.0), (3.0, 0.0, 2.0), (10.0, 3.0, 2.0), (7.0, 0.0, 2.0),
+                   (20.0, 1.0 + edge, edge), (20.0 + 2 * edge, 1.0 + edge, edge)]
+        inst = disks(*triples)
+        levels = _radius_levels(inst.disks, *_check_radii(inst.disks))
+        assert [sorted(ids) for _, ids in levels] == [[0, 1, 2, 3, 4, 5, 6, 7], [8, 9]]
+        assert set(instance_to_graph(inst).edges) >= {(0, 5), (1, 6), (5, 7), (2, 8), (8, 9)}
+        assert_matches_all_pairs(inst)
+
+    def test_one_large_disk_does_not_collapse_the_grid(self):
+        # the max-radius grid of old put all 8001 centers in one cell
+        # (about 140x the time of the 8000 small disks alone)
+        small = random_instance(8000, 300.0, 0.5, 0xB16)
+        mixed = GeometricInstance(small.disks + ((150.0, 150.0, 300.0),))
+
+        def best_of_three(inst):
+            best = math.inf
+            for _ in range(3):
+                started = time.perf_counter()
+                instance_to_graph(inst)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        assert best_of_three(mixed) <= 5.0 * best_of_three(small)
 
 
 class TestRandomInstance:
@@ -132,6 +270,21 @@ class TestRandomInstance:
     def test_connected_sampler(self):
         inst = random_connected_instance(12, 6.0, 1.0, 31)
         assert is_connected(instance_to_graph(inst))
+
+    @pytest.mark.parametrize("radius_high", [None, 2.0])
+    def test_union_find_agrees_with_the_graph(self, radius_high):
+        for index in range(60):
+            inst = random_instance(1 + index % 15, 5.0, 0.5, derive_seed(61, index), radius_high)
+            assert _is_connected(inst.disks) == is_connected(instance_to_graph(inst))
+
+    def test_connected_sampler_accepts_the_first_connected_attempt(self):
+        for seed in range(20):
+            attempt = 0
+            while not is_connected(instance_to_graph(
+                    random_instance(14, 6.0, 0.5, derive_seed(seed, attempt), 2.0))):
+                attempt += 1
+            expected = random_instance(14, 6.0, 0.5, derive_seed(seed, attempt), 2.0)
+            assert random_connected_instance(14, 6.0, 0.5, seed, 2.0) == expected
 
 
 class TestSweepOrder:
