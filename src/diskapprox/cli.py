@@ -88,6 +88,7 @@ def _cmd_solution(args) -> int:
 
 
 def _validate_solution(G, doc) -> tuple[bool, str]:
+    """Check a document from parse_solution against G; (ok, reason)."""
     name = doc["problem"]
     problem = PROBLEMS.get(name)
     if problem is None:
@@ -100,6 +101,10 @@ def _validate_solution(G, doc) -> tuple[bool, str]:
             return False, "value does not match the number of colors"
     else:
         vertices = doc.get("vertices", [])
+        if not all(0 <= v < G.n for v in vertices):
+            return False, f"vertex id outside [0, {G.n})"
+        if len(set(vertices)) != len(vertices):
+            return False, "repeated vertex id"
         if doc["value"] != len(vertices):
             return False, "value does not match the vertex count"
         if not problem.check(G, vertices):

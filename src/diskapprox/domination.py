@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import BadParameter, IsolatedVertex, ModelMismatch, NoEligibleVertex, NotConnected
-from .geometry import GeometricInstance, instance_adjacency, sweep_order
+from .geometry import GeometricInstance, instance_to_graph, sweep_order
 from .graphs import Graph, VertexSet, bfs_levels, greedy_maximal_independent_set
 
 
@@ -106,23 +106,15 @@ def independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
 def independent_set_geometric(inst: GeometricInstance) -> VertexSet:
     """Sweep unit disks by ascending x; take each survivor, delete its neighbors.
 
-    The leftmost surviving disk always has neighborhood independence at most
-    3, so this matches the guarantee of independent_set_graph(G, 3) in
-    O(n log n + m) time.  Raises ModelMismatch unless all radii are equal.
+    That is greedy maximal independent set over the intersection graph in
+    sweep_order.  The leftmost surviving disk always has neighborhood
+    independence at most 3, so this matches the guarantee of
+    independent_set_graph(G, 3) in O(n log n + m) time.  Raises
+    ModelMismatch unless all radii are equal.
     """
     if not inst.unit:
         raise ModelMismatch("the sweep needs equal radii")
-    adjacency = instance_adjacency(inst)
-    alive = [True] * inst.n
-    chosen: list[int] = []
-    for v in sweep_order(inst):
-        if not alive[v]:
-            continue
-        chosen.append(v)
-        alive[v] = False
-        for u in adjacency[v]:
-            alive[u] = False
-    return VertexSet.of(chosen, inst.n)
+    return greedy_maximal_independent_set(instance_to_graph(inst), sweep_order(inst))
 
 
 def dominating_set(G: Graph) -> VertexSet:

@@ -15,12 +15,11 @@ always re-derived from the disks.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadParameter, ParseError, VersionMismatch
-from .geometry import GeometricInstance, instance_to_graph
+from .geometry import GeometricInstance, _disk_fault, instance_to_graph
 from .graphs import Graph, build_graph
 
 FORMAT_VERSION = 1
@@ -110,10 +109,9 @@ def parse_instance(text: str) -> InstanceFile:
                 x, y, r = (float(t) for t in tokens[2:5])
             except ValueError:
                 raise ParseError(line_no, "bad disk fields") from None
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
-                raise ParseError(line_no, "disk fields must be finite")
-            if r <= 0:
-                raise ParseError(line_no, f"radius {tokens[4]} must be positive")
+            fault = _disk_fault(x, y, r)
+            if fault:
+                raise ParseError(line_no, fault)
             if disk_id in disks:
                 raise ParseError(line_no, f"duplicate disk id {disk_id}")
             disks[disk_id] = (x, y, r)
@@ -175,8 +173,25 @@ def solution_to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_solution(text: str) -> dict:
-    doc = json.loads(text)
+    """Solution document with a string problem, an integer value, and integer lists."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise BadParameter("solution document nests too deeply") from None
     if not isinstance(doc, dict) or "problem" not in doc or "value" not in doc:
         raise BadParameter("solution document needs 'problem' and 'value'")
+    if not isinstance(doc["problem"], str):
+        raise BadParameter("solution 'problem' must be a string")
+    if not _is_int(doc["value"]):
+        raise BadParameter("solution 'value' must be an integer")
+    for field in ("vertices", "colors"):
+        if field in doc and not (
+            isinstance(doc[field], list) and all(map(_is_int, doc[field]))
+        ):
+            raise BadParameter(f"solution {field!r} must be a list of integers")
     return doc

@@ -50,15 +50,37 @@ class PolygonBound:
     independence_bound: int
 
 
+# Coordinates within 2^500 of 0 and radii in [2^-500, 2^500] keep the
+# pairing arithmetic finite and normal: a squared distance or squared reach
+# is at most 2^1003, a squared reach at least 2^-998 (a squared distance
+# that underflows is then far below it), and a cell index |x| / cell at
+# most 2^999.
+_MAX_MAGNITUDE = 2.0 ** 500
+_MIN_RADIUS = 2.0 ** -500
+
+
+def _disk_fault(x: float, y: float, r: float) -> Optional[str]:
+    """Why the disk (x, y, r) is rejected, or None when it is accepted."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
+        return "disk fields must be finite"
+    if r <= 0:
+        return f"radius {r} must be positive"
+    if abs(x) > _MAX_MAGNITUDE or abs(y) > _MAX_MAGNITUDE:
+        return "coordinates must lie within 2^500 of 0"
+    if not _MIN_RADIUS <= r <= _MAX_MAGNITUDE:
+        return f"radius {r} must lie in [2^-500, 2^500]"
+    return None
+
+
 def _check_radii(disks) -> tuple[float, float]:
-    """Reject non-finite fields and non-positive radii; return the (min, max) radius."""
+    """Reject disks :func:`_disk_fault` rejects; return the (min, max) radius."""
     low = math.inf
     high = 0.0
     for x, y, r in disks:
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
-            raise BadParameter(f"disk ({x}, {y}, {r}) has a non-finite field")
-        if r <= 0:
-            raise NonPositiveRadius(f"radius {r} must be positive")
+        fault = _disk_fault(x, y, r)
+        if fault:
+            error = NonPositiveRadius if r <= 0 else BadParameter
+            raise error(f"disk ({x}, {y}, {r}): {fault}")
         if r < low:
             low = r
         if r > high:
@@ -67,10 +89,10 @@ def _check_radii(disks) -> tuple[float, float]:
 
 
 def _check_radius_range(radius: float, radius_high: Optional[float]) -> None:
-    if not 0 < radius < math.inf:
-        raise BadParameter("radius must be positive and finite")
-    if radius_high is not None and not radius <= radius_high < math.inf:
-        raise BadParameter("radius_high must be finite and at least radius")
+    if not _MIN_RADIUS <= radius <= _MAX_MAGNITUDE:
+        raise BadParameter("radius must be finite and lie in [2^-500, 2^500]")
+    if radius_high is not None and not radius <= radius_high <= _MAX_MAGNITUDE:
+        raise BadParameter("radius_high must be finite, at least radius and at most 2^500")
 
 
 def _radius_levels(disks, low: float, high: float) -> list[tuple[float, list[int]]]:
@@ -170,21 +192,6 @@ def instance_to_graph(inst: GeometricInstance) -> Graph:
     return build_graph(inst.n, _intersecting_pairs(inst.disks, low, high))
 
 
-def instance_adjacency(inst: GeometricInstance) -> list[list[int]]:
-    """Adjacency lists of the intersection graph, skipping canonicalization.
-
-    Same edge set as :func:`instance_to_graph`; meant for sweep-style
-    passes over large instances where building a Graph would dominate.
-    """
-    low, high = _check_radii(inst.disks)
-    adjacency: list[list[int]] = [[] for _ in range(inst.n)]
-    if inst.n:
-        for i, j in _intersecting_pairs(inst.disks, low, high):
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-    return adjacency
-
-
 def _is_connected(disks) -> bool:
     """Union-find over the intersecting pairs, stopping once one component is left."""
     low, high = _check_radii(disks)
@@ -225,8 +232,8 @@ def random_instance(
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
-    if not 0 < box < math.inf:
-        raise BadParameter("box side must be positive and finite")
+    if not 0 < box <= _MAX_MAGNITUDE:
+        raise BadParameter("box side must be positive, finite and at most 2^500")
     _check_radius_range(radius, radius_high)
     rng = Rng(seed)
     centers = [(box * rng.uniform(), box * rng.uniform()) for _ in range(n)]

@@ -101,20 +101,17 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Canonical graph on ``n`` vertices; (u, v) and (v, u) collapse, duplicates too."""
     if n < 0:
         raise BadParameter("vertex count must be nonnegative")
-    seen: set[tuple[int, int]] = set()
+    neighbors: list[set[int]] = [set() for _ in range(n)]
     for u, v in edge_list:
         if not (0 <= u < n) or not (0 <= v < n):
             raise IdOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}")
-        seen.add((u, v) if u < v else (v, u))
-    edges = tuple(sorted(seen))
-    lists: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        lists[u].append(v)
-        lists[v].append(u)
-    adj = tuple(tuple(sorted(nbrs)) for nbrs in lists)
-    neighbor_sets = tuple(frozenset(nbrs) for nbrs in adj)
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
+    edges = tuple((u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u)
+    neighbor_sets = tuple(map(frozenset, neighbors))
     return Graph(n, edges, adj, neighbor_sets)
 
 

@@ -1,9 +1,9 @@
 """The problem table: each problem's heuristic, exact oracle, validity check,
 and the ratio the heuristic is proven to meet per variant.
 
-Entries reach covering, domination, exact and checks through the module at
-call time, not through stored function objects, so a caller that swaps
-module attributes (a tracer, a mock) sees every call.
+Entries reach covering, domination, exact, checks, geometry and graphs
+through the module at call time, not through stored function objects, so a
+caller that swaps module attributes (a tracer, a mock) sees every call.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import checks, covering, domination, exact
+from . import checks, covering, domination, exact, geometry, graphs
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def _online_color(G, inst, variant, options, meta):
 
 def _independent_set(G, inst, variant, options, meta):
     if inst is not None and variant == "unit" and inst.unit:
-        meta["method"] = "sweep"
-        return domination.independent_set_geometric(inst)
+        meta["method"] = "sweep"  # independent_set_geometric on the G already built
+        return graphs.greedy_maximal_independent_set(G, geometry.sweep_order(inst))
     meta["method"] = "eligibility-search"
     return domination.independent_set_graph(G, 3 if variant == "unit" else 5)
 

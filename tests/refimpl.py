@@ -85,6 +85,34 @@ def lp_half_integral_vc(G: Graph) -> float:
     return best
 
 
+def all_pairs(inst):
+    """The O(n^2) definition of the intersection graph's edge set."""
+    expected = set()
+    for i in range(inst.n):
+        xi, yi, ri = inst.disks[i]
+        for j in range(i + 1, inst.n):
+            xj, yj, rj = inst.disks[j]
+            if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
+                expected.add((i, j))
+    return expected
+
+
+def sweep_mis(inst) -> tuple[int, ...]:
+    """The unit-disk sweep from its definition: visit the disks by x, then y,
+    then id; take each one no earlier pick intersects, deleting its neighbors."""
+    neighbors = {v: set() for v in range(inst.n)}
+    for i, j in all_pairs(inst):
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    alive = set(range(inst.n))
+    chosen = []
+    for v in sorted(range(inst.n), key=lambda v: (inst.disks[v][0], inst.disks[v][1], v)):
+        if v in alive:
+            chosen.append(v)
+            alive -= neighbors[v] | {v}
+    return tuple(sorted(chosen))
+
+
 def all_labeled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from diskapprox import checks
+from diskapprox import checks, geometry
 from diskapprox.cli import main
 from diskapprox.formats import InstanceFile, read_instance, write_instance
 from diskapprox.geometry import GeometricInstance, random_instance
@@ -158,6 +158,30 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
         assert code == 1 and "line 2" in err and "radius" in err
 
+    @pytest.mark.parametrize("lines", [
+        "disk 0 0 0 1e200\ndisk 1 3e200 0 1e200",
+        "disk 0 0 0 1e-200\ndisk 1 3e-200 0 1e-200",
+        "disk 0 1e300 0 1e-10\ndisk 1 0 0 1e-10",
+    ])
+    def test_rejects_disks_beyond_the_magnitude_limits(self, capsys, tmp_path, lines):
+        path = tmp_path / "extreme.udg"
+        path.write_text(f"udg 1 geometric\n{lines}\n")
+        code, out, err = run(capsys, "solve", str(path), "--problem", "mis")
+        assert code == 1 and out == "" and err.startswith("error: line 2")
+
+    def test_mis_pairs_the_disks_once(self, capsys, monkeypatch, geo_instance):
+        calls = []
+        pairs = geometry._intersecting_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return pairs(*args)
+
+        monkeypatch.setattr(geometry, "_intersecting_pairs", counted)
+        code, out, _ = run(capsys, "solve", geo_instance, "--problem", "mis")
+        assert code == 0 and json.loads(out)["meta"]["method"] == "sweep"
+        assert len(calls) == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "no-such-file.udg", "--problem", "vc")
         assert code == 1 and "error" in err
@@ -192,6 +216,32 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         code, verdict, _ = run(capsys, "verify", geo_instance, str(bad))
         assert code == 1 and verdict.startswith("invalid")
+
+    @pytest.mark.parametrize("text, verdict", [
+        pytest.param('{"problem": "mis", "value": 3, "vertices": [97, 98, 99]}',
+                     "invalid: vertex id", id="ids-beyond-n"),
+        pytest.param('{"problem": "mis", "value": 1, "vertices": [-1]}',
+                     "invalid: vertex id", id="negative-id"),
+        pytest.param('{"problem": "mis", "value": 3, "vertices": [0, 0, 0]}',
+                     "invalid: repeated", id="repeated-mis-id"),
+        pytest.param('{"problem": "vc", "value": 12, "vertices": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9]}',
+                     "invalid: repeated", id="repeated-vc-id"),
+        pytest.param('{"problem": "mis", "value": 1, "vertices": 5}', "error: ", id="vertices-int"),
+        pytest.param('{"problem": "mis", "value": 1, "vertices": [[0]]}', "error: ", id="nested-id"),
+        pytest.param('{"problem": "mis", "value": 1, "vertices": [true]}', "error: ", id="bool-id"),
+        pytest.param('{"problem": "mis", "value": 1, "vertices": [0.0]}', "error: ", id="float-id"),
+        pytest.param('{"problem": ["vc"], "value": 1, "vertices": [0]}', "error: ", id="problem-list"),
+        pytest.param('{"problem": "mis", "value": true, "vertices": [0]}', "error: ", id="bool-value"),
+        pytest.param('{"problem": "mis", "value": "1", "vertices": [0]}', "error: ", id="string-value"),
+        pytest.param('{"problem": "color", "value": 1, "colors": {"0": 1}}', "error: ", id="colors-dict"),
+        pytest.param('{"problem": "color", "value": 1, "colors": [[1]]}', "error: ", id="nested-color"),
+        pytest.param("[" * 100_000, "error: ", id="deep-nesting"),
+    ])
+    def test_rejects_forged_documents(self, capsys, tmp_path, connected_instance, text, verdict):
+        forged = tmp_path / "forged.json"
+        forged.write_text(text)
+        code, out, err = run(capsys, "verify", connected_instance, str(forged))
+        assert code == 1 and (out + err).startswith(verdict)
 
 
 class TestBench:

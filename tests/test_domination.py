@@ -26,7 +26,9 @@ from diskapprox.geometry import (
     random_instance,
 )
 from diskapprox.graphs import build_graph
+from diskapprox.problems import PROBLEMS
 from diskapprox.rng import derive_seed
+from refimpl import sweep_mis
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -51,6 +53,41 @@ def unit_instance(index, n, mean_degree=4.0):
 def connected_unit_instance(index, n, mean_degree=4.0):
     box = math.sqrt(n * math.pi * 4.0 / mean_degree)
     return random_connected_instance(n, box, 1.0, derive_seed(0xD1, index))
+
+
+def ring(n):
+    """n unit disks on a circle, each overlapping only its two ring neighbors."""
+    R = 0.999 / math.sin(math.pi / n)
+    return tuple(
+        (R * math.cos(2 * math.pi * k / n), R * math.sin(2 * math.pi * k / n), 1.0)
+        for k in range(n)
+    )
+
+
+def shifted(inst, dx, dy, scale=1.0):
+    return tuple((scale * x + dx, scale * y + dy, scale * r) for x, y, r in inst.disks)
+
+
+# name -> (disks, edge count, when the structure pins it)
+STRUCTURED_UNIT = {
+    "empty": ((), 0),
+    "single": (((5.0, -3.0, 1.0),), 0),
+    "tangent-chain": (tuple((2.0 * i, 0.0, 1.0) for i in range(40)), 39),
+    "reversed-tangent-chain": (tuple((2.0 * i, 0.0, 1.0) for i in reversed(range(40))), 39),
+    "ring": (ring(31), 31),
+    # ids run against the coordinates, so x and y ties decide the order
+    "grid-spacing-2r": (
+        tuple(reversed([(2.0 * i, 2.0 * j, 1.0) for i in range(9) for j in range(9)])),
+        2 * 9 * 8,
+    ),
+    "coincident-centers": (
+        tuple([(1.0, 1.0, 1.0)] * 4 + [(0.0, 0.0, 1.0)] * 5 + [(2.0, 0.0, 1.0)] * 3),
+        None,
+    ),
+    "negative-coordinates": (shifted(unit_instance(7, 60), -40.0, -25.0), None),
+    "1e6-offset": (shifted(unit_instance(8, 60), 1e6, -1e6), None),
+    "1e6-scale": (shifted(unit_instance(9, 60), -3e6, 0.0, scale=1e5), None),
+}
 
 
 class TestIndependentSetGraph:
@@ -109,6 +146,23 @@ class TestIndependentSetGeometric:
         inst = GeometricInstance(((0.0, 0.0, 1.0), (5.0, 0.0, 2.0)))
         with pytest.raises(ModelMismatch):
             independent_set_geometric(inst)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_UNIT))
+    def test_matches_the_reference_sweep(self, name):
+        triples, edges = STRUCTURED_UNIT[name]
+        inst = GeometricInstance(triples)
+        G = instance_to_graph(inst)
+        assert edges is None or G.m == edges
+        expected = sweep_mis(inst)
+        assert independent_set_geometric(inst).members == expected
+        meta = {}
+        assert PROBLEMS["mis"].heuristic(G, inst, "unit", None, meta).members == expected
+        assert meta["method"] == "sweep"
+
+    def test_matches_the_reference_sweep_on_random_instances(self):
+        for index in range(30):
+            inst = unit_instance(index, n=10 + 3 * index, mean_degree=6.0)
+            assert independent_set_geometric(inst).members == sweep_mis(inst)
 
     def test_one_third_guarantee(self):
         for index in range(50):

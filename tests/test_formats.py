@@ -67,6 +67,16 @@ class TestGeometricFiles:
             parse_instance("udg 1 geometric\ndisk 0 0 0 1\ndisk 1 1 0 inf\n")
         assert info.value.line_no == 3
 
+    @pytest.mark.parametrize("fields", ["1e151 0 1", "0 -1e151 1", "0 0 1e151", "0 0 1e-151"])
+    def test_magnitude_limits(self, fields):
+        with pytest.raises(ParseError) as info:
+            parse_instance(f"udg 1 geometric\ndisk 0 0 0 1\ndisk 1 {fields}\n")
+        assert info.value.line_no == 3
+
+    def test_magnitudes_at_the_limits_parse(self):
+        big, tiny = repr(2.0 ** 500), repr(2.0 ** -500)
+        doc = parse_instance(f"udg 1 geometric\ndisk 0 -{big} {big} {tiny}\ndisk 1 0 0 {big}\n")
+        assert doc.disks == ((-(2.0 ** 500), 2.0 ** 500, 2.0 ** -500), (0.0, 0.0, 2.0 ** 500))
 
     @pytest.mark.parametrize("line", ["disk 1 1 0 -1", "disk 0 1 0 0", "disk 0 1 0 -0"])
     def test_nonpositive_radius(self, line):
@@ -130,6 +140,18 @@ class TestSolutionDocuments:
     def test_rejects_garbage(self):
         with pytest.raises(BadParameter):
             parse_solution('{"value": 3}')
+
+    @pytest.mark.parametrize("text", [
+        '{"problem": 3, "value": 3}',
+        '{"problem": "mis", "value": 3.0}',
+        '{"problem": "mis", "value": false}',
+        '{"problem": "mis", "value": 1, "vertices": "0"}',
+        '{"problem": "mis", "value": 1, "vertices": [false]}',
+        '{"problem": "color", "value": 1, "colors": [null]}',
+    ])
+    def test_rejects_mistyped_fields(self, text):
+        with pytest.raises(BadParameter):
+            parse_solution(text)
 
     def test_json_is_stable(self):
         doc = solution_document("mis", 1, vertices=[0], meta={"b": 1, "a": 2})

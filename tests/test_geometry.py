@@ -11,7 +11,6 @@ from diskapprox.geometry import (
     _check_radii,
     _is_connected,
     _radius_levels,
-    instance_adjacency,
     instance_to_graph,
     polygon_independence_bound,
     random_connected_instance,
@@ -21,23 +20,11 @@ from diskapprox.geometry import (
 )
 from diskapprox.graphs import build_graph, is_connected
 from diskapprox.rng import Rng, derive_seed
-from refimpl import brute_mis
+from refimpl import all_pairs, brute_mis
 
 
 def disks(*triples):
     return GeometricInstance(tuple(triples))
-
-
-def all_pairs(inst):
-    """The O(n^2) definition of the intersection graph's edge set."""
-    expected = set()
-    for i in range(inst.n):
-        xi, yi, ri = inst.disks[i]
-        for j in range(i + 1, inst.n):
-            xj, yj, rj = inst.disks[j]
-            if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
-                expected.add((i, j))
-    return expected
 
 
 def level_count(inst):
@@ -48,9 +35,6 @@ def assert_matches_all_pairs(inst, min_levels=2):
     assert level_count(inst) >= min_levels
     expected = all_pairs(inst)
     assert set(instance_to_graph(inst).edges) == expected
-    adjacency = instance_adjacency(inst)
-    assert {(i, j) for i in range(inst.n) for j in adjacency[i] if i < j} == expected
-    assert sum(map(len, adjacency)) == 2 * len(expected)
 
 
 def neighborhood_independence(G, v):
@@ -217,6 +201,45 @@ class TestRadiusLevels:
             return best
 
         assert best_of_three(mixed) <= 5.0 * best_of_three(small)
+
+
+class TestMagnitudeLimits:
+    big = 2.0 ** 500
+    tiny = 2.0 ** -500
+
+    def test_tangent_at_the_largest_magnitudes(self):
+        big = self.big
+        assert instance_to_graph(disks((-big, 0, big), (big, 0, big))).m == 1
+        assert instance_to_graph(disks((-big, 0, big), (big, 2.0 ** 490, big))).m == 0
+
+    def test_tangent_at_the_smallest_radius(self):
+        tiny = self.tiny
+        assert instance_to_graph(disks((0, 0, tiny), (2 * tiny, 0, tiny))).m == 1
+        assert instance_to_graph(disks((0, 0, tiny), (2 * tiny, 2.0 ** -520, tiny))).m == 0
+        assert instance_to_graph(disks((0, 0, tiny), (3 * tiny, 0, tiny))).m == 0
+
+    def test_smallest_and_largest_together(self):
+        big, tiny = self.big, self.tiny
+        inst = disks((0, 0, tiny), (3 * tiny, 0, tiny), (-big, big, big), (big, -big, big), (big, big, 1.0))
+        assert set(instance_to_graph(inst).edges) == all_pairs(inst)
+
+    @pytest.mark.parametrize("triple", [
+        (2.0 ** 501, 0, 1), (0, -(2.0 ** 501), 1), (0, 0, 2.0 ** 501), (0, 0, 2.0 ** -501),
+        (1e300, 0, 1e-10),
+    ], ids=["x", "y", "large-radius", "small-radius", "cell-index"])
+    def test_beyond_the_limits(self, triple):
+        with pytest.raises(BadParameter):
+            instance_to_graph(disks((0, 0, 1), triple))
+
+    def test_generator_limits(self):
+        random_instance(3, self.big, 1.0, 0)
+        random_instance(3, 4.0, self.tiny, 0, radius_high=self.big)
+        for box, radius, radius_high in (
+            (2.0 ** 501, 1.0, None), (4.0, 2.0 ** -501, None), (4.0, 2.0 ** 501, None),
+            (4.0, 1.0, 2.0 ** 501),
+        ):
+            with pytest.raises(BadParameter):
+                random_instance(3, box, radius, 0, radius_high)
 
 
 class TestRandomInstance:
