@@ -13,12 +13,12 @@ from .graphs import Graph
 
 def is_vertex_cover(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
-    return all(u in chosen or v in chosen for u, v in G.edges)
+    return all(v in chosen or chosen.issuperset(G.neighbors(v)) for v in range(G.n))
 
 
 def is_independent_set(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
-    return not any(u in chosen and v in chosen for u, v in G.edges)
+    return not any(u in chosen for v in range(G.n) if v in chosen for u in G.neighbors(v))
 
 
 def is_maximal_independent_set(G: Graph, vertices: Iterable[int]) -> bool:
@@ -80,4 +80,4 @@ def is_proper_coloring(G: Graph, colors: Iterable[int]) -> bool:
     colors = list(colors)
     if len(colors) != G.n or any(c < 1 for c in colors):
         return False
-    return not any(colors[u] == colors[v] for u, v in G.edges)
+    return not any(colors[u] == colors[v] for v in range(G.n) for u in G.neighbors(v))

@@ -50,8 +50,8 @@ def _has_independent_subset(G: Graph, candidates: Iterable[int], size: int) -> b
     if len(pool) < size:
         return False
     pool_set = set(pool)
-    internal = {v: len(G.neighbor_set(v) & pool_set) for v in pool}
-    pool.sort(key=lambda v: (internal[v], v))  # sparse candidates first: succeeds sooner
+    internal = {v: pool_set.intersection(G.neighbors(v)) for v in pool}
+    pool.sort(key=lambda v: (len(internal[v]), v))  # sparse candidates first: succeeds sooner
 
     def extend(start: int, chosen: int, blocked: frozenset[int]) -> bool:
         for idx in range(start, len(pool)):
@@ -62,7 +62,7 @@ def _has_independent_subset(G: Graph, candidates: Iterable[int], size: int) -> b
                 continue
             if chosen + 1 == size:
                 return True
-            if extend(idx + 1, chosen + 1, blocked | G.neighbor_set(v)):
+            if extend(idx + 1, chosen + 1, blocked | internal[v]):
                 return True
         return False
 
@@ -175,7 +175,7 @@ def connected_dominating_set(
             if v in dominated_set or v in blocked:
                 continue
             picked.append(v)
-            blocked.update(G.neighbor_set(v))
+            blocked.update(G.neighbors(v))
         independent_levels.append(tuple(picked))
         dominated_levels.append(dominated)
         connector_levels.append(tuple(sorted({parent[v] for v in picked})))

@@ -63,11 +63,7 @@ class _Deadline:
 
 
 def _neighbor_masks(G: Graph) -> list[int]:
-    masks = [0] * G.n
-    for u, v in G.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+    return [sum(1 << v for v in nbrs) for nbrs in G.adj]
 
 
 def _mask_to_vertices(mask: int) -> list[int]:

@@ -122,6 +122,11 @@ def _radius_levels(disks, low: float, high: float) -> list[tuple[float, list[int
 
 
 def _bucket(disks, ids, cell: float) -> dict[tuple[int, int], list[int]]:
+    # Cells are 2^-20 wider than the largest reach: the squared test rounds
+    # dx = xi - xj, so it accepts centers a few ulps more than one reach
+    # apart, e.g. (-1e-20, 0, 1) and (2, 0, 1), which cells of side exactly
+    # 2 put two cells apart.
+    cell *= 1.0 + 2.0 ** -20
     buckets: dict[tuple[int, int], list[int]] = {}
     for i in ids:
         x, y, _ = disks[i]
@@ -139,7 +144,7 @@ def _intersecting_pairs(disks, low: float, high: float):
 
     Disks are split into radius levels (see :func:`_radius_levels`); unit
     disks, or any radii within a factor of two, make a single level.  Each
-    level buckets its centers into cells of side 2 * its largest radius, so
+    level buckets its centers into cells just over 2 * its largest radius, so
     a pair within the level sits in the same or an adjacent cell; scanning
     each cell against itself and a half-neighborhood of four offsets visits
     each unordered cell pair once.  A pair across levels is found from the

@@ -9,6 +9,7 @@ through induced subgraphs or local alive masks.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -45,25 +46,32 @@ class VertexSet:
 
 
 class Graph:
-    """Simple undirected graph; construct with :func:`build_graph`."""
+    """Simple undirected graph held as its sorted adjacency; construct with :func:`build_graph`.
 
-    __slots__ = ("n", "edges", "adj", "_neighbor_sets")
+    ``edges``, ``m`` and ``neighbor_set`` are derived from ``adj`` on each
+    call, so loops read :meth:`neighbors` instead.
+    """
 
-    def __init__(self, n, edges, adj, neighbor_sets):
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n, adj):
         self.n = n
-        self.edges = edges          # sorted tuple of (u, v) pairs with u < v
         self.adj = adj              # per-vertex sorted neighbor tuples
-        self._neighbor_sets = neighbor_sets
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (u, v) pairs with u < v."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if v > u)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def neighbors(self, vertex: int) -> tuple[int, ...]:
         return self.adj[vertex]
 
     def neighbor_set(self, vertex: int) -> frozenset[int]:
-        return self._neighbor_sets[vertex]
+        return frozenset(self.adj[vertex])
 
     def degree(self, vertex: int) -> int:
         return len(self.adj[vertex])
@@ -72,13 +80,15 @@ class Graph:
         return max((len(nbrs) for nbrs in self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbor_sets[u]
+        nbrs = self.adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -109,10 +119,7 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
             raise SelfLoop(f"self-loop at vertex {u}")
         neighbors[u].add(v)
         neighbors[v].add(u)
-    adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
-    edges = tuple((u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u)
-    neighbor_sets = tuple(map(frozenset, neighbors))
-    return Graph(n, edges, adj, neighbor_sets)
+    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
 
 
 def induced_subgraph(G: Graph, subset: VertexSet) -> tuple[Graph, tuple[int, ...]]:
@@ -121,11 +128,7 @@ def induced_subgraph(G: Graph, subset: VertexSet) -> tuple[Graph, tuple[int, ...
         raise IdOutOfRange("vertex set does not belong to this graph")
     id_map = subset.members
     back = {old: new for new, old in enumerate(id_map)}
-    edges = [
-        (back[u], back[v])
-        for u, v in G.edges
-        if u in subset and v in subset
-    ]
+    edges = [(back[u], back[v]) for u in id_map for v in G.adj[u] if v > u and v in back]
     return build_graph(len(id_map), edges), id_map
 
 

@@ -194,11 +194,7 @@ def nt_decompose(G: Graph) -> NtDecomposition:
     scores half per copy inside the Konig cover, and the vertices with score
     1, 1/2 and 0 form ``forced``, ``half`` and ``excluded``.
     """
-    double_edges: list[tuple[int, int]] = []
-    for u, v in G.edges:
-        double_edges.append((u, v))
-        double_edges.append((v, u))
-    double = build_bipartite(G.n, G.n, double_edges)
+    double = build_bipartite(G.n, G.n, ((u, v) for u in range(G.n) for v in G.adj[u]))
     cover_left, cover_right = konig_cover(double, max_matching(double))
     copies = [0] * G.n
     for l in cover_left:

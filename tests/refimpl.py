@@ -79,8 +79,9 @@ def minimum_vertex_covers(G: Graph) -> list[frozenset[int]]:
 def lp_half_integral_vc(G: Graph) -> float:
     """Optimum of the vertex-cover LP over x in {0, 1/2, 1}^n."""
     best = float(G.n)
+    edges = G.edges
     for levels in product((0, 1, 2), repeat=G.n):
-        if all(levels[u] + levels[v] >= 2 for u, v in G.edges):
+        if all(levels[u] + levels[v] >= 2 for u, v in edges):
             best = min(best, sum(levels) / 2.0)
     return best
 

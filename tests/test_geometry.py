@@ -78,6 +78,34 @@ class TestInstanceToGraph:
                                    radius_high=2.0 if index % 3 == 0 else None)
             assert set(instance_to_graph(inst).edges) == all_pairs(inst)
 
+    def test_rounded_difference_spanning_two_cells(self):
+        # -1e-20 - 2 rounds to -2, so the squared test accepts centers a hair
+        # more than one reach apart; cells of side exactly 2 put them two apart
+        for inst in (disks((-1e-20, 0, 1), (2, 0, 1)), disks((0, -1e-20, 1), (0, 2, 1))):
+            assert_matches_all_pairs(inst, min_levels=1)
+            assert instance_to_graph(inst).m == 1
+
+    def test_near_boundary_fuzz(self):
+        # centers on and a few ulps off multiples of the radii, in both signs,
+        # near zero and far from it, so tangent pairs straddle cell boundaries
+        rng = Rng(0xB0DA)
+
+        def pick(options):
+            return options[rng.randrange(len(options))]
+
+        for index in range(300):
+            radii = (1.0,) if index % 2 else (0.25, 1.0, 3.0)
+            origin = pick((0.0, 0.0, 1e6, -(2.0 ** 40), 3.0 * 2.0 ** 30))
+
+            def coordinate():
+                v = origin + (rng.randrange(9) - 4) * pick(radii) + pick((0.0, 1e-20, -1e-20, 5e-324))
+                for _ in range(rng.randrange(3)):
+                    v = math.nextafter(v, pick((math.inf, -math.inf)))
+                return v
+
+            inst = disks(*[(coordinate(), coordinate(), pick(radii)) for _ in range(24)])
+            assert set(instance_to_graph(inst).edges) == all_pairs(inst)
+
     def test_translation_and_right_angle_rotation_invariance(self):
         inst = random_instance(30, 8.0, 1.0, 4242)
         G = instance_to_graph(inst)
@@ -201,6 +229,40 @@ class TestRadiusLevels:
             return best
 
         assert best_of_three(mixed) <= 5.0 * best_of_three(small)
+
+
+class TestStructuredInstances:
+    """Large instances whose structure fixes the edge set."""
+
+    def test_tangent_chain(self):
+        n = 10 ** 5
+        G = instance_to_graph(disks(*[(2.0 * i - 1e5, 3.0, 1.0) for i in range(n)]))
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        assert G.m == n - 1
+        assert G.edges == tuple(pairs)
+        again = build_graph(n, [(v, u) for u, v in reversed(pairs)] + pairs)
+        assert G == again and hash(G) == hash(again)
+
+    def test_square_ring_at_spacing_two_radii(self):
+        side = 2500  # disks per side; at each corner the diagonal pair is 2 * sqrt(2) * r apart
+        loop = ([(k, 0) for k in range(side)] + [(side, k) for k in range(side)]
+                + [(side - k, side) for k in range(side)] + [(0, side - k) for k in range(side)])
+        G = instance_to_graph(disks(*[(-5e5 + 0.5 * a, 7.0 + 0.5 * b, 0.25) for a, b in loop]))
+        assert G.m == G.n == 4 * side
+        assert all(G.degree(v) == 2 for v in range(G.n))
+
+    def test_grid_at_spacing_two_radii(self):
+        rows, cols = 80, 125
+        G = instance_to_graph(disks(*[(-3.0 * c, 1e6 + 3.0 * r, 1.5)
+                                      for r in range(rows) for c in range(cols)]))
+        assert G.m == rows * (cols - 1) + cols * (rows - 1)
+        assert G.max_degree() == 4
+
+    def test_coincident_centers_give_a_clique(self):
+        k = 60
+        G = instance_to_graph(disks(*[(-1.5, 2.5, 1.0)] * k))
+        assert G.m == k * (k - 1) // 2
+        assert G.edges == tuple(combinations(range(k), 2))
 
 
 class TestMagnitudeLimits:

@@ -3,6 +3,8 @@ from itertools import combinations
 import pytest
 
 from diskapprox import checks
+from diskapprox.covering import color_offline, vertex_cover
+from diskapprox.domination import connected_dominating_set
 from diskapprox.errors import BadParameter, IdOutOfRange, NotConnected, SelfLoop
 from diskapprox.graphs import (
     VertexSet,
@@ -54,6 +56,19 @@ class TestBuildGraph:
 
     def test_graphs_compare_by_structure(self):
         assert build_graph(3, [(0, 1)]) == build_graph(3, [(1, 0), (0, 1)])
+
+    def test_derived_views_agree_with_the_adjacency(self):
+        rng = Rng(11)
+        for _ in range(20):
+            G = random_graph(12, 0.3, rng)
+            pairs = {(u, v) for u in range(G.n) for v in G.neighbors(u) if u < v}
+            assert G.edges == tuple(sorted(pairs))
+            assert G.m == len(pairs)
+            for u in range(G.n):
+                assert G.neighbor_set(u) == set(G.neighbors(u))
+                assert [G.has_edge(u, v) for v in range(G.n)] == [
+                    (min(u, v), max(u, v)) in pairs for v in range(G.n)
+                ]
 
 
 class TestInducedSubgraph:
@@ -209,6 +224,32 @@ class TestConnectivity:
         G = build_graph(6, [(0, 3), (1, 4)])
         parts = components(G)
         assert sorted(v for part in parts for v in part) == list(range(6))
+
+
+class TestLongChain:
+    """A path of 2 * 10^4 vertices: every deep search here must be iterative."""
+
+    n = 2 * 10 ** 4
+
+    def chain(self):
+        return build_graph(self.n, [(i, i + 1) for i in range(self.n - 1)])
+
+    def test_vertex_cover(self):
+        G = self.chain()
+        cover = vertex_cover(G)
+        assert checks.is_vertex_cover(G, cover)
+
+    def test_color_offline(self):
+        G = self.chain()
+        coloring = color_offline(G)
+        assert checks.is_proper_coloring(G, coloring.colors)
+        assert coloring.num_colors == 2
+
+    def test_connected_dominating_set(self):
+        G = self.chain()
+        cds, trace = connected_dominating_set(G)
+        assert checks.is_connected_dominating_set(G, cds)
+        assert trace.depth == self.n - 1
 
 
 class TestVertexSet:
