@@ -46,7 +46,7 @@ class VertexSet:
 
 
 class Graph:
-    """Simple undirected graph held as its sorted adjacency; construct with :func:`build_graph`.
+    """Simple undirected graph held as its sorted adjacency: symmetric, no loops, no repeats.
 
     ``edges``, ``m`` and ``neighbor_set`` are derived from ``adj`` on each
     call, so loops read :meth:`neighbors` instead.
@@ -128,8 +128,9 @@ def induced_subgraph(G: Graph, subset: VertexSet) -> tuple[Graph, tuple[int, ...
         raise IdOutOfRange("vertex set does not belong to this graph")
     id_map = subset.members
     back = {old: new for new, old in enumerate(id_map)}
-    edges = [(back[u], back[v]) for u in id_map for v in G.adj[u] if v > u and v in back]
-    return build_graph(len(id_map), edges), id_map
+    # id_map is sorted, so relabelling keeps each neighbor tuple sorted
+    adj = tuple(tuple(back[v] for v in G.adj[u] if v in back) for u in id_map)
+    return Graph(len(id_map), adj), id_map
 
 
 def degeneracy_ordering(G: Graph, degree_cap: Optional[int] = None) -> DegeneracyResult:

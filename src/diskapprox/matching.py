@@ -3,9 +3,9 @@ Nemhauser-Trotter style half-integral decomposition built from them."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .errors import BadParameter, IdOutOfRange, NotMaximumMatching
@@ -14,18 +14,16 @@ from .graphs import Graph, VertexSet
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite graph with separate left/right id spaces; build with build_bipartite()."""
+    """Bipartite graph as each left vertex's sorted right neighbors; see build_bipartite()."""
 
     left_n: int
     right_n: int
-    edges: tuple[tuple[int, int], ...]
+    adj: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def left_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.left_n)]
-        for l, r in self.edges:
-            lists[l].append(r)
-        return tuple(tuple(sorted(nbrs)) for nbrs in lists)
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (left, right) pairs, derived from ``adj`` on each call."""
+        return tuple((l, r) for l, nbrs in enumerate(self.adj) for r in nbrs)
 
 
 @dataclass(frozen=True)
@@ -50,12 +48,12 @@ class NtDecomposition:
 def build_bipartite(left_n: int, right_n: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
     if left_n < 0 or right_n < 0:
         raise BadParameter("side sizes must be nonnegative")
-    seen: set[tuple[int, int]] = set()
+    neighbors: list[set[int]] = [set() for _ in range(left_n)]
     for l, r in edges:
         if not (0 <= l < left_n) or not (0 <= r < right_n):
             raise IdOutOfRange(f"edge ({l}, {r}) outside {left_n}x{right_n}")
-        seen.add((l, r))
-    return BipartiteGraph(left_n, right_n, tuple(sorted(seen)))
+        neighbors[l].add(r)
+    return BipartiteGraph(left_n, right_n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
 
 
 def max_matching(B: BipartiteGraph) -> tuple[tuple[int, int], ...]:
@@ -64,7 +62,7 @@ def max_matching(B: BipartiteGraph) -> tuple[tuple[int, int], ...]:
     Returned as (left, right) pairs sorted by left id; scanning order is
     fixed so the matching is deterministic.
     """
-    adjacency = B.left_adjacency
+    adjacency = B.adj
     match_left = [-1] * B.left_n
     match_right = [-1] * B.right_n
     layer = [0] * B.left_n
@@ -143,18 +141,19 @@ def konig_cover(
     supplied matching was not maximum.
     """
     matching = tuple(matching)
-    edge_set = set(B.edges)
+    adjacency = B.adj
     match_left: dict[int, int] = {}
     match_right: dict[int, int] = {}
     for l, r in matching:
-        if (l, r) not in edge_set:
+        nbrs = adjacency[l] if 0 <= l < B.left_n else ()
+        i = bisect_left(nbrs, r)
+        if i == len(nbrs) or nbrs[i] != r:
             raise BadParameter(f"({l}, {r}) is not an edge of the bipartite graph")
         if l in match_left or r in match_right:
             raise BadParameter("not a matching: repeated endpoint")
         match_left[l] = r
         match_right[r] = l
 
-    adjacency = B.left_adjacency
     reached_left = [False] * B.left_n
     reached_right = [False] * B.right_n
     queue: deque[int] = deque()
@@ -179,22 +178,22 @@ def konig_cover(
         raise NotMaximumMatching(
             f"cover size {len(cover_left) + len(cover_right)} != matching size {len(matching)}"
         )
-    left_set = set(cover_left)
-    right_set = set(cover_right)
-    for l, r in B.edges:
-        if l not in left_set and r not in right_set:
-            raise NotMaximumMatching(f"edge ({l}, {r}) left uncovered")
+    for l in range(B.left_n):
+        for r in adjacency[l]:
+            if reached_left[l] and not reached_right[r]:
+                raise NotMaximumMatching(f"edge ({l}, {r}) left uncovered")
     return cover_left, cover_right
 
 
 def nt_decompose(G: Graph) -> NtDecomposition:
     """Decompose via a minimum cover of the bipartite double graph.
 
-    Each edge (u, v) becomes (u_left, v_right) and (v_left, u_right); a vertex
-    scores half per copy inside the Konig cover, and the vertices with score
-    1, 1/2 and 0 form ``forced``, ``half`` and ``excluded``.
+    Each edge (u, v) becomes (u_left, v_right) and (v_left, u_right), so the
+    double's left adjacency is ``G.adj`` itself; a vertex scores half per copy
+    inside the Konig cover, and the vertices with score 1, 1/2 and 0 form
+    ``forced``, ``half`` and ``excluded``.
     """
-    double = build_bipartite(G.n, G.n, ((u, v) for u in range(G.n) for v in G.adj[u]))
+    double = BipartiteGraph(G.n, G.n, G.adj)
     cover_left, cover_right = konig_cover(double, max_matching(double))
     copies = [0] * G.n
     for l in cover_left:

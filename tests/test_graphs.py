@@ -91,6 +91,19 @@ class TestInducedSubgraph:
         with pytest.raises(IdOutOfRange):
             induced_subgraph(c5(), VertexSet.of([0], 4))
 
+    def test_matches_build_graph_of_the_relabelled_edges(self):
+        rng = Rng(12)
+        for i in range(30):
+            G = random_graph(3 + i % 10, rng.uniform(), rng)
+            for members in ([], range(G.n), [v for v in range(G.n) if rng.uniform() < 0.5]):
+                subset = VertexSet.of(members, G.n)
+                back = {old: new for new, old in enumerate(subset.members)}
+                edges = [(back[u], back[v]) for u, v in G.edges if u in back and v in back]
+                expected = build_graph(len(subset), edges)
+                sub, id_map = induced_subgraph(G, subset)
+                assert sub == expected and hash(sub) == hash(expected)
+                assert id_map == subset.members
+
 
 class TestDegeneracy:
     def test_examples(self):

@@ -1,10 +1,20 @@
+import math
+from collections import Counter
+
 import pytest
 
-from diskapprox import checks
+from diskapprox import checks, covering
 from diskapprox.errors import BadParameter, IdOutOfRange, NotMaximumMatching
 from diskapprox.exact import exact_vc
-from diskapprox.graphs import build_graph, induced_subgraph
-from diskapprox.matching import build_bipartite, konig_cover, max_matching, nt_decompose
+from diskapprox.geometry import instance_to_graph, random_instance
+from diskapprox.graphs import build_graph, find_triangle, induced_subgraph
+from diskapprox.matching import (
+    BipartiteGraph,
+    build_bipartite,
+    konig_cover,
+    max_matching,
+    nt_decompose,
+)
 from diskapprox.rng import Rng
 from refimpl import (
     all_labeled_graphs,
@@ -16,6 +26,20 @@ from refimpl import (
 
 def k22():
     return build_bipartite(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+class TestBuildBipartite:
+    def test_adjacency_is_sorted_and_deduplicated(self):
+        rng = Rng(43)
+        for _ in range(40):
+            left = 1 + rng.randrange(6)
+            right = 1 + rng.randrange(6)
+            pairs = [(rng.randrange(left), rng.randrange(right)) for _ in range(rng.randrange(30))]
+            B = build_bipartite(left, right, pairs)
+            assert B.adj == tuple(
+                tuple(sorted({r for l, r in pairs if l == row})) for row in range(left)
+            )
+            assert B.edges == tuple(sorted(set(pairs)))
 
 
 class TestMaxMatching:
@@ -110,6 +134,17 @@ class TestKonigCover:
         with pytest.raises(BadParameter):
             konig_cover(build_bipartite(2, 2, [(0, 0)]), [(0, 1)])
 
+    @pytest.mark.parametrize(
+        "pair", [(-1, 0), (2, 0), (0, 2), (0, -1)], ids=["left-1", "left-n", "right-n", "right-1"]
+    )
+    @pytest.mark.parametrize(
+        "B", [k22(), build_bipartite(2, 2, [(1, 0)])], ids=["k22", "last-row-edge"]
+    )
+    def test_out_of_range_pair_rejected(self, B, pair):
+        # both sides have 2 vertices, so each pair has an id just outside one side
+        with pytest.raises(BadParameter):
+            konig_cover(B, [pair])
+
     def test_cover_touches_every_edge(self):
         rng = Rng(8)
         for _ in range(60):
@@ -125,6 +160,16 @@ class TestKonigCover:
             assert len(cover_l) + len(cover_r) == len(matching)
             left_set, right_set = set(cover_l), set(cover_r)
             assert all(l in left_set or r in right_set for l, r in B.edges)
+
+
+def reference_decomposition(G):
+    """Classes and matching of the bipartite double built pair by pair with build_bipartite."""
+    double = build_bipartite(G.n, G.n, list(G.edges) + [(v, u) for u, v in G.edges])
+    matching = max_matching(double)
+    cover_left, cover_right = konig_cover(double, matching)
+    copies = Counter(cover_left) + Counter(cover_right)
+    classes = tuple(tuple(v for v in range(G.n) if copies[v] == k) for k in (2, 1, 0))
+    return double, classes, matching
 
 
 def assert_valid_decomposition(G, decomposition):
@@ -203,3 +248,24 @@ class TestNtDecomposition:
             _, half_cover = exact_vc(half_graph)
             combined = set(decomposition.forced) | {half_ids[v] for v in half_cover}
             assert checks.is_vertex_cover(G, combined)
+
+    def test_matches_the_double_built_from_pairs(self, monkeypatch):
+        rng = Rng(58)
+        graphs = [build_graph(0, []), build_graph(5, [])]
+        graphs += [random_graph(4 + i % 17, 0.5 * rng.uniform(), rng) for i in range(40)]
+        # the triangle-free cores vertex_cover decomposes on unit disks at mean degree 6
+        cores = []
+        monkeypatch.setattr(covering, "nt_decompose", lambda G: cores.append(G) or nt_decompose(G))
+        for seed in range(6):
+            n = 200 + 100 * seed
+            inst = random_instance(n, math.sqrt(4 * math.pi * n / 6), 1.0, seed)
+            covering.vertex_cover(instance_to_graph(inst))
+        assert all(find_triangle(core) is None for core in cores)
+        assert sum(core.m for core in cores) > 100
+        for G in graphs + cores:
+            double, classes, matching = reference_decomposition(G)
+            assert double.adj == G.adj
+            decomposition = nt_decompose(G)
+            members = (decomposition.forced, decomposition.half, decomposition.excluded)
+            assert tuple(part.members for part in members) == classes
+            assert max_matching(BipartiteGraph(G.n, G.n, G.adj)) == matching
