@@ -106,7 +106,7 @@ def parse_instance(text: str) -> InstanceFile:
                 raise ParseError(line_no, "expected 'disk <id> <x> <y> <r>'")
             try:
                 disk_id = int(tokens[1])
-                x, y, r = (float(t) for t in tokens[2:5])
+                x, y, r = float(tokens[2]), float(tokens[3]), float(tokens[4])
             except ValueError:
                 raise ParseError(line_no, "bad disk fields") from None
             fault = _disk_fault(x, y, r)

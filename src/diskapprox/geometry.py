@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import BadParameter, ModelMismatch, NonPositiveRadius
-from .graphs import Graph, VertexSet, build_graph
+from .graphs import Graph, VertexSet, is_connected
 from .rng import Rng, derive_seed
 
 _SECTOR = math.pi / 3.0
@@ -61,15 +61,18 @@ _MIN_RADIUS = 2.0 ** -500
 
 def _disk_fault(x: float, y: float, r: float) -> Optional[str]:
     """Why the disk (x, y, r) is rejected, or None when it is accepted."""
+    # One chained range test accepts the common case; NaN fails every
+    # comparison, so only a rejected disk reaches the messages below.
+    if (-_MAX_MAGNITUDE <= x <= _MAX_MAGNITUDE and -_MAX_MAGNITUDE <= y <= _MAX_MAGNITUDE
+            and _MIN_RADIUS <= r <= _MAX_MAGNITUDE):
+        return None
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
         return "disk fields must be finite"
     if r <= 0:
         return f"radius {r} must be positive"
     if abs(x) > _MAX_MAGNITUDE or abs(y) > _MAX_MAGNITUDE:
         return "coordinates must lie within 2^500 of 0"
-    if not _MIN_RADIUS <= r <= _MAX_MAGNITUDE:
-        return f"radius {r} must lie in [2^-500, 2^500]"
-    return None
+    return f"radius {r} must lie in [2^-500, 2^500]"
 
 
 def _check_radii(disks) -> tuple[float, float]:
@@ -121,17 +124,18 @@ def _radius_levels(disks, low: float, high: float) -> list[tuple[float, list[int
     return levels
 
 
-def _bucket(disks, ids, cell: float) -> dict[tuple[int, int], list[int]]:
+def _bucket(disks, ids, cell: float) -> dict[tuple[int, int], list[tuple]]:
+    """Disks ``ids`` keyed by grid cell, as (id, x, y, r) entries."""
     # Cells are 2^-20 wider than the largest reach: the squared test rounds
     # dx = xi - xj, so it accepts centers a few ulps more than one reach
     # apart, e.g. (-1e-20, 0, 1) and (2, 0, 1), which cells of side exactly
     # 2 put two cells apart.
     cell *= 1.0 + 2.0 ** -20
-    buckets: dict[tuple[int, int], list[int]] = {}
+    buckets: dict[tuple[int, int], list[tuple]] = {}
     for i in ids:
-        x, y, _ = disks[i]
+        x, y, r = disks[i]
         key = (math.floor(x / cell), math.floor(y / cell))
-        buckets.setdefault(key, []).append(i)
+        buckets.setdefault(key, []).append((i, x, y, r))
     return buckets
 
 
@@ -139,8 +143,8 @@ _HALF_NEIGHBORHOOD = ((1, 0), (-1, 1), (0, 1), (1, 1))
 _BLOCK = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
 
 
-def _intersecting_pairs(disks, low: float, high: float):
-    """Yield every intersecting pair exactly once; ``low``/``high`` bound the radii.
+def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuple of every disk; ``low``/``high`` bound the radii.
 
     Disks are split into radius levels (see :func:`_radius_levels`); unit
     disks, or any radii within a factor of two, make a single level.  Each
@@ -153,7 +157,12 @@ def _intersecting_pairs(disks, low: float, high: float):
     block of that level's cells around the smaller center.  The smaller
     disks of a level are bucketed on each later level's grid and probe that
     block per cell, so a large disk never walks the fine grid.
+
+    The scan finds each unordered intersecting pair exactly once, so a hit
+    is appended to both endpoints' rows with no dedup, and each row is
+    sorted once at the end.
     """
+    rows: list[list[int]] = [[] for _ in disks]
     grids = [(cell, ids, _bucket(disks, ids, cell)) for cell, ids in _radius_levels(disks, low, high)]
     for level, (_, ids, buckets) in enumerate(grids):
         scans = [(buckets, buckets, _HALF_NEIGHBORHOOD)]
@@ -163,63 +172,37 @@ def _intersecting_pairs(disks, low: float, high: float):
         for probes, targets, offsets in scans:
             for (cx, cy), members in probes.items():
                 if probes is targets:
-                    for a in range(len(members)):
-                        i = members[a]
-                        xi, yi, ri = disks[i]
-                        for b in range(a + 1, len(members)):
-                            j = members[b]
-                            xj, yj, rj = disks[j]
+                    for a, (i, xi, yi, ri) in enumerate(members, 1):
+                        row = rows[i]
+                        for j, xj, yj, rj in members[a:]:
                             dx = xi - xj
                             dy = yi - yj
                             reach = ri + rj
                             if dx * dx + dy * dy <= reach * reach:
-                                yield i, j
+                                row.append(j)
+                                rows[j].append(i)
                 for ox, oy in offsets:
                     other = targets.get((cx + ox, cy + oy))
                     if not other:
                         continue
-                    for i in members:
-                        xi, yi, ri = disks[i]
-                        for j in other:
-                            xj, yj, rj = disks[j]
+                    for i, xi, yi, ri in members:
+                        row = rows[i]
+                        for j, xj, yj, rj in other:
                             dx = xi - xj
                             dy = yi - yj
                             reach = ri + rj
                             if dx * dx + dy * dy <= reach * reach:
-                                yield i, j
+                                row.append(j)
+                                rows[j].append(i)
+    for row in rows:
+        row.sort()
+    return tuple(map(tuple, rows))
 
 
 def instance_to_graph(inst: GeometricInstance) -> Graph:
     """Intersection graph of the instance: edge iff dist(centers)^2 <= (r_u + r_v)^2."""
     low, high = _check_radii(inst.disks)
-    if inst.n == 0:
-        return build_graph(0, [])
-    return build_graph(inst.n, _intersecting_pairs(inst.disks, low, high))
-
-
-def _is_connected(disks) -> bool:
-    """Union-find over the intersecting pairs, stopping once one component is left."""
-    low, high = _check_radii(disks)
-    parent = list(range(len(disks)))
-    components = len(disks)
-    if components <= 1:
-        return True
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in _intersecting_pairs(disks, low, high):
-        a = root(i)
-        b = root(j)
-        if a != b:
-            parent[a] = b
-            components -= 1
-            if components == 1:
-                return True
-    return False
+    return Graph(inst.n, _adjacency(inst.disks, low, high))
 
 
 def random_instance(
@@ -260,13 +243,11 @@ def random_connected_instance(
     """Rejection-sample :func:`random_instance` until the derived graph is connected.
 
     Attempt k uses the child seed derive_seed(seed, k), which keeps the
-    sampling uniform over connected instances and reproducible.  An attempt
-    is tested with a union-find over the intersecting pairs, not a full
-    graph build.
+    sampling uniform over connected instances and reproducible.
     """
     for attempt in range(max_tries):
         inst = random_instance(n, box, radius, derive_seed(seed, attempt), radius_high)
-        if _is_connected(inst.disks):
+        if is_connected(instance_to_graph(inst)):
             return inst
     raise BadParameter(f"no connected instance found in {max_tries} attempts")
 

@@ -158,26 +158,57 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
         assert code == 1 and "line 2" in err and "radius" in err
 
-    @pytest.mark.parametrize("lines", [
-        "disk 0 0 0 1e200\ndisk 1 3e200 0 1e200",
-        "disk 0 0 0 1e-200\ndisk 1 3e-200 0 1e-200",
-        "disk 0 1e300 0 1e-10\ndisk 1 0 0 1e-10",
+    @pytest.mark.parametrize("line", [
+        "disk 0 3.273390607896142e+150 0 1",
+        "disk 0 -3.273390607896142e+150 0 1",
+        "disk 0 0 3.273390607896142e+150 1",
+        "disk 0 0 -3.273390607896142e+150 1",
+        "disk 0 0 0 3.054936363499605e-151",
+        "disk 0 0 0 3.273390607896142e+150",
     ])
-    def test_rejects_disks_beyond_the_magnitude_limits(self, capsys, tmp_path, lines):
+    def test_accepts_disks_at_the_magnitude_limits(self, capsys, tmp_path, line):
+        path = tmp_path / "extreme.udg"
+        path.write_text(f"udg 1 geometric\n{line}\n")
+        code, out, _ = run(capsys, "solve", str(path), "--problem", "mis")
+        assert code == 0 and json.loads(out)["vertices"] == [0]
+
+    @pytest.mark.parametrize("lines, reason", [
+        pytest.param(lines, reason, id=lines) for lines, reason in [
+            ("disk 0 0 0 1e200\ndisk 1 3e200 0 1e200", "radius 1e+200 must lie in [2^-500, 2^500]"),
+            ("disk 0 0 0 1e-200\ndisk 1 3e-200 0 1e-200", "radius 1e-200 must lie in [2^-500, 2^500]"),
+            ("disk 0 1e300 0 1e-10\ndisk 1 0 0 1e-10", "coordinates must lie within 2^500 of 0"),
+            ("disk 0 3.2733906078961426e+150 0 1", "coordinates must lie within 2^500 of 0"),
+            ("disk 0 -3.2733906078961426e+150 0 1", "coordinates must lie within 2^500 of 0"),
+            ("disk 0 0 3.2733906078961426e+150 1", "coordinates must lie within 2^500 of 0"),
+            ("disk 0 0 -3.2733906078961426e+150 1", "coordinates must lie within 2^500 of 0"),
+            ("disk 0 0 0 3.0549363634996043e-151",
+             "radius 3.0549363634996043e-151 must lie in [2^-500, 2^500]"),
+            ("disk 0 0 0 3.2733906078961426e+150",
+             "radius 3.2733906078961426e+150 must lie in [2^-500, 2^500]"),
+            ("disk 0 0 0 0", "radius 0.0 must be positive"),
+            ("disk 0 0 0 -0", "radius -0.0 must be positive"),
+            ("disk 0 0 0 -1", "radius -1.0 must be positive"),
+            *((f"disk 0 {fields}", "disk fields must be finite") for fields in (
+                "nan 0 1", "inf 0 1", "-inf 0 1", "0 nan 1", "0 inf 1", "0 -inf 1",
+                "0 0 nan", "0 0 inf", "0 0 -inf",
+            )),
+        ]
+    ])
+    def test_rejects_disks_beyond_the_magnitude_limits(self, capsys, tmp_path, lines, reason):
         path = tmp_path / "extreme.udg"
         path.write_text(f"udg 1 geometric\n{lines}\n")
         code, out, err = run(capsys, "solve", str(path), "--problem", "mis")
-        assert code == 1 and out == "" and err.startswith("error: line 2")
+        assert code == 1 and out == "" and err == f"error: line 2: {reason}\n"
 
     def test_mis_pairs_the_disks_once(self, capsys, monkeypatch, geo_instance):
         calls = []
-        pairs = geometry._intersecting_pairs
+        adjacency = geometry._adjacency
 
         def counted(*args):
             calls.append(args)
-            return pairs(*args)
+            return adjacency(*args)
 
-        monkeypatch.setattr(geometry, "_intersecting_pairs", counted)
+        monkeypatch.setattr(geometry, "_adjacency", counted)
         code, out, _ = run(capsys, "solve", geo_instance, "--problem", "mis")
         assert code == 0 and json.loads(out)["meta"]["method"] == "sweep"
         assert len(calls) == 1

@@ -9,7 +9,6 @@ from diskapprox.errors import BadParameter, ModelMismatch, NonPositiveRadius
 from diskapprox.geometry import (
     GeometricInstance,
     _check_radii,
-    _is_connected,
     _radius_levels,
     instance_to_graph,
     polygon_independence_bound,
@@ -23,6 +22,18 @@ from diskapprox.rng import Rng, derive_seed
 from refimpl import all_pairs, brute_mis
 
 
+BIG = 2.0 ** 500
+TINY = 2.0 ** -500
+
+
+def up(value):
+    return math.nextafter(value, math.inf)
+
+
+def down(value):
+    return math.nextafter(value, -math.inf)
+
+
 def disks(*triples):
     return GeometricInstance(tuple(triples))
 
@@ -33,8 +44,7 @@ def level_count(inst):
 
 def assert_matches_all_pairs(inst, min_levels=2):
     assert level_count(inst) >= min_levels
-    expected = all_pairs(inst)
-    assert set(instance_to_graph(inst).edges) == expected
+    assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
 
 
 def neighborhood_independence(G, v):
@@ -76,7 +86,7 @@ class TestInstanceToGraph:
         for index in range(30):
             inst = random_instance(40, 9.0, 1.0, derive_seed(99, index),
                                    radius_high=2.0 if index % 3 == 0 else None)
-            assert set(instance_to_graph(inst).edges) == all_pairs(inst)
+            assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
 
     def test_rounded_difference_spanning_two_cells(self):
         # -1e-20 - 2 rounds to -2, so the squared test accepts centers a hair
@@ -104,7 +114,7 @@ class TestInstanceToGraph:
                 return v
 
             inst = disks(*[(coordinate(), coordinate(), pick(radii)) for _ in range(24)])
-            assert set(instance_to_graph(inst).edges) == all_pairs(inst)
+            assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
 
     def test_translation_and_right_angle_rotation_invariance(self):
         inst = random_instance(30, 8.0, 1.0, 4242)
@@ -266,8 +276,8 @@ class TestStructuredInstances:
 
 
 class TestMagnitudeLimits:
-    big = 2.0 ** 500
-    tiny = 2.0 ** -500
+    big = BIG
+    tiny = TINY
 
     def test_tangent_at_the_largest_magnitudes(self):
         big = self.big
@@ -283,15 +293,44 @@ class TestMagnitudeLimits:
     def test_smallest_and_largest_together(self):
         big, tiny = self.big, self.tiny
         inst = disks((0, 0, tiny), (3 * tiny, 0, tiny), (-big, big, big), (big, -big, big), (big, big, 1.0))
-        assert set(instance_to_graph(inst).edges) == all_pairs(inst)
+        assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
 
     @pytest.mark.parametrize("triple", [
-        (2.0 ** 501, 0, 1), (0, -(2.0 ** 501), 1), (0, 0, 2.0 ** 501), (0, 0, 2.0 ** -501),
-        (1e300, 0, 1e-10),
-    ], ids=["x", "y", "large-radius", "small-radius", "cell-index"])
-    def test_beyond_the_limits(self, triple):
-        with pytest.raises(BadParameter):
+        (BIG, 0, 1), (-BIG, 0, 1), (0, BIG, 1), (0, -BIG, 1), (0, 0, TINY), (0, 0, BIG),
+    ], ids=["x-max", "x-min", "y-max", "y-min", "smallest-radius", "largest-radius"])
+    def test_at_the_limits(self, triple):
+        inst = disks((0, 0, 1), triple)
+        assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
+
+    @pytest.mark.parametrize("triple, error", [
+        pytest.param((2.0 ** 501, 0, 1), BadParameter, id="x"),
+        pytest.param((0, -(2.0 ** 501), 1), BadParameter, id="y"),
+        pytest.param((0, 0, 2.0 ** 501), BadParameter, id="large-radius"),
+        pytest.param((0, 0, 2.0 ** -501), BadParameter, id="small-radius"),
+        pytest.param((1e300, 0, 1e-10), BadParameter, id="cell-index"),
+        pytest.param((up(BIG), 0, 1), BadParameter, id="x-past-max"),
+        pytest.param((down(-BIG), 0, 1), BadParameter, id="x-past-min"),
+        pytest.param((0, up(BIG), 1), BadParameter, id="y-past-max"),
+        pytest.param((0, down(-BIG), 1), BadParameter, id="y-past-min"),
+        pytest.param((0, 0, down(TINY)), BadParameter, id="radius-below-smallest"),
+        pytest.param((0, 0, up(BIG)), BadParameter, id="radius-above-largest"),
+        pytest.param((0, 0, 0.0), NonPositiveRadius, id="radius-zero"),
+        pytest.param((0, 0, -0.0), NonPositiveRadius, id="radius-negative-zero"),
+        pytest.param((0, 0, -1.0), NonPositiveRadius, id="radius-negative"),
+        pytest.param((math.nan, 0, 1), BadParameter, id="x-nan"),
+        pytest.param((math.inf, 0, 1), BadParameter, id="x-inf"),
+        pytest.param((-math.inf, 0, 1), BadParameter, id="x--inf"),
+        pytest.param((0, math.nan, 1), BadParameter, id="y-nan"),
+        pytest.param((0, math.inf, 1), BadParameter, id="y-inf"),
+        pytest.param((0, -math.inf, 1), BadParameter, id="y--inf"),
+        pytest.param((0, 0, math.nan), BadParameter, id="r-nan"),
+        pytest.param((0, 0, math.inf), BadParameter, id="r-inf"),
+        pytest.param((0, 0, -math.inf), NonPositiveRadius, id="r--inf"),
+    ])
+    def test_beyond_the_limits(self, triple, error):
+        with pytest.raises(error) as info:
             instance_to_graph(disks((0, 0, 1), triple))
+        assert type(info.value) is error
 
     def test_generator_limits(self):
         random_instance(3, self.big, 1.0, 0)
@@ -355,12 +394,6 @@ class TestRandomInstance:
     def test_connected_sampler(self):
         inst = random_connected_instance(12, 6.0, 1.0, 31)
         assert is_connected(instance_to_graph(inst))
-
-    @pytest.mark.parametrize("radius_high", [None, 2.0])
-    def test_union_find_agrees_with_the_graph(self, radius_high):
-        for index in range(60):
-            inst = random_instance(1 + index % 15, 5.0, 0.5, derive_seed(61, index), radius_high)
-            assert _is_connected(inst.disks) == is_connected(instance_to_graph(inst))
 
     def test_connected_sampler_accepts_the_first_connected_attempt(self):
         for seed in range(20):
