@@ -122,7 +122,6 @@ def run_bench(
     radius: float = 1.0,
     radius_high: Optional[float] = None,
     mean_degree: float = 4.0,
-    limits: exact.OracleLimits = exact.DEFAULT_LIMITS,
 ) -> list[BenchRecord]:
     """Benchmark ``instances`` connected instances over the requested problems."""
     if instances < 1:
@@ -153,7 +152,7 @@ def run_bench(
             problem = PROBLEMS[name]
             started = time.perf_counter()
             heur = problem.size(problem.heuristic(G, inst, variant, options, {}))
-            opt, _ = problem.oracle(G, limits)
+            opt, _ = problem.oracle(G, exact.DEFAULT_LIMITS)
             elapsed_ms = int((time.perf_counter() - started) * 1000)
             records.append(
                 BenchRecord(

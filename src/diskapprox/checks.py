@@ -21,16 +21,6 @@ def is_independent_set(G: Graph, vertices: Iterable[int]) -> bool:
     return not any(u in chosen for v in range(G.n) if v in chosen for u in G.neighbors(v))
 
 
-def is_maximal_independent_set(G: Graph, vertices: Iterable[int]) -> bool:
-    chosen = set(vertices)
-    if not is_independent_set(G, chosen):
-        return False
-    return all(
-        v in chosen or any(u in chosen for u in G.neighbors(v))
-        for v in range(G.n)
-    )
-
-
 def is_clique(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = sorted(set(vertices))
     return all(

@@ -15,20 +15,23 @@ import sys
 
 from . import bench as bench_mod
 from . import covering, exact
-from .errors import ClassCertificateError, DiskApproxError
+from .errors import BadParameter, ClassCertificateError, DiskApproxError
 from .formats import (
-    InstanceFile,
     parse_solution,
     read_instance,
     render_instance,
     solution_document,
     solution_to_json,
+    write_instance,
 )
 from .geometry import (
+    GeometricInstance,
+    instance_to_graph,
     polygon_independence_bound,
     random_connected_instance,
     random_instance,
 )
+from .graphs import Graph
 from .problems import PROBLEMS, Options
 
 SOLVE_PROBLEMS = tuple(PROBLEMS)
@@ -39,6 +42,14 @@ def _parse_radius_spec(spec: str) -> tuple[float, float | None]:
         low_text, high_text = spec.split(":", 1)
         return float(low_text), float(high_text)
     return float(spec), None
+
+
+def _parse_n_range(spec: str) -> tuple[int, int]:
+    low_text, _, high_text = spec.partition(":")
+    try:
+        return int(low_text), int(high_text)
+    except ValueError:
+        raise BadParameter(f"--n-range must be two integers LOW:HIGH, got {spec!r}") from None
 
 
 def _parse_order_spec(spec: str, n: int) -> covering.ArrivalSequence:
@@ -55,25 +66,29 @@ def _cmd_gen(args) -> int:
         inst = random_connected_instance(args.n, args.box, radius, args.seed, radius_high)
     else:
         inst = random_instance(args.n, args.box, radius, args.seed, radius_high)
-    text = render_instance(InstanceFile.from_instance(inst))
     if args.output:
-        with open(args.output, "w", encoding="ascii") as handle:
-            handle.write(text)
+        write_instance(inst, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_instance(inst))
     return 0
+
+
+def _load(path) -> tuple[GeometricInstance | None, Graph]:
+    """The instance file at ``path`` as (its disks, or None for an abstract file; its graph)."""
+    instance = read_instance(path)
+    if isinstance(instance, Graph):
+        return None, instance
+    return instance, instance_to_graph(instance)
 
 
 def _cmd_solution(args) -> int:
     """solve and exact: the problem's heuristic or its exact oracle, as a solution document."""
-    doc = read_instance(args.instance)
-    G = doc.to_graph()
+    inst, G = _load(args.instance)
     problem = PROBLEMS[args.problem]
     if args.command == "exact":
         meta: dict = {"n": G.n, "m": G.m, "oracle": True}
         value, answer = problem.oracle(G, exact.DEFAULT_LIMITS)
     else:
-        inst = doc.to_geometric_instance() if doc.mode == "geometric" else None
         variant = args.variant or ("unit" if inst is None or inst.unit else "circle")
         meta = {"variant": variant, "n": G.n, "m": G.m}
         options = Options(lambda n: _parse_order_spec(args.order, n), args.root)
@@ -113,8 +128,7 @@ def _validate_solution(G, doc) -> tuple[bool, str]:
 
 
 def _cmd_verify(args) -> int:
-    doc = read_instance(args.instance)
-    G = doc.to_graph()
+    _, G = _load(args.instance)
     with open(args.solution, "r", encoding="utf-8") as handle:
         solution = parse_solution(handle.read())
     ok, reason = _validate_solution(G, solution)
@@ -123,13 +137,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    low_text, high_text = args.n_range.split(":", 1)
+    n_low, n_high = _parse_n_range(args.n_range)
     radius, radius_high = _parse_radius_spec(args.radius)
     problems = tuple(p.strip() for p in args.problems.split(",") if p.strip())
     records = bench_mod.run_bench(
         instances=args.instances,
-        n_low=int(low_text),
-        n_high=int(high_text),
+        n_low=n_low,
+        n_high=n_high,
         problems=problems,
         seed=args.seed,
         radius=radius,

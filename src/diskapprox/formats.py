@@ -15,11 +15,10 @@ always re-derived from the disks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadParameter, ParseError, VersionMismatch
-from .geometry import GeometricInstance, _disk_fault, instance_to_graph
+from .geometry import GeometricInstance, _disk_fault
 from .graphs import Graph, build_graph
 
 FORMAT_VERSION = 1
@@ -30,52 +29,23 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-@dataclass(frozen=True)
-class InstanceFile:
-    """Parsed instance document in either mode."""
-
-    format_version: int
-    mode: str
-    disks: Optional[tuple[tuple[float, float, float], ...]] = None
-    n: Optional[int] = None
-    edges: Optional[tuple[tuple[int, int], ...]] = None
-
-    @staticmethod
-    def from_instance(inst: GeometricInstance) -> "InstanceFile":
-        return InstanceFile(FORMAT_VERSION, "geometric", disks=inst.disks)
-
-    @staticmethod
-    def from_graph(G: Graph) -> "InstanceFile":
-        return InstanceFile(FORMAT_VERSION, "abstract", n=G.n, edges=G.edges)
-
-    def to_geometric_instance(self) -> GeometricInstance:
-        if self.mode != "geometric":
-            raise BadParameter("not a geometric instance")
-        return GeometricInstance(self.disks)
-
-    def to_graph(self) -> Graph:
-        if self.mode == "geometric":
-            return instance_to_graph(self.to_geometric_instance())
-        return build_graph(self.n, self.edges)
-
-
-def render_instance(doc: InstanceFile) -> str:
-    lines = [f"udg {doc.format_version} {doc.mode}"]
-    if doc.mode == "geometric":
-        for i, (x, y, r) in enumerate(doc.disks):
+def render_instance(instance: GeometricInstance | Graph) -> str:
+    if isinstance(instance, GeometricInstance):
+        lines = [f"udg {FORMAT_VERSION} geometric"]
+        for i, (x, y, r) in enumerate(instance.disks):
             lines.append(f"disk {i} {_fmt(x)} {_fmt(y)} {_fmt(r)}")
     else:
-        lines.append(f"n {doc.n}")
-        for u, v in doc.edges:
+        lines = [f"udg {FORMAT_VERSION} abstract", f"n {instance.n}"]
+        for u, v in instance.edges:
             lines.append(f"edge {u} {v}")
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str) -> InstanceFile:
+def parse_instance(text: str) -> GeometricInstance | Graph:
+    """A geometric file as a :class:`GeometricInstance`, an abstract one as a :class:`Graph`."""
     lines = text.splitlines()
     header_seen = False
     mode = ""
-    version = 0
     disks: dict[int, tuple[float, float, float]] = {}
     count: Optional[int] = None
     edges: list[tuple[int, int]] = []
@@ -123,6 +93,8 @@ def parse_instance(text: str) -> InstanceFile:
                     count = int(tokens[1])
                 except ValueError:
                     raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
+                if count < 0:
+                    raise ParseError(line_no, "vertex count must be nonnegative")
             elif keyword == "edge" and len(tokens) == 3:
                 if count is None:
                     raise ParseError(line_no, "edge before vertex count")
@@ -130,6 +102,10 @@ def parse_instance(text: str) -> InstanceFile:
                     u, v = int(tokens[1]), int(tokens[2])
                 except ValueError:
                     raise ParseError(line_no, "bad edge endpoints") from None
+                if not (0 <= u < count and 0 <= v < count):
+                    raise ParseError(line_no, f"edge ({u}, {v}) outside [0, {count})")
+                if u == v:
+                    raise ParseError(line_no, f"self-loop at vertex {u}")
                 edges.append((u, v))
             else:
                 raise ParseError(line_no, f"unexpected line {raw!r}")
@@ -139,22 +115,19 @@ def parse_instance(text: str) -> InstanceFile:
     if mode == "geometric":
         if sorted(disks) != list(range(len(disks))):
             raise ParseError(last_line, "disk ids must be exactly 0..n-1")
-        ordered = tuple(disks[i] for i in range(len(disks)))
-        return InstanceFile(version, mode, disks=ordered)
+        return GeometricInstance(tuple(disks[i] for i in range(len(disks))))
     if count is None:
         raise ParseError(last_line, "missing vertex count")
-    return InstanceFile(version, mode, n=count, edges=tuple(edges))
+    return build_graph(count, edges)
 
 
-def write_instance(doc, path) -> None:
-    """Write an InstanceFile (or a GeometricInstance, coerced) to ``path``."""
-    if isinstance(doc, GeometricInstance):
-        doc = InstanceFile.from_instance(doc)
+def write_instance(instance: GeometricInstance | Graph, path) -> None:
+    """Write ``instance`` to ``path``: geometric mode for disks, abstract mode for a graph."""
     with open(path, "w", encoding="ascii") as handle:
-        handle.write(render_instance(doc))
+        handle.write(render_instance(instance))
 
 
-def read_instance(path) -> InstanceFile:
+def read_instance(path) -> GeometricInstance | Graph:
     with open(path, "r", encoding="ascii") as handle:
         return parse_instance(handle.read())
 

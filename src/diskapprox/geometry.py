@@ -232,24 +232,26 @@ def random_instance(
     return GeometricInstance(tuple((x, y, r) for (x, y), r in zip(centers, radii)))
 
 
+_CONNECTED_TRIES = 10_000
+
+
 def random_connected_instance(
     n: int,
     box: float,
     radius: float,
     seed: int,
     radius_high: Optional[float] = None,
-    max_tries: int = 10_000,
 ) -> GeometricInstance:
     """Rejection-sample :func:`random_instance` until the derived graph is connected.
 
     Attempt k uses the child seed derive_seed(seed, k), which keeps the
     sampling uniform over connected instances and reproducible.
     """
-    for attempt in range(max_tries):
+    for attempt in range(_CONNECTED_TRIES):
         inst = random_instance(n, box, radius, derive_seed(seed, attempt), radius_high)
         if is_connected(instance_to_graph(inst)):
             return inst
-    raise BadParameter(f"no connected instance found in {max_tries} attempts")
+    raise BadParameter(f"no connected instance found in {_CONNECTED_TRIES} attempts")
 
 
 def sweep_order(inst: GeometricInstance) -> tuple[int, ...]:

@@ -414,9 +414,7 @@ def test_criterion_10_cli_determinism(criterion, capsys, tmp_path):
             failures.append((argv, "nonzero exit"))
     # class-certificate rejections are deterministic too
     k44_path = str(tmp_path / "k44.udg")
-    from diskapprox.formats import InstanceFile
-
-    write_instance(InstanceFile.from_graph(k44), k44_path)
+    write_instance(k44, k44_path)
     codes = set()
     for _ in range(2):
         codes.add(cli_main(["solve", k44_path, "--problem", "vc"]))

@@ -5,8 +5,8 @@ import pytest
 
 from diskapprox import checks, geometry
 from diskapprox.cli import main
-from diskapprox.formats import InstanceFile, read_instance, write_instance
-from diskapprox.geometry import GeometricInstance, random_instance
+from diskapprox.formats import read_instance, write_instance
+from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
 from diskapprox.graphs import build_graph, is_connected
 
 
@@ -58,8 +58,7 @@ class TestGen:
         assert first[1].startswith("udg 1 geometric\n")
 
     def test_connected_flag(self, connected_instance):
-        doc = read_instance(connected_instance)
-        assert is_connected(doc.to_graph())
+        assert is_connected(instance_to_graph(read_instance(connected_instance)))
 
     def test_radius_range(self, capsys, tmp_path):
         path = tmp_path / "circle.udg"
@@ -68,8 +67,8 @@ class TestGen:
             "--seed", "3", "-o", str(path),
         )
         assert code == 0
-        inst = read_instance(str(path)).to_geometric_instance()
-        assert not inst.unit
+        inst = read_instance(str(path))
+        assert isinstance(inst, GeometricInstance) and not inst.unit
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "gen", "-n", "0", "--box", "5", "--radius", "1", "--seed", "1")
@@ -118,7 +117,7 @@ class TestSolve:
     def test_class_certificate_exit_code(self, capsys, tmp_path):
         K44 = build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)])
         path = tmp_path / "k44.udg"
-        write_instance(InstanceFile.from_graph(K44), path)
+        write_instance(K44, path)
         code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
         assert code == 2 and "error" in err
         code, _, _ = run(capsys, "solve", str(path), "--problem", "mis")
@@ -200,6 +199,12 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(path), "--problem", "mis")
         assert code == 1 and out == "" and err == f"error: line 2: {reason}\n"
 
+    def test_bad_edge_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.udg"
+        path.write_text("udg 1 abstract\nn 3\nedge 0 7\n")
+        code, out, err = run(capsys, "solve", str(path), "--problem", "vc")
+        assert code == 1 and out == "" and err == "error: line 3: edge (0, 7) outside [0, 3)\n"
+
     def test_mis_pairs_the_disks_once(self, capsys, monkeypatch, geo_instance):
         calls = []
         adjacency = geometry._adjacency
@@ -222,7 +227,7 @@ class TestExact:
     def test_matches_library(self, capsys, connected_instance):
         from diskapprox.exact import exact_vc
 
-        G = read_instance(connected_instance).to_graph()
+        G = instance_to_graph(read_instance(connected_instance))
         code, out, _ = run(capsys, "exact", connected_instance, "--problem", "vc")
         assert code == 0
         doc = json.loads(out)
@@ -230,7 +235,7 @@ class TestExact:
         assert checks.is_vertex_cover(G, doc["vertices"])
 
     def test_chromatic_witness(self, capsys, connected_instance):
-        G = read_instance(connected_instance).to_graph()
+        G = instance_to_graph(read_instance(connected_instance))
         code, out, _ = run(capsys, "exact", connected_instance, "--problem", "color")
         assert code == 0
         doc = json.loads(out)
@@ -328,6 +333,15 @@ class TestBench:
             "--problems", "vc", "--seed", "4", f"--mean-degree={value}",
         )
         assert code == 1 and out == "" and "mean_degree" in err
+
+    @pytest.mark.parametrize("spec", ["5", "5:", ":5", "a:b", "1:2:3", "1.5:3", ""])
+    def test_rejects_bad_n_range(self, capsys, spec):
+        code, out, err = run(
+            capsys, "bench", "--instances", "1", f"--n-range={spec}",
+            "--problems", "vc", "--seed", "4",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --n-range must be two integers LOW:HIGH, got {spec!r}\n"
 
     @pytest.mark.parametrize("spec, name", [
         ("nan", "radius"), ("0", "radius"), ("inf", "radius"),

@@ -191,7 +191,7 @@ class TestDominatingSet:
             inst = unit_instance(index, n=12)
             G = instance_to_graph(inst)
             chosen = dominating_set(G)
-            assert checks.is_maximal_independent_set(G, chosen)
+            assert checks.is_independent_dominating_set(G, chosen)
             assert checks.is_dominating_set(G, chosen)
             assert len(chosen) <= 5 * exact_domination(G, "plain")[0]
             assert len(chosen) <= 5 * exact_domination(G, "independent")[0]
@@ -261,7 +261,7 @@ class TestConnectedDominatingSet:
             chosen, trace = connected_dominating_set(G)
             assert checks.is_connected_dominating_set(G, chosen)
             backbone = {v for level in trace.independent for v in level}
-            assert checks.is_maximal_independent_set(G, backbone)
+            assert checks.is_independent_dominating_set(G, backbone)
             for picked, connectors in zip(trace.independent, trace.connectors):
                 assert len(connectors) <= len(picked)
             assert len(chosen) <= 2 * len(backbone)

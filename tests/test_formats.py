@@ -2,7 +2,6 @@ import pytest
 
 from diskapprox.errors import BadParameter, ParseError, VersionMismatch
 from diskapprox.formats import (
-    InstanceFile,
     parse_instance,
     parse_solution,
     read_instance,
@@ -11,8 +10,8 @@ from diskapprox.formats import (
     solution_to_json,
     write_instance,
 )
-from diskapprox.geometry import random_instance
-from diskapprox.graphs import build_graph
+from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
+from diskapprox.graphs import Graph, build_graph
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -22,19 +21,17 @@ class TestGeometricFiles:
         inst = random_instance(20, 10, 1, 42)
         path = tmp_path / "inst.udg"
         write_instance(inst, path)
-        doc = read_instance(path)
-        assert doc.mode == "geometric"
-        assert doc.to_geometric_instance() == inst
+        assert read_instance(path) == inst
 
     def test_round_trip_survives_rewriting(self, tmp_path):
         inst = random_instance(7, 3, 0.5, 9, radius_high=1.5)
-        first = render_instance(InstanceFile.from_instance(inst))
+        first = render_instance(inst)
         again = render_instance(parse_instance(first))
         assert first == again
 
     def test_derives_graph(self):
-        doc = InstanceFile.from_instance(random_instance(20, 0.5, 1, 3))
-        assert doc.to_graph().m == 190
+        inst = parse_instance(render_instance(random_instance(20, 0.5, 1, 3)))
+        assert isinstance(inst, GeometricInstance) and instance_to_graph(inst).m == 190
 
     def test_disk_ids_must_be_dense(self):
         text = "udg 1 geometric\ndisk 0 0 0 1\ndisk 2 1 1 1\n"
@@ -88,24 +85,30 @@ class TestGeometricFiles:
 class TestAbstractFiles:
     def test_c5_file(self):
         text = "udg 1 abstract\nn 5\n" + "".join(f"edge {u} {v}\n" for u, v in C5_EDGES)
-        doc = parse_instance(text)
-        G = doc.to_graph()
-        assert G.n == 5 and G.m == 5
+        G = parse_instance(text)
+        assert isinstance(G, Graph) and G == build_graph(5, C5_EDGES)
 
     def test_round_trip(self, tmp_path):
         G = build_graph(5, C5_EDGES)
         path = tmp_path / "abstract.udg"
-        write_instance(InstanceFile.from_graph(G), path)
-        assert read_instance(path).to_graph() == G
+        write_instance(G, path)
+        assert read_instance(path) == G
 
     def test_edge_before_count(self):
         with pytest.raises(ParseError):
             parse_instance("udg 1 abstract\nedge 0 1\nn 3\n")
 
-    def test_not_geometric(self):
-        doc = parse_instance("udg 1 abstract\nn 2\nedge 0 1\n")
-        with pytest.raises(BadParameter):
-            doc.to_geometric_instance()
+    @pytest.mark.parametrize("body, line_no, reason", [
+        ("n -5\n", 2, "vertex count must be nonnegative"),
+        ("n 3\nedge 0 1\nedge 0 7\n", 4, "edge (0, 7) outside [0, 3)"),
+        ("n 3\nedge -1 2\n", 3, "edge (-1, 2) outside [0, 3)"),
+        ("n 0\nedge 0 0\n", 3, "edge (0, 0) outside [0, 0)"),
+        ("n 3\nedge 0 1\nedge 1 1\n", 4, "self-loop at vertex 1"),
+    ], ids=["negative-count", "endpoint-beyond-n", "negative-endpoint", "empty-graph", "self-loop"])
+    def test_bad_graph_names_its_line(self, body, line_no, reason):
+        with pytest.raises(ParseError) as info:
+            parse_instance(f"udg 1 abstract\n{body}")
+        assert info.value.line_no == line_no and info.value.reason == reason
 
 
 class TestHeaders:

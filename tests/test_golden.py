@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from diskapprox import cli, problems
 from diskapprox.covering import ArrivalSequence
 from diskapprox.exact import DEFAULT_LIMITS
-from diskapprox.formats import InstanceFile, write_instance
+from diskapprox.formats import write_instance
 from diskapprox.geometry import instance_to_graph, random_connected_instance
 from diskapprox.graphs import build_graph
 
@@ -50,15 +50,9 @@ def matrix_digest(workdir) -> str:
         paths[name] = f"{workdir}/{name}.udg"
         record(["gen", *gen, "--connected", "-o"], [paths[name]])
     paths["abstract"] = f"{workdir}/abstract.udg"
-    write_instance(
-        InstanceFile.from_graph(instance_to_graph(random_connected_instance(40, 9.0, 1.0, 9))),
-        paths["abstract"],
-    )
+    write_instance(instance_to_graph(random_connected_instance(40, 9.0, 1.0, 9)), paths["abstract"])
     paths["k44"] = f"{workdir}/k44.udg"
-    write_instance(
-        InstanceFile.from_graph(build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)])),
-        paths["k44"],
-    )
+    write_instance(build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)]), paths["k44"])
 
     for name in ("unit", "mixed", "abstract", "k44"):
         for problem in ALL:

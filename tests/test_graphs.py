@@ -183,7 +183,7 @@ class TestGreedyMis:
             order = list(range(G.n))
             rng.shuffle(order)
             chosen = greedy_maximal_independent_set(G, order)
-            assert checks.is_maximal_independent_set(G, chosen)
+            assert checks.is_independent_dominating_set(G, chosen)
 
 
 class TestBfsLevels:
