@@ -17,7 +17,7 @@ from typing import Optional
 from . import exact
 from .covering import ArrivalSequence
 from .errors import BadParameter
-from .geometry import _check_radius_range, instance_to_graph, random_connected_instance
+from .geometry import _check_radius_range, random_connected_instance
 from .problems import PROBLEMS, Options
 from .rng import Rng, derive_seed
 
@@ -145,8 +145,7 @@ def run_bench(
         n = n_low + size_stream.randrange(n_high - n_low + 1)
         instance_seed = derive_seed(seed, index)
         box = tuned_box(n, radius, radius_high, mean_degree)
-        inst = random_connected_instance(n, box, radius, instance_seed, radius_high)
-        G = instance_to_graph(inst)
+        inst, G = random_connected_instance(n, box, radius, instance_seed, radius_high)
         options = Options(partial(ArrivalSequence.random, seed=derive_seed(instance_seed, 7)))
         for name in problems:
             problem = PROBLEMS[name]

@@ -38,32 +38,43 @@ SOLVE_PROBLEMS = tuple(PROBLEMS)
 
 
 def _parse_radius_spec(spec: str) -> tuple[float, float | None]:
-    if ":" in spec:
-        low_text, high_text = spec.split(":", 1)
-        return float(low_text), float(high_text)
-    return float(spec), None
+    low_text, colon, high_text = spec.partition(":")
+    try:
+        return float(low_text), float(high_text) if colon else None
+    except ValueError:
+        raise BadParameter(f"--radius must be R or LOW:HIGH, got {spec!r}") from None
 
 
 def _parse_n_range(spec: str) -> tuple[int, int]:
     low_text, _, high_text = spec.partition(":")
     try:
-        return int(low_text), int(high_text)
+        low, high = int(low_text), int(high_text)
     except ValueError:
         raise BadParameter(f"--n-range must be two integers LOW:HIGH, got {spec!r}") from None
+    if not 1 <= low <= high:
+        raise BadParameter(f"--n-range needs 1 <= LOW <= HIGH, got {spec!r}")
+    return low, high
 
 
 def _parse_order_spec(spec: str, n: int) -> covering.ArrivalSequence:
     if spec == "ids":
         return covering.ArrivalSequence.of(range(n))
-    if spec.startswith("random:"):
-        return covering.ArrivalSequence.random(n, int(spec.split(":", 1)[1]))
-    return covering.ArrivalSequence.of(int(tok) for tok in spec.split(","))
+    try:
+        if spec.startswith("random:"):
+            return covering.ArrivalSequence.random(n, int(spec.split(":", 1)[1]))
+        order = [int(tok) for tok in spec.split(",")]
+    except ValueError:
+        raise BadParameter(
+            "--order must be 'ids', 'random:SEED' or a comma-separated list of vertex ids, "
+            f"got {spec!r}"
+        ) from None
+    return covering.ArrivalSequence.of(order)
 
 
 def _cmd_gen(args) -> int:
     radius, radius_high = _parse_radius_spec(args.radius)
     if args.connected:
-        inst = random_connected_instance(args.n, args.box, radius, args.seed, radius_high)
+        inst, _ = random_connected_instance(args.n, args.box, radius, args.seed, radius_high)
     else:
         inst = random_instance(args.n, args.box, radius, args.seed, radius_high)
     if args.output:

@@ -245,14 +245,70 @@ def _induced_connected(chosen: tuple[int, ...], masks: list[int]) -> bool:
     return seen == chosen_mask
 
 
+def _bfs_depth(masks: list[int], source: int) -> tuple[int, int]:
+    """(eccentricity of ``source``, highest id at that distance) over neighbor masks."""
+    seen = frontier = 1 << source
+    depth = 0
+    while True:
+        reached = 0
+        scan = frontier
+        while scan:
+            low = scan & -scan
+            reached |= masks[low.bit_length() - 1]
+            scan ^= low
+        reached &= ~seen
+        if not reached:
+            return depth, frontier.bit_length() - 1
+        seen |= reached
+        frontier = reached
+        depth += 1
+
+
+def _domination_lower_bound(G: Graph, variant: str, masks: list[int], reach: list[int]) -> int:
+    """A size no dominating set of ``variant`` can undercut; at least 1 for n >= 1.
+
+    ``reach[v]`` is the set a member v dominates: its closed neighborhood,
+    or its open one for ``total``.  The bound is the largest of:
+
+    * a greedy packing: vertices whose reach sets are pairwise disjoint
+      each need a member of their own reach set, so distinct members.
+      Candidates go by (reach size, id), which keeps more of them, and the
+      first one is always kept;
+    * ceil(n / max reach size): one member dominates at most Delta + 1
+      vertices (Delta for ``total``, where the isolated-vertex guard makes
+      Delta >= 1);
+    * for ``connected``, ecc(x) - 1 for x the last vertex a BFS from 0
+      reaches, since ecc(x) = dist(x, w) for some w.  For any u and w, a
+      connected dominating set holds a member within one step of each,
+      and a path inside the set between those two members of at least
+      dist(u, w) - 2 edges, so it has at least dist(u, w) - 1 vertices.
+
+    ``independent`` uses the plain terms, since i(G) >= gamma(G).
+    """
+    sizes = [r.bit_count() for r in reach]
+    packed = 0
+    packing = 0
+    for v in sorted(range(G.n), key=lambda v: (sizes[v], v)):
+        if not reach[v] & packed:
+            packed |= reach[v]
+            packing += 1
+    bound = max(packing, -(-G.n // max(sizes)))
+    if variant == "connected":
+        _, far = _bfs_depth(masks, 0)
+        bound = max(bound, _bfs_depth(masks, far)[0] - 1)
+    return bound
+
+
 def exact_domination(
     G: Graph, variant: str = "plain", limits: OracleLimits = DEFAULT_LIMITS
 ) -> tuple[int, VertexSet]:
     """Minimum dominating set of the requested variant with a witness.
 
-    Increasing-size subset search over bitmask neighborhood closures; the
-    first subset that validates is optimal.  Variants: plain, independent,
-    total, connected.
+    Increasing-size subset search over bitmask neighborhood closures,
+    starting at the certified lower bound of
+    :func:`_domination_lower_bound`: every smaller size would fail, so the
+    first subset that validates is optimal and is the lexicographically
+    first one of its size.  Variants: plain, independent, total, connected.
     """
     if variant not in DOMINATION_VARIANTS:
         raise BadParameter(f"unknown domination variant {variant!r}")
@@ -274,7 +330,7 @@ def exact_domination(
     full = (1 << G.n) - 1
     deadline = _Deadline(limits.time_budget)
 
-    for size in range(1, G.n + 1):
+    for size in range(_domination_lower_bound(G, variant, masks, reach), G.n + 1):
         for chosen in combinations(range(G.n), size):
             deadline.check()
             covered = 0

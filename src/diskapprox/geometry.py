@@ -241,16 +241,20 @@ def random_connected_instance(
     radius: float,
     seed: int,
     radius_high: Optional[float] = None,
-) -> GeometricInstance:
+) -> tuple[GeometricInstance, Graph]:
     """Rejection-sample :func:`random_instance` until the derived graph is connected.
 
     Attempt k uses the child seed derive_seed(seed, k), which keeps the
-    sampling uniform over connected instances and reproducible.
+    sampling uniform over connected instances and reproducible.  Returns
+    the accepted instance with the graph its connectivity test built, which
+    equals ``instance_to_graph(instance)``, so callers need not pair the
+    disks again.
     """
     for attempt in range(_CONNECTED_TRIES):
         inst = random_instance(n, box, radius, derive_seed(seed, attempt), radius_high)
-        if is_connected(instance_to_graph(inst)):
-            return inst
+        G = instance_to_graph(inst)
+        if is_connected(G):
+            return inst, G
     raise BadParameter(f"no connected instance found in {_CONNECTED_TRIES} attempts")
 
 

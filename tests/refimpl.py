@@ -40,8 +40,9 @@ def brute_chromatic(G: Graph) -> int:
     raise AssertionError("n colors always suffice")
 
 
-def brute_domination(G: Graph, variant: str):
-    """Minimum size of the requested domination variant, or None if none exists."""
+def first_dominating_set(G: Graph, variant: str):
+    """The first subset, by size and then lexicographically, that the
+    variant's validator accepts, or None if it accepts none."""
     validators = {
         "plain": checks.is_dominating_set,
         "independent": checks.is_independent_dominating_set,
@@ -52,8 +53,14 @@ def brute_domination(G: Graph, variant: str):
     for size in range(G.n + 1):
         for subset in combinations(range(G.n), size):
             if validator(G, subset):
-                return size
+                return subset
     return None
+
+
+def brute_domination(G: Graph, variant: str):
+    """Minimum size of the requested domination variant, or None if none exists."""
+    first = first_dominating_set(G, variant)
+    return None if first is None else len(first)
 
 
 def brute_degeneracy(G: Graph) -> int:

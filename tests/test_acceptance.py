@@ -188,8 +188,7 @@ def test_criterion_5_domination_family(criterion):
     failures = []
     for index in range(300):
         n = 4 + index % 10
-        inst = random_connected_instance(n, unit_box(n), 1.0, derive_seed(0xA6, index))
-        G = instance_to_graph(inst)
+        inst, G = random_connected_instance(n, unit_box(n), 1.0, derive_seed(0xA6, index))
 
         plain = dominating_set(G)
         if not checks.is_independent_dominating_set(G, plain):
@@ -377,7 +376,7 @@ def test_criterion_10_cli_determinism(criterion, capsys, tmp_path):
     """Every CLI invocation with a fixed seed is byte-identical across runs."""
     instance_path = str(tmp_path / "det.udg")
     write_instance(
-        random_connected_instance(10, unit_box(10), 1.0, 0xB0), instance_path
+        random_connected_instance(10, unit_box(10), 1.0, 0xB0)[0], instance_path
     )
     k44 = build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)])
 

@@ -343,6 +343,15 @@ class TestBench:
         assert code == 1 and out == ""
         assert err == f"error: --n-range must be two integers LOW:HIGH, got {spec!r}\n"
 
+    @pytest.mark.parametrize("spec", ["6:5", "0:3", "0:0", "-1:4"])
+    def test_rejects_misordered_n_range(self, capsys, spec):
+        code, out, err = run(
+            capsys, "bench", "--instances", "1", f"--n-range={spec}",
+            "--problems", "vc", "--seed", "4",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --n-range needs 1 <= LOW <= HIGH, got {spec!r}\n"
+
     @pytest.mark.parametrize("spec, name", [
         ("nan", "radius"), ("0", "radius"), ("inf", "radius"),
         ("1:nan", "radius_high"), ("0.5:inf", "radius_high"), ("-1:2", "radius"),
@@ -357,6 +366,28 @@ class TestBench:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command, spec", [
+        (["bench", "--instances", "1", "--n-range", "6:6", "--problems", "vc", "--seed", "4"], "a"),
+        (["bench", "--instances", "1", "--n-range", "6:6", "--problems", "vc", "--seed", "4"], "1:a"),
+        (["gen", "-n", "3", "--box", "5", "--seed", "1"], "1:"),
+        (["gen", "-n", "3", "--box", "5", "--seed", "1"], ""),
+    ])
+    def test_bad_radius_names_its_option(self, capsys, command, spec):
+        code, out, err = run(capsys, *command, f"--radius={spec}")
+        assert code == 1 and out == ""
+        assert err == f"error: --radius must be R or LOW:HIGH, got {spec!r}\n"
+
+    @pytest.mark.parametrize("spec", ["random:x", "random:", "1,2,x", "0,,1"])
+    def test_bad_order_names_its_option(self, capsys, geo_instance, spec):
+        code, out, err = run(
+            capsys, "solve", geo_instance, "--problem", "online-color", f"--order={spec}",
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: --order must be 'ids', 'random:SEED' or a comma-separated list of vertex ids, "
+            f"got {spec!r}\n"
+        )
+
     def test_unknown_problem(self, capsys):
         code, _, _ = run(capsys, "solve", "x.udg", "--problem", "tsp")
         assert code == 1

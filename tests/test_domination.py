@@ -52,7 +52,7 @@ def unit_instance(index, n, mean_degree=4.0):
 
 def connected_unit_instance(index, n, mean_degree=4.0):
     box = math.sqrt(n * math.pi * 4.0 / mean_degree)
-    return random_connected_instance(n, box, 1.0, derive_seed(0xD1, index))
+    return random_connected_instance(n, box, 1.0, derive_seed(0xD1, index))[0]
 
 
 def ring(n):

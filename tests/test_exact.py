@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from diskapprox import checks
@@ -8,16 +10,22 @@ from diskapprox.errors import (
     Timeout,
     TooLarge,
 )
+from diskapprox.bench import tuned_box
 from diskapprox.exact import (
+    DEFAULT_LIMITS,
+    DOMINATION_VARIANTS,
     OracleLimits,
+    _domination_lower_bound,
+    _neighbor_masks,
     exact_chromatic,
     exact_clique,
     exact_domination,
     exact_mis,
     exact_vc,
 )
+from diskapprox.geometry import random_connected_instance
 from diskapprox.graphs import build_graph, is_connected
-from diskapprox.rng import Rng
+from diskapprox.rng import Rng, derive_seed
 from refimpl import (
     all_labeled_graphs,
     brute_chromatic,
@@ -26,6 +34,7 @@ from refimpl import (
     brute_mis,
     brute_vc,
     complement,
+    first_dominating_set,
     random_graph,
 )
 
@@ -103,7 +112,8 @@ class TestGuards:
             OracleLimits(time_budget=0)
 
     def test_time_budget_is_enforced(self):
-        # plain domination on P18 walks >30000 subsets before finding size 6
+        # plain domination on P18 walks 9017 subsets of size 6, its lower
+        # bound and optimum, so the clock is read after 4096 of them
         P18 = build_graph(18, [(v, v + 1) for v in range(17)])
         tight = OracleLimits(time_budget=1e-9)
         with pytest.raises(Timeout):
@@ -184,3 +194,88 @@ class TestWitnessesAndConsistency:
             if connected >= 2:
                 # a connected dominating set of two or more vertices is total
                 assert total <= connected
+
+
+def _cap(variant):
+    if variant == "connected":
+        return DEFAULT_LIMITS.max_connected_domination
+    return DEFAULT_LIMITS.max_domination
+
+
+def lower_bound(G, variant):
+    masks = _neighbor_masks(G)
+    closed = [masks[v] | (1 << v) for v in range(G.n)]
+    return _domination_lower_bound(G, variant, masks, masks if variant == "total" else closed)
+
+
+def grid(rows, cols):
+    cell = lambda r, c: r * cols + c
+    edges = [(cell(r, c), cell(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(cell(r, c), cell(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, edges)
+
+
+def _domination_graphs():
+    """Labeled, structured and random disk graphs up to the domination caps."""
+    for n in range(6):
+        yield from all_labeled_graphs(n)
+    top = max(map(_cap, DOMINATION_VARIANTS))
+    for n in range(1, top + 1):
+        yield build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        yield build_graph(n, [(0, v) for v in range(1, n)])
+        if n >= 3:
+            yield build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+    for rows in range(2, 5):
+        for cols in range(rows, top // rows + 1):
+            yield grid(rows, cols)
+    for cap in sorted({_cap(v) for v in DOMINATION_VARIANTS}):
+        for index in range(100):
+            n = cap // 2 + index % (cap - cap // 2 + 1)
+            radius_high = None if index % 2 else 2.0
+            radius = 1.0 if radius_high is None else 0.5
+            box = tuned_box(n, radius, radius_high, 4.0)
+            yield random_connected_instance(n, box, radius, derive_seed(0xE5 + cap, index), radius_high)[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _domination_reference():
+    """(graph, variant, first accepted subset) wherever the variant has a solution."""
+    cases = []
+    for G in _domination_graphs():
+        for variant in DOMINATION_VARIANTS:
+            if G.n > _cap(variant) or (variant == "connected" and not is_connected(G)):
+                continue
+            first = first_dominating_set(G, variant)
+            if first is not None:
+                cases.append((G, variant, first))
+    return tuple(cases)
+
+
+class TestDominationSearch:
+    def test_matches_the_first_accepted_subset(self):
+        for G, variant, first in _domination_reference():
+            size, witness = exact_domination(G, variant)
+            assert (size, witness.members) == (len(first), first), (G.adj, variant)
+
+    def test_lower_bound_never_exceeds_the_optimum(self):
+        for G, variant, first in _domination_reference():
+            if G.n == 0:
+                continue
+            assert 1 <= lower_bound(G, variant) <= len(first), (G.adj, variant)
+
+    def test_each_term_reaches_the_optimum(self):
+        # packing: the four leaves of a spider with legs of length 2 have
+        # disjoint closed neighborhoods, while ceil(9 / 5) = 2
+        spider = build_graph(9, [(0, 1), (0, 3), (0, 5), (0, 7), (1, 2), (3, 4), (5, 6), (7, 8)])
+        assert lower_bound(spider, "plain") == exact_domination(spider, "plain")[0] == 4
+        # degree: the id-order packing of C16 stops at 5, ceil(16 / 3) = 6
+        C16 = build_graph(16, [(v, (v + 1) % 16) for v in range(16)])
+        assert lower_bound(C16, "plain") == exact_domination(C16, "plain")[0] == 6
+        # eccentricity: P16 has diameter 15
+        P16 = build_graph(16, [(v, v + 1) for v in range(15)])
+        assert lower_bound(P16, "connected") == exact_domination(P16, "connected")[0] == 14
+
+    def test_reference_reaches_every_cap(self):
+        cases = _domination_reference()
+        for variant in DOMINATION_VARIANTS:
+            assert max(G.n for G, v, _ in cases if v == variant) == _cap(variant), variant

@@ -392,8 +392,9 @@ class TestRandomInstance:
                 random_instance(5, 4, radius, 0, radius_high)
 
     def test_connected_sampler(self):
-        inst = random_connected_instance(12, 6.0, 1.0, 31)
-        assert is_connected(instance_to_graph(inst))
+        inst, G = random_connected_instance(12, 6.0, 1.0, 31)
+        assert G == instance_to_graph(inst)
+        assert is_connected(G)
 
     def test_connected_sampler_accepts_the_first_connected_attempt(self):
         for seed in range(20):
@@ -402,7 +403,8 @@ class TestRandomInstance:
                     random_instance(14, 6.0, 0.5, derive_seed(seed, attempt), 2.0))):
                 attempt += 1
             expected = random_instance(14, 6.0, 0.5, derive_seed(seed, attempt), 2.0)
-            assert random_connected_instance(14, 6.0, 0.5, seed, 2.0) == expected
+            assert random_connected_instance(14, 6.0, 0.5, seed, 2.0) == (
+                expected, instance_to_graph(expected))
 
 
 class TestSweepOrder:

@@ -14,7 +14,7 @@ from diskapprox import cli, problems
 from diskapprox.covering import ArrivalSequence
 from diskapprox.exact import DEFAULT_LIMITS
 from diskapprox.formats import write_instance
-from diskapprox.geometry import instance_to_graph, random_connected_instance
+from diskapprox.geometry import random_connected_instance
 from diskapprox.graphs import build_graph
 
 ALL = ("vc", "color", "online-color", "mis", "ds", "ids", "tds", "cds")
@@ -50,7 +50,7 @@ def matrix_digest(workdir) -> str:
         paths[name] = f"{workdir}/{name}.udg"
         record(["gen", *gen, "--connected", "-o"], [paths[name]])
     paths["abstract"] = f"{workdir}/abstract.udg"
-    write_instance(instance_to_graph(random_connected_instance(40, 9.0, 1.0, 9)), paths["abstract"])
+    write_instance(random_connected_instance(40, 9.0, 1.0, 9)[1], paths["abstract"])
     paths["k44"] = f"{workdir}/k44.udg"
     write_instance(build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)]), paths["k44"])
 
@@ -85,8 +85,7 @@ def test_cli_matrix_matches_the_recorded_digest(tmp_path):
 
 def test_problem_table_is_complete():
     assert cli.SOLVE_PROBLEMS == tuple(problems.PROBLEMS) == ALL
-    inst = random_connected_instance(10, 4.0, 1.0, 21)
-    G = instance_to_graph(inst)
+    inst, G = random_connected_instance(10, 4.0, 1.0, 21)
     options = problems.Options(lambda n: ArrivalSequence.of(range(n)))
     for name, problem in problems.PROBLEMS.items():
         assert problem.bounds["unit"] >= 1.0, name

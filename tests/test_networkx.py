@@ -27,7 +27,7 @@ def instances():
         yield random_connected_instance(
             n, 1.2 * n ** 0.5 * (1.0 if unit else 1.5), 1.0, derive_seed(0x4E58, index),
             radius_high=None if unit else 2.0,
-        )
+        )[0]
 
 
 def nx_graph(n, pairs):
