@@ -134,6 +134,8 @@ def run_bench(
     if not 0 < mean_degree < math.inf:
         raise BadParameter("mean_degree must be positive and finite")
     _check_radius_range(radius, radius_high)
+    if radius_high == radius:
+        radius_high = None  # equal radii are unit disks, as in random_instance
     variant = "unit" if radius_high is None else "circle"
     for p in problems:
         if variant not in PROBLEMS[p].bounds:

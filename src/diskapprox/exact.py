@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .covering import Coloring, _first_fit
 from .errors import BadParameter, IsolatedVertex, NotConnected, Timeout, TooLarge
-from .graphs import Graph, VertexSet, is_connected
+from .graphs import Graph, VertexSet, bfs_levels, is_connected
 
 DOMINATION_VARIANTS = ("plain", "independent", "total", "connected")
 
@@ -245,26 +245,7 @@ def _induced_connected(chosen: tuple[int, ...], masks: list[int]) -> bool:
     return seen == chosen_mask
 
 
-def _bfs_depth(masks: list[int], source: int) -> tuple[int, int]:
-    """(eccentricity of ``source``, highest id at that distance) over neighbor masks."""
-    seen = frontier = 1 << source
-    depth = 0
-    while True:
-        reached = 0
-        scan = frontier
-        while scan:
-            low = scan & -scan
-            reached |= masks[low.bit_length() - 1]
-            scan ^= low
-        reached &= ~seen
-        if not reached:
-            return depth, frontier.bit_length() - 1
-        seen |= reached
-        frontier = reached
-        depth += 1
-
-
-def _domination_lower_bound(G: Graph, variant: str, masks: list[int], reach: list[int]) -> int:
+def _domination_lower_bound(G: Graph, variant: str, reach: list[int]) -> int:
     """A size no dominating set of ``variant`` can undercut; at least 1 for n >= 1.
 
     ``reach[v]`` is the set a member v dominates: its closed neighborhood,
@@ -277,8 +258,9 @@ def _domination_lower_bound(G: Graph, variant: str, masks: list[int], reach: lis
     * ceil(n / max reach size): one member dominates at most Delta + 1
       vertices (Delta for ``total``, where the isolated-vertex guard makes
       Delta >= 1);
-    * for ``connected``, ecc(x) - 1 for x the last vertex a BFS from 0
-      reaches, since ecc(x) = dist(x, w) for some w.  For any u and w, a
+    * for ``connected``, ecc(x) - 1 for x the highest id on the last
+      :func:`bfs_levels` level from 0; ecc(x), the number of levels from x
+      minus one, equals dist(x, w) for some w.  For any u and w, a
       connected dominating set holds a member within one step of each,
       and a path inside the set between those two members of at least
       dist(u, w) - 2 edges, so it has at least dist(u, w) - 1 vertices.
@@ -294,8 +276,8 @@ def _domination_lower_bound(G: Graph, variant: str, masks: list[int], reach: lis
             packing += 1
     bound = max(packing, -(-G.n // max(sizes)))
     if variant == "connected":
-        _, far = _bfs_depth(masks, 0)
-        bound = max(bound, _bfs_depth(masks, far)[0] - 1)
+        far = bfs_levels(G, 0)[0][-1][-1]
+        bound = max(bound, len(bfs_levels(G, far)[0]) - 2)
     return bound
 
 
@@ -330,7 +312,7 @@ def exact_domination(
     full = (1 << G.n) - 1
     deadline = _Deadline(limits.time_budget)
 
-    for size in range(_domination_lower_bound(G, variant, masks, reach), G.n + 1):
+    for size in range(_domination_lower_bound(G, variant, reach), G.n + 1):
         for chosen in combinations(range(G.n), size):
             deadline.check()
             covered = 0

@@ -149,14 +149,16 @@ def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
     Disks are split into radius levels (see :func:`_radius_levels`); unit
     disks, or any radii within a factor of two, make a single level.  Each
     level buckets its centers into cells just over 2 * its largest radius, so
-    a pair within the level sits in the same or an adjacent cell; scanning
-    each cell against itself and a half-neighborhood of four offsets visits
-    each unordered cell pair once.  A pair across levels is found from the
-    smaller disk: its radius is below the larger one's, which is at most
-    half the larger level's cell, so the larger center lies in the 3x3
-    block of that level's cells around the smaller center.  The smaller
-    disks of a level are bucketed on each later level's grid and probe that
-    block per cell, so a large disk never walks the fine grid.
+    a pair within the level sits in the same or an adjacent cell.  Each cell
+    tests its members against one pool: its members followed by the entries
+    of a half-neighborhood of four offsets, member a (1-based) testing
+    ``pool[a:]``, which visits each unordered cell pair once.  A pair across
+    levels is found from the smaller disk: its radius is below the larger
+    one's, which is at most half the larger level's cell, so the larger
+    center lies in the 3x3 block of that level's cells around the smaller
+    center.  The smaller disks of a level are bucketed on each later level's
+    grid, where a cell's pool is that block and every member tests all of
+    it, so a large disk never walks the fine grid.
 
     The scan finds each unordered intersecting pair exactly once, so a hit
     is appended to both endpoints' rows with no dedup, and each row is
@@ -164,36 +166,24 @@ def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
     """
     rows: list[list[int]] = [[] for _ in disks]
     grids = [(cell, ids, _bucket(disks, ids, cell)) for cell, ids in _radius_levels(disks, low, high)]
-    for level, (_, ids, buckets) in enumerate(grids):
-        scans = [(buckets, buckets, _HALF_NEIGHBORHOOD)]
-        scans.extend(
-            (_bucket(disks, ids, cell), upper, _BLOCK) for cell, _, upper in grids[level + 1:]
-        )
-        for probes, targets, offsets in scans:
+    for level, (_, ids, own) in enumerate(grids):
+        for cell, _, targets in grids[level:]:
+            same = targets is own
+            probes = own if same else _bucket(disks, ids, cell)
+            offsets = _HALF_NEIGHBORHOOD if same else _BLOCK
             for (cx, cy), members in probes.items():
-                if probes is targets:
-                    for a, (i, xi, yi, ri) in enumerate(members, 1):
-                        row = rows[i]
-                        for j, xj, yj, rj in members[a:]:
-                            dx = xi - xj
-                            dy = yi - yj
-                            reach = ri + rj
-                            if dx * dx + dy * dy <= reach * reach:
-                                row.append(j)
-                                rows[j].append(i)
-                for ox, oy in offsets:
-                    other = targets.get((cx + ox, cy + oy))
-                    if not other:
-                        continue
-                    for i, xi, yi, ri in members:
-                        row = rows[i]
-                        for j, xj, yj, rj in other:
-                            dx = xi - xj
-                            dy = yi - yj
-                            reach = ri + rj
-                            if dx * dx + dy * dy <= reach * reach:
-                                row.append(j)
-                                rows[j].append(i)
+                pool = [e for ox, oy in offsets for e in targets.get((cx + ox, cy + oy), ())]
+                if same:
+                    pool = members + pool
+                for a, (i, xi, yi, ri) in enumerate(members, 1):
+                    row = rows[i]
+                    for j, xj, yj, rj in pool[a:] if same else pool:
+                        dx = xi - xj
+                        dy = yi - yj
+                        reach = ri + rj
+                        if dx * dx + dy * dy <= reach * reach:
+                            row.append(j)
+                            rows[j].append(i)
     for row in rows:
         row.sort()
     return tuple(map(tuple, rows))
@@ -294,17 +284,22 @@ def sector_clique(inst: GeometricInstance, G: Graph) -> VertexSet:
 
 
 def polygon_independence_bound(sides: int) -> PolygonBound:
-    """Evaluate ceil(18*pi / (sides * sin(2*pi/sides))).
+    """Evaluate ceil(18*pi / (sides * sin(2*pi/sides))) for 3 <= sides <= 2^53.
 
     A regular polygon inscribed in a unit circle that touches a given one
     fits inside the circle of radius 3 around it, so at most area(circle) /
     area(polygon) pairwise-disjoint polygons can all touch it.  Values
     within 1e-9 of an integer are nudged down before the ceiling so the
     result cannot flip on the last bit of a platform's libm; no such
-    boundary case actually occurs for sides <= 64.
+    boundary case actually occurs for sides <= 64.  The result is floored
+    at 10, which is exact: sin t < t for t > 0 gives sides * sin(2*pi/sides)
+    < 2*pi, so the ratio exceeds 9, though by less than the nudge once sides
+    passes about 3*10^5.  Above 2^53 a side count is not exact as a float.
     """
     if sides < 3:
         raise BadParameter("a polygon needs at least 3 sides")
+    if sides > 2**53:
+        raise BadParameter("a polygon may have at most 2^53 sides")
     scaled = sides * math.sin(2.0 * math.pi / sides)
     raw = 18.0 * math.pi / scaled
-    return PolygonBound(sides, scaled / 2.0, math.ceil(raw - 1e-9))
+    return PolygonBound(sides, scaled / 2.0, max(10, math.ceil(raw - 1e-9)))

@@ -224,13 +224,8 @@ def bfs_levels(G: Graph, root: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
 
 
 def is_connected(G: Graph) -> bool:
-    if G.n <= 1:
-        return True
-    try:
-        bfs_levels(G, 0)
-    except NotConnected:
-        return False
-    return True
+    """True when ``G`` has at most one component (so the empty graph is connected)."""
+    return len(components(G)) <= 1
 
 
 def components(G: Graph) -> tuple[tuple[int, ...], ...]:

@@ -47,6 +47,11 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--polygon", "2")
         assert code == 1 and "error" in err
 
+    def test_huge_polygon_is_an_error_line(self, capsys):
+        code, out, err = run(capsys, "bound", "--polygon", str(10**400))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
@@ -317,6 +322,12 @@ class TestBench:
             fields = line.split(",")
             assert fields[3] == "0.5:2"
             assert float(fields[7]) <= float(fields[8]) + 1e-9
+
+    def test_equal_radius_range_is_the_unit_variant(self, capsys):
+        args = ("bench", "--instances", "3", "--n-range", "6:9", "--problems", "vc,ds", "--seed", "4")
+        unit = run(capsys, *args, "--radius", "1")
+        assert unit[0] == 0
+        assert run(capsys, *args, "--radius", "1:1") == unit
 
     def test_circle_variant_rejects_domination(self, capsys):
         code, _, err = run(

@@ -205,7 +205,7 @@ def _cap(variant):
 def lower_bound(G, variant):
     masks = _neighbor_masks(G)
     closed = [masks[v] | (1 << v) for v in range(G.n)]
-    return _domination_lower_bound(G, variant, masks, masks if variant == "total" else closed)
+    return _domination_lower_bound(G, variant, masks if variant == "total" else closed)
 
 
 def grid(rows, cols):

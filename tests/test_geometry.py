@@ -501,6 +501,16 @@ class TestPolygonBound:
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] >= math.ceil(18 * math.pi / (2 * math.pi) - 1e-6)
 
+    @pytest.mark.parametrize("sides", [10**5, 3 * 10**5, 10**6, 10**9, 2**53])
+    def test_large_side_counts_stay_above_nine(self, sides):
+        # sides * sin(2*pi/sides) < 2*pi, so the ratio exceeds 9 for every count
+        assert polygon_independence_bound(sides).independence_bound == 10
+
+    @pytest.mark.parametrize("sides", [2**53 + 1, 10**400], ids=["2^53+1", "10^400"])
+    def test_rejects_side_counts_beyond_float_precision(self, sides):
+        with pytest.raises(BadParameter):
+            polygon_independence_bound(sides)
+
 
 class TestRng:
     def test_streams_are_reproducible(self):

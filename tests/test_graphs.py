@@ -232,6 +232,7 @@ class TestConnectivity:
         assert not is_connected(two_edges)
         assert components(two_edges) == ((0, 1), (2, 3))
         assert is_connected(build_graph(1, []))
+        assert is_connected(build_graph(0, []))
 
     def test_components_partition(self):
         G = build_graph(6, [(0, 3), (1, 4)])

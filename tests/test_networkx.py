@@ -5,13 +5,15 @@ networkx is a test-only dependency: without it this module is skipped.
 
 import pytest
 
+from diskapprox.bench import tuned_box
 from diskapprox.domination import (
     connected_dominating_set,
     dominating_set,
     independent_set_geometric,
     independent_set_graph,
 )
-from diskapprox.geometry import instance_to_graph, random_connected_instance
+from diskapprox.geometry import instance_to_graph, random_connected_instance, random_instance
+from diskapprox.graphs import components, is_connected
 from diskapprox.matching import build_bipartite, max_matching, nt_decompose
 from diskapprox.rng import derive_seed
 from refimpl import all_pairs
@@ -73,3 +75,24 @@ def test_domination_and_independence():
         cds, _ = connected_dominating_set(G)
         assert nx.is_dominating_set(H, set(cds))
         assert nx.is_connected(H.subgraph(cds.members))
+
+
+def sparse_instances():
+    """Seeded instances at mean degree 1 to 4, unit radii and radii in [0.5, 2] alternately."""
+    for index in range(24):
+        n = 4 + 3 * index
+        low, high = (1.0, None) if index % 2 == 0 else (0.5, 2.0)
+        box = tuned_box(n, low, high, 1 + index % 4)
+        yield random_instance(n, box, low, derive_seed(0x434F, index), high)
+
+
+def test_connectivity():
+    """Most sparse instances are disconnected; every one of ``instances()`` is connected."""
+    verdicts = []
+    for inst in [*sparse_instances(), *instances()]:
+        G = instance_to_graph(inst)
+        H = nx_graph(inst.n, all_pairs(inst))
+        verdicts.append(nx.is_connected(H))
+        assert is_connected(G) == verdicts[-1]
+        assert components(G) == tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(H)))
+    assert verdicts.count(False) >= 12 and verdicts.count(True) >= 12
