@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 from . import exact
@@ -76,6 +76,7 @@ def _reach_moments(radius: float, radius_high: Optional[float]) -> tuple[float, 
     return moment(2), moment(3), moment(4)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def tuned_box(n: int, radius: float, radius_high: Optional[float], mean_degree: float) -> float:
     """Box side giving the target expected mean degree, boundary effects included.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .covering import Coloring, _first_fit
 from .errors import BadParameter, IsolatedVertex, NotConnected, Timeout, TooLarge
@@ -226,7 +225,7 @@ def exact_chromatic(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[in
     raise AssertionError("k-coloring search must succeed at the greedy bound")
 
 
-def _induced_connected(chosen: tuple[int, ...], masks: list[int]) -> bool:
+def _induced_connected(chosen: list[int], masks: list[int]) -> bool:
     if len(chosen) <= 1:
         return True
     chosen_mask = 0
@@ -286,10 +285,24 @@ def exact_domination(
 ) -> tuple[int, VertexSet]:
     """Minimum dominating set of the requested variant with a witness.
 
-    Increasing-size subset search over bitmask neighborhood closures,
-    starting at the certified lower bound of
-    :func:`_domination_lower_bound`: every smaller size would fail, so the
-    first subset that validates is optimal and is the lexicographically
+    For each size from the certified lower bound of
+    :func:`_domination_lower_bound` up, a depth-first search picks members
+    in increasing id order over bitmask neighborhoods, so it visits the
+    subsets of that size in lexicographic order.  It cuts a branch only
+    when no subset below it can be accepted:
+
+    * suffix cover: with members still to pick from ids >= v, the union
+      ``suffix[v]`` of their reach sets must complete the cover; it only
+      shrinks as v grows, so the scan stops at the first v that fails;
+    * independent: a candidate must lie outside the closed neighborhoods
+      of the members already picked;
+    * connected: two members of a connected set of size k are at most
+      k - 1 apart in G, so candidates must lie in the distance-(k - 1)
+      ball of every member picked; each leaf is still tested for induced
+      connectivity.
+
+    Every smaller size would fail and no cut drops an accepted subset, so
+    the first subset accepted is optimal and is the lexicographically
     first one of its size.  Variants: plain, independent, total, connected.
     """
     if variant not in DOMINATION_VARIANTS:
@@ -306,27 +319,49 @@ def exact_domination(
     if G.n == 0:
         return 0, VertexSet.of([], 0)
 
+    n = G.n
     masks = _neighbor_masks(G)
-    closed = [masks[v] | (1 << v) for v in range(G.n)]
+    closed = [masks[v] | (1 << v) for v in range(n)]
     reach = masks if variant == "total" else closed
-    full = (1 << G.n) - 1
+    full = (1 << n) - 1
+    suffix = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        suffix[v] = suffix[v + 1] | reach[v]
+    if variant == "independent":
+        allow = [full & ~closed[v] for v in range(n)]
+    else:
+        allow = [full] * n  # the connected balls grow with the size below
     deadline = _Deadline(limits.time_budget)
+    chosen: list[int] = []
 
-    for size in range(_domination_lower_bound(G, variant, reach), G.n + 1):
-        for chosen in combinations(range(G.n), size):
-            deadline.check()
-            covered = 0
-            for v in chosen:
-                covered |= reach[v]
-            if covered != full:
-                continue
-            if variant == "independent":
-                chosen_mask = 0
-                for v in chosen:
-                    chosen_mask |= 1 << v
-                if any(masks[v] & chosen_mask for v in chosen):
-                    continue
-            elif variant == "connected" and not _induced_connected(chosen, masks):
-                continue
-            return size, VertexSet.of(chosen, G.n)
+    def extend(start: int, covered: int, allowed: int, slots: int) -> bool:
+        deadline.check()
+        if slots == 0:
+            return covered == full and (
+                variant != "connected" or _induced_connected(chosen, masks)
+            )
+        for v in range(start, n - slots + 1):
+            if covered | suffix[v] != full:
+                return False
+            if (allowed >> v) & 1:
+                chosen.append(v)
+                if extend(v + 1, covered | reach[v], allowed & allow[v], slots - 1):
+                    return True
+                chosen.pop()
+        return False
+
+    radius = 0
+    ball = [1 << v for v in range(n)]
+    for size in range(_domination_lower_bound(G, variant, reach), n + 1):
+        if variant == "connected":
+            while radius < size - 1:
+                grown = ball[:]
+                for v in range(n):
+                    for u in G.adj[v]:
+                        grown[v] |= ball[u]
+                ball = grown
+                radius += 1
+            allow = ball
+        if extend(0, 0, full, size):
+            return size, VertexSet.of(chosen, n)
     raise AssertionError("the full vertex set always dominates")

@@ -214,12 +214,13 @@ def random_instance(
         raise BadParameter("box side must be positive, finite and at most 2^500")
     _check_radius_range(radius, radius_high)
     rng = Rng(seed)
-    centers = [(box * rng.uniform(), box * rng.uniform()) for _ in range(n)]
+    coords = [box * u for u in rng.uniforms(2 * n)]
     if radius_high is None or radius_high == radius:
         radii = [radius] * n
     else:
-        radii = [rng.uniform_in(radius, radius_high) for _ in range(n)]
-    return GeometricInstance(tuple((x, y, r) for (x, y), r in zip(centers, radii)))
+        span = radius_high - radius
+        radii = [radius + span * u for u in rng.uniforms(n)]
+    return GeometricInstance(tuple(zip(coords[0::2], coords[1::2], radii)))
 
 
 _CONNECTED_TRIES = 10_000

@@ -47,8 +47,12 @@ class Rng:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def uniform_in(self, low: float, high: float) -> float:
-        return low + (high - low) * self.uniform()
+    def uniforms(self, count: int) -> list[float]:
+        """The next ``count`` values of :meth:`uniform`, leaving the state where
+        ``count`` calls would."""
+        state = self._state
+        self._state = (state + count * _INCREMENT) & MASK64
+        return [(mix64(state + k * _INCREMENT) >> 11) * 2.0 ** -53 for k in range(1, count + 1)]
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection so there is no modulo bias."""

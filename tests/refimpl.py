@@ -50,11 +50,32 @@ def first_dominating_set(G: Graph, variant: str):
         "connected": checks.is_connected_dominating_set,
     }
     validator = validators[variant]
+    # a necessary condition first: the members' neighborhoods (open ones for
+    # total domination) cover every vertex
+    reach = [sum(1 << u for u in G.adj[v]) for v in range(G.n)]
+    if variant != "total":
+        reach = [mask | (1 << v) for v, mask in enumerate(reach)]
+    full = (1 << G.n) - 1
     for size in range(G.n + 1):
         for subset in combinations(range(G.n), size):
-            if validator(G, subset):
+            covered = 0
+            for v in subset:
+                covered |= reach[v]
+            if covered == full and validator(G, subset):
                 return subset
     return None
+
+
+def per_draw_disks(n, box, radius, seed, radius_high=None):
+    """The disks of ``random_instance``, drawn one ``uniform()`` at a time:
+    x and y of each center in turn, then each radius."""
+    rng = Rng(seed)
+    centers = [(box * rng.uniform(), box * rng.uniform()) for _ in range(n)]
+    if radius_high is None or radius_high == radius:
+        radii = [radius] * n
+    else:
+        radii = [radius + (radius_high - radius) * rng.uniform() for _ in range(n)]
+    return tuple((x, y, r) for (x, y), r in zip(centers, radii))
 
 
 def brute_domination(G: Graph, variant: str):

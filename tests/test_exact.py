@@ -49,6 +49,23 @@ def complete(n):
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def path(n):
+    return build_graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def cycle(n):
+    return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, each one's ids shifted past the previous ones."""
+    edges, offset = [], 0
+    for G in graphs:
+        edges += [(u + offset, v + offset) for u, v in G.edges]
+        offset += G.n
+    return build_graph(offset, edges)
+
+
 class TestExamples:
     def test_mis(self):
         assert exact_mis(c5())[0] == 2
@@ -106,18 +123,20 @@ class TestGuards:
     def test_total_variant_rejects_isolated_vertices(self):
         with pytest.raises(IsolatedVertex):
             exact_domination(build_graph(2, []), "total")
+        with pytest.raises(IsolatedVertex):
+            exact_domination(disjoint_union(path(5), complete(4), path(1)), "total")
 
     def test_limits_must_be_positive(self):
         with pytest.raises(BadParameter):
             OracleLimits(time_budget=0)
 
     def test_time_budget_is_enforced(self):
-        # plain domination on P18 walks 9017 subsets of size 6, its lower
-        # bound and optimum, so the clock is read after 4096 of them
-        P18 = build_graph(18, [(v, v + 1) for v in range(17)])
+        # connected domination on C16 searches sizes 7 (diameter 8, minus 1)
+        # to 14 in about 40k nodes, so the clock is read after 4096 of them
+        C16 = cycle(16)
         tight = OracleLimits(time_budget=1e-9)
         with pytest.raises(Timeout):
-            exact_domination(P18, "plain", tight)
+            exact_domination(C16, "connected", tight)
 
 
 class TestNaiveReference:
@@ -221,10 +240,14 @@ def _domination_graphs():
         yield from all_labeled_graphs(n)
     top = max(map(_cap, DOMINATION_VARIANTS))
     for n in range(1, top + 1):
-        yield build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        yield path(n)
         yield build_graph(n, [(0, v) for v in range(1, n)])
         if n >= 3:
-            yield build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+            yield cycle(n)
+    # several components, so no member of one can cover another
+    yield disjoint_union(cycle(6), cycle(6))
+    yield disjoint_union(path(5), complete(4), path(1))
+    yield disjoint_union(cycle(7), cycle(7))
     for rows in range(2, 5):
         for cols in range(rows, top // rows + 1):
             yield grid(rows, cols)
@@ -269,10 +292,10 @@ class TestDominationSearch:
         spider = build_graph(9, [(0, 1), (0, 3), (0, 5), (0, 7), (1, 2), (3, 4), (5, 6), (7, 8)])
         assert lower_bound(spider, "plain") == exact_domination(spider, "plain")[0] == 4
         # degree: the id-order packing of C16 stops at 5, ceil(16 / 3) = 6
-        C16 = build_graph(16, [(v, (v + 1) % 16) for v in range(16)])
+        C16 = cycle(16)
         assert lower_bound(C16, "plain") == exact_domination(C16, "plain")[0] == 6
         # eccentricity: P16 has diameter 15
-        P16 = build_graph(16, [(v, v + 1) for v in range(15)])
+        P16 = path(16)
         assert lower_bound(P16, "connected") == exact_domination(P16, "connected")[0] == 14
 
     def test_reference_reaches_every_cap(self):

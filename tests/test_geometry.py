@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from diskapprox import checks
+from diskapprox.bench import tuned_box
 from diskapprox.errors import BadParameter, ModelMismatch, NonPositiveRadius
 from diskapprox.geometry import (
     GeometricInstance,
@@ -19,7 +20,7 @@ from diskapprox.geometry import (
 )
 from diskapprox.graphs import build_graph, is_connected
 from diskapprox.rng import Rng, derive_seed
-from refimpl import all_pairs, brute_mis
+from refimpl import all_pairs, brute_mis, per_draw_disks
 
 
 BIG = 2.0 ** 500
@@ -390,6 +391,24 @@ class TestRandomInstance:
         for radius, radius_high in cases:
             with pytest.raises(BadParameter):
                 random_instance(5, 4, radius, 0, radius_high)
+
+    @pytest.mark.parametrize("radius, radius_high", [(1.0, None), (0.5, 2.0), (1.5, 1.5)])
+    def test_matches_per_draw_reference(self, radius, radius_high):
+        for seed in range(20):
+            n = 1 + seed * 3
+            expected = per_draw_disks(n, 7.0, radius, seed, radius_high)
+            assert random_instance(n, 7.0, radius, seed, radius_high).disks == expected
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_uniforms_are_successive_uniform_draws(self, count):
+        batch, single = Rng(0x5EED), Rng(0x5EED)
+        assert batch.uniforms(count) == [single.uniform() for _ in range(count)]
+        assert batch.next_u64() == single.next_u64()
+
+    def test_tuned_box_is_stable_across_calls(self):
+        for args in ((30, 1.0, None, 4.0), (17, 0.5, 2.0, 6.0), (1, 1.0, None, 4.0)):
+            first = tuned_box(*args)
+            assert tuned_box(*args) == first == tuned_box.__wrapped__(*args)
 
     def test_connected_sampler(self):
         inst, G = random_connected_instance(12, 6.0, 1.0, 31)
