@@ -45,7 +45,6 @@ from .graphs import (
     build_graph,
     components,
     degeneracy_ordering,
-    find_triangle,
     greedy_maximal_independent_set,
     induced_subgraph,
     is_connected,
@@ -53,7 +52,6 @@ from .graphs import (
 from .matching import (
     BipartiteGraph,
     NtDecomposition,
-    build_bipartite,
     konig_cover,
     max_matching,
     nt_decompose,

@@ -41,14 +41,11 @@ class BenchRecord:
     ms: int
 
     def to_csv_row(self, with_timing: bool = False) -> str:
-        radius = format(self.radius, "g")
-        if self.radius_high is not None:
-            radius += f":{format(self.radius_high, 'g')}"
         fields = (
             str(self.seed),
             str(self.n),
             format(self.box, ".6g"),
-            radius,
+            _radius_text(self.radius, self.radius_high),
             self.problem,
             str(self.heur),
             str(self.opt),
@@ -57,6 +54,12 @@ class BenchRecord:
             str(self.ms if with_timing else 0),
         )
         return ",".join(fields)
+
+
+def _radius_text(radius: float, radius_high: Optional[float]) -> str:
+    """``R``, or ``LOW:HIGH`` for a radius range, as ``--radius`` takes it."""
+    text = format(radius, "g")
+    return text if radius_high is None else f"{text}:{format(radius_high, 'g')}"
 
 
 def _reach_moments(radius: float, radius_high: Optional[float]) -> tuple[float, float, float]:
@@ -147,7 +150,14 @@ def run_bench(
     for index in range(instances):
         n = n_low + size_stream.randrange(n_high - n_low + 1)
         instance_seed = derive_seed(seed, index)
-        box = tuned_box(n, radius, radius_high, mean_degree)
+        try:
+            box = tuned_box(n, radius, radius_high, mean_degree)
+        except (OverflowError, ZeroDivisionError):
+            # a power of the reach or of the box left the float range
+            raise BadParameter(
+                f"no box side for --radius {_radius_text(radius, radius_high)}"
+                f" and --mean-degree {mean_degree:g} is representable"
+            ) from None
         inst, G = random_connected_instance(n, box, radius, instance_seed, radius_high)
         options = Options(partial(ArrivalSequence.random, seed=derive_seed(instance_seed, 7)))
         for name in problems:

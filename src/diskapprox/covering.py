@@ -33,14 +33,6 @@ class Coloring:
             raise BadParameter("colors must form the contiguous range 1..num_colors")
         return Coloring(colors, num)
 
-    def check_proper(self, G: Graph) -> None:
-        """Raise unless this is a proper coloring of ``G``."""
-        if len(self.colors) != G.n:
-            raise BadParameter("coloring does not match the graph's vertex count")
-        for u, v in G.edges:
-            if self.colors[u] == self.colors[v]:
-                raise BadParameter(f"edge ({u}, {v}) is monochromatic")
-
 
 @dataclass(frozen=True)
 class ArrivalSequence:

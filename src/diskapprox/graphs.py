@@ -48,8 +48,8 @@ class VertexSet:
 class Graph:
     """Simple undirected graph held as its sorted adjacency: symmetric, no loops, no repeats.
 
-    ``edges``, ``m`` and ``neighbor_set`` are derived from ``adj`` on each
-    call, so loops read :meth:`neighbors` instead.
+    ``edges`` and ``m`` are derived from ``adj`` on each call, so loops read
+    :meth:`neighbors` instead.
     """
 
     __slots__ = ("n", "adj")
@@ -69,9 +69,6 @@ class Graph:
 
     def neighbors(self, vertex: int) -> tuple[int, ...]:
         return self.adj[vertex]
-
-    def neighbor_set(self, vertex: int) -> frozenset[int]:
-        return frozenset(self.adj[vertex])
 
     def degree(self, vertex: int) -> int:
         return len(self.adj[vertex])
@@ -164,15 +161,6 @@ def degeneracy_ordering(G: Graph, degree_cap: Optional[int] = None) -> Degenerac
                 degree[u] -= 1
                 heapq.heappush(heap, (degree[u], u))
     return DegeneracyResult(tuple(order), degeneracy)
-
-
-def find_triangle(G: Graph) -> Optional[tuple[int, int, int]]:
-    """First triangle in lowest-edge order (lowest common neighbor), or None."""
-    for u, v in G.edges:
-        common = G.neighbor_set(u) & G.neighbor_set(v)
-        if common:
-            return tuple(sorted((u, v, min(common))))
-    return None
 
 
 def greedy_maximal_independent_set(G: Graph, order: Iterable[int]) -> VertexSet:

@@ -8,22 +8,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BadParameter, IdOutOfRange, NotMaximumMatching
+from .errors import BadParameter, NotMaximumMatching
 from .graphs import Graph, VertexSet
 
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite graph as each left vertex's sorted right neighbors; see build_bipartite()."""
+    """Bipartite graph as ``left_n`` rows of right neighbors, each strictly increasing in [0, right_n)."""
 
     left_n: int
     right_n: int
     adj: tuple[tuple[int, ...], ...]
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (left, right) pairs, derived from ``adj`` on each call."""
-        return tuple((l, r) for l, nbrs in enumerate(self.adj) for r in nbrs)
 
 
 @dataclass(frozen=True)
@@ -43,17 +38,6 @@ class NtDecomposition:
     @property
     def lower_bound(self) -> float:
         return len(self.forced) + len(self.half) / 2.0
-
-
-def build_bipartite(left_n: int, right_n: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
-    if left_n < 0 or right_n < 0:
-        raise BadParameter("side sizes must be nonnegative")
-    neighbors: list[set[int]] = [set() for _ in range(left_n)]
-    for l, r in edges:
-        if not (0 <= l < left_n) or not (0 <= r < right_n):
-            raise IdOutOfRange(f"edge ({l}, {r}) outside {left_n}x{right_n}")
-        neighbors[l].add(r)
-    return BipartiteGraph(left_n, right_n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
 
 
 def max_matching(B: BipartiteGraph) -> tuple[tuple[int, int], ...]:

@@ -7,7 +7,9 @@ obviously correct on the small graphs the tests feed it.
 from itertools import combinations, product
 
 from diskapprox import checks
+from diskapprox.errors import BadParameter, IdOutOfRange
 from diskapprox.graphs import Graph, build_graph
+from diskapprox.matching import BipartiteGraph
 from diskapprox.rng import Rng
 
 
@@ -90,9 +92,35 @@ def brute_degeneracy(G: Graph) -> int:
         if not subset:
             continue
         inside = set(subset)
-        lowest = min(len(G.neighbor_set(v) & inside) for v in subset)
+        lowest = min(len(inside.intersection(G.neighbors(v))) for v in subset)
         best = max(best, lowest)
     return best
+
+
+def find_triangle(G: Graph):
+    """First triangle in lowest-edge order (lowest common neighbor), or None."""
+    for u, v in G.edges:
+        common = set(G.neighbors(u)) & set(G.neighbors(v))
+        if common:
+            return tuple(sorted((u, v, min(common))))
+    return None
+
+
+def build_bipartite(left_n: int, right_n: int, edges) -> BipartiteGraph:
+    """A ``BipartiteGraph`` from (left, right) pairs, range-checked, repeats dropped."""
+    if left_n < 0 or right_n < 0:
+        raise BadParameter("side sizes must be nonnegative")
+    neighbors = [set() for _ in range(left_n)]
+    for l, r in edges:
+        if not (0 <= l < left_n) or not (0 <= r < right_n):
+            raise IdOutOfRange(f"edge ({l}, {r}) outside {left_n}x{right_n}")
+        neighbors[l].add(r)
+    return BipartiteGraph(left_n, right_n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
+
+
+def bipartite_edges(B: BipartiteGraph) -> tuple[tuple[int, int], ...]:
+    """Sorted (left, right) pairs of ``B``."""
+    return tuple((l, r) for l, nbrs in enumerate(B.adj) for r in nbrs)
 
 
 def minimum_vertex_covers(G: Graph) -> list[frozenset[int]]:

@@ -103,7 +103,7 @@ def test_criterion_2_offline_coloring(criterion):
     for index, inst in _coloring_instances():
         G = instance_to_graph(inst)
         coloring = color_offline(G)
-        coloring.check_proper(G)
+        assert checks.is_proper_coloring(G, coloring.colors)
         chromatic, _ = exact_chromatic(G)
         degeneracy = degeneracy_ordering(G).degeneracy
         if coloring.num_colors > 3 * chromatic:
@@ -128,7 +128,7 @@ def test_criterion_3_online_coloring(criterion):
         for arrival in range(20):
             sequence = ArrivalSequence.random(G.n, derive_seed(0xA3, index * 100 + arrival))
             coloring = color_online_firstfit(G, sequence)
-            coloring.check_proper(G)
+            assert checks.is_proper_coloring(G, coloring.colors)
             runs += 1
             if coloring.num_colors > 6 * chromatic:
                 failures.append((index, arrival, f"{coloring.num_colors} > 6*{chromatic}"))
@@ -361,7 +361,7 @@ def test_criterion_9_circle_variants(criterion):
             failures.append((index, f"5*{len(chosen)} < {best}"))
 
         coloring = color_offline(G)
-        coloring.check_proper(G)
+        assert checks.is_proper_coloring(G, coloring.colors)
         chromatic, _ = exact_chromatic(G)
         if coloring.num_colors > 6 * chromatic:
             failures.append((index, f"{coloring.num_colors} > 6*{chromatic}"))

@@ -375,6 +375,19 @@ class TestBench:
         assert code == 1 and out == ""
         assert f"error: {name} " in err and "box" not in err
 
+    @pytest.mark.parametrize("option", [
+        "--radius=1e150", "--radius=1e80", "--radius=1e62:2e62",
+        "--mean-degree=1e-300", "--radius=1e-150",
+    ])
+    def test_rejects_unrepresentable_box(self, capsys, option):
+        # accepted values whose tuned box side overflows or underflows a float
+        code, out, err = run(
+            capsys, "bench", "--instances", "1", "--n-range", "8:8",
+            "--problems", "vc", "--seed", "1", option,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: no box side for --radius ") and "--mean-degree" in err
+
 
 class TestUsage:
     @pytest.mark.parametrize("command, spec", [

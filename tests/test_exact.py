@@ -182,7 +182,7 @@ class TestWitnessesAndConsistency:
             size, clique = exact_clique(G)
             assert len(clique) == size and checks.is_clique(G, clique)
             chromatic, coloring = exact_chromatic(G)
-            coloring.check_proper(G)
+            assert checks.is_proper_coloring(G, coloring.colors)
             assert coloring.num_colors == chromatic
             size, dom = exact_domination(G, "plain")
             assert len(dom) == size and checks.is_dominating_set(G, dom)

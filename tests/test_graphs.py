@@ -1,7 +1,10 @@
+import ast
+import inspect
 from itertools import combinations
 
 import pytest
 
+import diskapprox
 from diskapprox import checks
 from diskapprox.covering import color_offline, vertex_cover
 from diskapprox.domination import connected_dominating_set
@@ -12,13 +15,12 @@ from diskapprox.graphs import (
     build_graph,
     components,
     degeneracy_ordering,
-    find_triangle,
     greedy_maximal_independent_set,
     induced_subgraph,
     is_connected,
 )
 from diskapprox.rng import Rng
-from refimpl import all_labeled_graphs, brute_degeneracy, random_graph
+from refimpl import all_labeled_graphs, brute_degeneracy, find_triangle, random_graph
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -65,7 +67,6 @@ class TestBuildGraph:
             assert G.edges == tuple(sorted(pairs))
             assert G.m == len(pairs)
             for u in range(G.n):
-                assert G.neighbor_set(u) == set(G.neighbors(u))
                 assert [G.has_edge(u, v) for v in range(G.n)] == [
                     (min(u, v), max(u, v)) in pairs for v in range(G.n)
                 ]
@@ -121,7 +122,7 @@ class TestDegeneracy:
             result = degeneracy_ordering(G)
             suffix = set(range(G.n))
             for v in result.order:
-                assert len(G.neighbor_set(v) & suffix) <= result.degeneracy
+                assert len(suffix.intersection(G.neighbors(v))) <= result.degeneracy
                 suffix.discard(v)
 
     def test_matches_brute_force_exhaustively_n4(self):
@@ -133,6 +134,15 @@ class TestDegeneracy:
         for i in range(150):
             G = random_graph(5 + i % 4, rng.uniform(), rng)
             assert degeneracy_ordering(G).degeneracy == brute_degeneracy(G)
+
+
+def test_package_exports():
+    tree = ast.parse(inspect.getsource(diskapprox))
+    names = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names and all(hasattr(diskapprox, name) for name in names)
+    # test-only helpers live in refimpl, not in the package
+    assert not hasattr(diskapprox, "find_triangle")
+    assert not hasattr(diskapprox, "build_bipartite")
 
 
 class TestFindTriangle:

@@ -7,17 +7,14 @@ from diskapprox import checks, covering
 from diskapprox.errors import BadParameter, IdOutOfRange, NotMaximumMatching
 from diskapprox.exact import exact_vc
 from diskapprox.geometry import instance_to_graph, random_instance
-from diskapprox.graphs import build_graph, find_triangle, induced_subgraph
-from diskapprox.matching import (
-    BipartiteGraph,
-    build_bipartite,
-    konig_cover,
-    max_matching,
-    nt_decompose,
-)
+from diskapprox.graphs import build_graph, induced_subgraph
+from diskapprox.matching import BipartiteGraph, konig_cover, max_matching, nt_decompose
 from diskapprox.rng import Rng
 from refimpl import (
     all_labeled_graphs,
+    bipartite_edges,
+    build_bipartite,
+    find_triangle,
     lp_half_integral_vc,
     minimum_vertex_covers,
     random_graph,
@@ -39,7 +36,7 @@ class TestBuildBipartite:
             assert B.adj == tuple(
                 tuple(sorted({r for l, r in pairs if l == row})) for row in range(left)
             )
-            assert B.edges == tuple(sorted(set(pairs)))
+            assert bipartite_edges(B) == tuple(sorted(set(pairs)))
 
 
 class TestMaxMatching:
@@ -69,7 +66,7 @@ class TestMaxMatching:
             ]
             B = build_bipartite(left, right, edges)
             matching = max_matching(B)
-            assert all(pair in set(B.edges) for pair in matching)
+            assert all(pair in set(bipartite_edges(B)) for pair in matching)
             assert len({l for l, _ in matching}) == len(matching)
             assert len({r for _, r in matching}) == len(matching)
 
@@ -100,13 +97,14 @@ class TestMaxMatching:
                 if rng.uniform() < 0.45
             ]
             B = build_bipartite(left, right, edges)
+            pairs = bipartite_edges(B)
             conflicts = [
                 (a, b)
-                for a in range(len(B.edges))
-                for b in range(a + 1, len(B.edges))
-                if B.edges[a][0] == B.edges[b][0] or B.edges[a][1] == B.edges[b][1]
+                for a in range(len(pairs))
+                for b in range(a + 1, len(pairs))
+                if pairs[a][0] == pairs[b][0] or pairs[a][1] == pairs[b][1]
             ]
-            line_graph = build_graph(len(B.edges), conflicts)
+            line_graph = build_graph(len(pairs), conflicts)
             assert len(max_matching(B)) == exact_mis(line_graph)[0]
 
 
@@ -159,7 +157,7 @@ class TestKonigCover:
             cover_l, cover_r = konig_cover(B, matching)
             assert len(cover_l) + len(cover_r) == len(matching)
             left_set, right_set = set(cover_l), set(cover_r)
-            assert all(l in left_set or r in right_set for l, r in B.edges)
+            assert all(l in left_set or r in right_set for l, r in bipartite_edges(B))
 
 
 def reference_decomposition(G):

@@ -14,9 +14,9 @@ from diskapprox.domination import (
 )
 from diskapprox.geometry import instance_to_graph, random_connected_instance, random_instance
 from diskapprox.graphs import components, is_connected
-from diskapprox.matching import build_bipartite, max_matching, nt_decompose
+from diskapprox.matching import max_matching, nt_decompose
 from diskapprox.rng import derive_seed
-from refimpl import all_pairs
+from refimpl import all_pairs, bipartite_edges, build_bipartite
 
 nx = pytest.importorskip("networkx")
 
@@ -55,7 +55,7 @@ def test_matching_on_the_bipartite_double():
         D = nx.Graph()
         D.add_nodes_from((("left", v) for v in range(G.n)), bipartite=0)
         D.add_nodes_from((("right", v) for v in range(G.n)), bipartite=1)
-        D.add_edges_from((("left", l), ("right", r)) for l, r in double.edges)
+        D.add_edges_from((("left", l), ("right", r)) for l, r in bipartite_edges(double))
         size = len(nx.max_weight_matching(D, maxcardinality=True))
         assert len(max_matching(double)) == size
         # the vertex-cover LP optimum is half the double's maximum matching
