@@ -8,6 +8,7 @@ optimal; with 6 colors (arbitrary radii) the factor is 5/3.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -88,21 +89,28 @@ def vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
     if color_bound < 2:
         raise BadParameter("color bound must be at least 2")
     alive = [True] * G.n
-    working = [set(G.neighbors(v)) for v in range(G.n)]
+    working = [set(nbrs) for nbrs in G.adj]
     taken: list[int] = []
     # A removed vertex keeps an empty working set, and removals only shrink
     # common neighborhoods, so an edge passed over never becomes a hit later:
-    # one forward pass strips what restarting at the lowest edge would.
-    for u, v in G.edges:
-        common = working[u] & working[v]
-        if not common:
+    # one forward pass strips what restarting at the lowest edge would.  The
+    # pass walks G.adj[u] for v > u, which is G.edges order; a hit removes u,
+    # which ends its row.
+    for u, nbrs in enumerate(G.adj):
+        here = working[u]
+        if not here:
             continue
-        for w in (u, v, min(common)):
-            alive[w] = False
-            for x in working[w]:
-                working[x].discard(w)
-            working[w] = set()
-            taken.append(w)
+        for v in nbrs[bisect_right(nbrs, u):]:
+            common = here & working[v]
+            if not common:
+                continue
+            for w in (u, v, min(common)):
+                alive[w] = False
+                for x in working[w]:
+                    working[x].discard(w)
+                working[w] = set()
+                taken.append(w)
+            break
 
     remainder = VertexSet.of([v for v in range(G.n) if alive[v]], G.n)
     core, core_ids = induced_subgraph(G, remainder)

@@ -133,34 +133,53 @@ def induced_subgraph(G: Graph, subset: VertexSet) -> tuple[Graph, tuple[int, ...
 def degeneracy_ordering(G: Graph, degree_cap: Optional[int] = None) -> DegeneracyResult:
     """Repeatedly remove a minimum-degree vertex (lowest id on ties).
 
+    Degree buckets (Matula & Beck): ``buckets[d]`` is a min-heap of ids that
+    holds every present vertex of current degree d, plus stale entries left
+    behind when a vertex lost a neighbor or was removed; an entry is live
+    when its vertex's degree equals its bucket.  No live entry sits below
+    ``low``: it moves down when a decrement drops a vertex beneath it, and up
+    past empty buckets and stale heads.  Each step pops bucket ``low`` to its
+    lowest live id, so ties go to the lowest id, and a removed vertex gets
+    degree -1.
+
     With ``degree_cap`` set, a minimum degree above it stops the peel with
     MinDegreeExceeded; the witness is the vertices still present.
     """
-    degree = [G.degree(v) for v in range(G.n)]
-    heap = [(degree[v], v) for v in range(G.n)]
-    heapq.heapify(heap)
-    removed = [False] * G.n
+    degree = [len(nbrs) for nbrs in G.adj]
+    buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    for v, d in enumerate(degree):
+        buckets[d].append(v)  # ascending ids already form a heap
+    heappop, heappush = heapq.heappop, heapq.heappush
     order: list[int] = []
-    degeneracy = 0
-    while heap:
-        current, v = heapq.heappop(heap)
-        if removed[v] or current != degree[v]:
-            continue  # stale entry
-        if degree_cap is not None and current > degree_cap:
-            alive = [u for u in range(G.n) if not removed[u]]
-            raise MinDegreeExceeded(
-                f"residual subgraph has minimum degree {current} > {degree_cap}",
-                VertexSet.of(alive, G.n),
-            )
-        removed[v] = True
+    low = 0
+    top = -1  # highest bucket removed from so far
+    for _ in range(G.n):
+        while True:
+            bucket = buckets[low]
+            if not bucket:
+                low += 1
+            else:
+                v = heappop(bucket)
+                if degree[v] == low:
+                    break
+        if low > top:
+            if degree_cap is not None and low > degree_cap:
+                alive = [u for u in range(G.n) if degree[u] >= 0]
+                raise MinDegreeExceeded(
+                    f"residual subgraph has minimum degree {low} > {degree_cap}",
+                    VertexSet.of(alive, G.n),
+                )
+            top = low
+        degree[v] = -1
         order.append(v)
-        if current > degeneracy:
-            degeneracy = current
-        for u in G.neighbors(v):
-            if not removed[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
-    return DegeneracyResult(tuple(order), degeneracy)
+        for u in G.adj[v]:
+            d = degree[u]
+            if d > 0:  # present: it still counts v
+                degree[u] = d - 1
+                heappush(buckets[d - 1], u)
+                if d <= low:
+                    low = d - 1
+    return DegeneracyResult(tuple(order), max(top, 0))
 
 
 def greedy_maximal_independent_set(G: Graph, order: Iterable[int]) -> VertexSet:

@@ -1,15 +1,21 @@
 """Naive exhaustive references the library's solvers are audited against.
 
-Everything enumerates subsets or color assignments directly: slow but
-obviously correct on the small graphs the tests feed it.
+The brute-force ones enumerate subsets or color assignments directly: slow
+but obviously correct on the small graphs the tests feed them.  The others
+are definitions or earlier, plainer forms of optimized library routines,
+which must return exactly what those routines return.
 """
 
+import heapq
+import math
 from itertools import combinations, product
 
 from diskapprox import checks
-from diskapprox.errors import BadParameter, IdOutOfRange
-from diskapprox.graphs import Graph, build_graph
-from diskapprox.matching import BipartiteGraph
+from diskapprox.covering import ArrivalSequence, color_online_firstfit
+from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded
+from diskapprox.geometry import instance_to_graph, random_instance
+from diskapprox.graphs import DegeneracyResult, Graph, VertexSet, build_graph, induced_subgraph
+from diskapprox.matching import BipartiteGraph, nt_decompose
 from diskapprox.rng import Rng
 
 
@@ -95,6 +101,79 @@ def brute_degeneracy(G: Graph) -> int:
         lowest = min(len(inside.intersection(G.neighbors(v))) for v in subset)
         best = max(best, lowest)
     return best
+
+
+def heap_degeneracy_ordering(G: Graph, degree_cap=None) -> DegeneracyResult:
+    """The minimum-degree peel with one heap of (degree, id) pairs: pop the
+    lowest pair, skip it if stale, push a fresh pair per decrement."""
+    degree = [G.degree(v) for v in range(G.n)]
+    heap = [(degree[v], v) for v in range(G.n)]
+    heapq.heapify(heap)
+    removed = [False] * G.n
+    order: list[int] = []
+    degeneracy = 0
+    while heap:
+        current, v = heapq.heappop(heap)
+        if removed[v] or current != degree[v]:
+            continue  # stale entry
+        if degree_cap is not None and current > degree_cap:
+            alive = [u for u in range(G.n) if not removed[u]]
+            raise MinDegreeExceeded(
+                f"residual subgraph has minimum degree {current} > {degree_cap}",
+                VertexSet.of(alive, G.n),
+            )
+        removed[v] = True
+        order.append(v)
+        if current > degeneracy:
+            degeneracy = current
+        for u in G.neighbors(v):
+            if not removed[u]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return DegeneracyResult(tuple(order), degeneracy)
+
+
+def edges_vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
+    """The triangle-stripping cover walking a copy of ``G.edges``, with its
+    core colored first-fit (presented as an arrival order) along the reverse
+    of ``heap_degeneracy_ordering``."""
+    alive = [True] * G.n
+    working = [set(G.neighbors(v)) for v in range(G.n)]
+    taken: list[int] = []
+    for u, v in G.edges:
+        common = working[u] & working[v]
+        if not common:
+            continue
+        for w in (u, v, min(common)):
+            alive[w] = False
+            for x in working[w]:
+                working[x].discard(w)
+            working[w] = set()
+            taken.append(w)
+
+    remainder = VertexSet.of([v for v in range(G.n) if alive[v]], G.n)
+    core, core_ids = induced_subgraph(G, remainder)
+    decomposition = nt_decompose(core)
+    cover = taken + [core_ids[v] for v in decomposition.forced]
+
+    if len(decomposition.half) > 0:
+        half_graph, half_ids = induced_subgraph(core, decomposition.half)
+        try:
+            order = heap_degeneracy_ordering(half_graph, color_bound - 1).order
+        except MinDegreeExceeded as exc:
+            original = [core_ids[half_ids[w]] for w in exc.witness]
+            raise MinDegreeExceeded(str(exc), VertexSet.of(original, G.n)) from None
+        coloring = color_online_firstfit(half_graph, ArrivalSequence.of(reversed(order)))
+        counts = [0] * (coloring.num_colors + 1)
+        for c in coloring.colors:
+            counts[c] += 1
+        spared = max(range(1, coloring.num_colors + 1), key=lambda c: (counts[c], -c))
+        cover.extend(
+            core_ids[half_ids[v]]
+            for v, c in enumerate(coloring.colors)
+            if c != spared
+        )
+    return VertexSet.of(cover, G.n)
 
 
 def find_triangle(G: Graph):
@@ -184,6 +263,14 @@ def random_graph(n: int, probability: float, rng: Rng) -> Graph:
         if rng.uniform() < probability
     ]
     return build_graph(n, edges)
+
+
+def disk_graph(n: int, radius: float, radius_high, seed: int) -> Graph:
+    """The graph of ``random_instance`` at mean degree about 6 (box sized
+    for the mean radius)."""
+    mean_radius = radius if radius_high is None else (radius + radius_high) / 2
+    box = math.sqrt(n * math.pi * (2 * mean_radius) ** 2 / 6.0)
+    return instance_to_graph(random_instance(n, box, radius, seed, radius_high))
 
 
 def complement(G: Graph) -> Graph:

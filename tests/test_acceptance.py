@@ -2,6 +2,7 @@
 desk scale against the exact oracles.  One pass/fail line per criterion is
 printed in the terminal summary."""
 
+import gc
 import math
 import time
 from decimal import ROUND_CEILING, Decimal, getcontext
@@ -158,18 +159,18 @@ def test_criterion_4_independent_set(criterion):
             elif 3 * len(chosen) < optimum:
                 failures.append((index, label, f"3*{len(chosen)} < {optimum}"))
 
-    def sweep_seconds(n):
-        box = unit_box(n)
-        inst = random_instance(n, box, 1.0, derive_seed(0xA5, n))
-        best = float("inf")
-        for _ in range(3):
+    # both instances exist before any timing, and the small and large runs
+    # alternate, so drift over the test hits both sides of the ratio alike
+    sizes = (1_000, 10_000)
+    instances = [random_instance(n, unit_box(n), 1.0, derive_seed(0xA5, n)) for n in sizes]
+    best = [float("inf")] * len(sizes)
+    for _ in range(3):
+        for slot, inst in enumerate(instances):
+            gc.collect()
             t0 = time.perf_counter()
             independent_set_geometric(inst)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    small = sweep_seconds(1_000)
-    large = sweep_seconds(10_000)
+            best[slot] = min(best[slot], time.perf_counter() - t0)
+    small, large = best
     growth = large / small
     if growth >= 20.0:
         failures.append(("scaling", f"x{growth:.1f} for 10x vertices"))

@@ -17,7 +17,7 @@ from diskapprox.exact import exact_chromatic, exact_vc
 from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
 from diskapprox.graphs import build_graph, degeneracy_ordering
 from diskapprox.rng import Rng, derive_seed
-from refimpl import random_graph
+from refimpl import disk_graph, edges_vertex_cover, random_graph
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -119,8 +119,12 @@ class TestVertexCover:
     def test_k44_certifies_class_violation(self):
         # triangle-free with minimum degree 4: the unit-disk path must refuse
         with pytest.raises(MinDegreeExceeded) as info:
-            vertex_cover(complete_bipartite(4, 4))
+            vertex_cover(complete_bipartite(4, 4), 4)
+        assert str(info.value) == "residual subgraph has minimum degree 4 > 3"
         assert info.value.witness.members == tuple(range(8))
+        assert cover_outcome(edges_vertex_cover, complete_bipartite(4, 4), 4) == (
+            "raised", str(info.value), info.value.witness,
+        )
         # six colors are enough for it, though
         cover = vertex_cover(complete_bipartite(4, 4), color_bound=6)
         assert checks.is_vertex_cover(complete_bipartite(4, 4), cover)
@@ -149,6 +153,69 @@ class TestVertexCover:
             completed += 1
             assert checks.is_vertex_cover(G, cover)
         assert completed > 20
+
+
+def cover_outcome(cover, G, color_bound):
+    """The cover's members, or the message and witness it raises."""
+    try:
+        return "covered", cover(G, color_bound).members
+    except MinDegreeExceeded as exc:
+        return "raised", str(exc), exc.witness
+
+
+def wheel(rim):
+    """Hub 0 joined to every vertex of the cycle 1..rim."""
+    return build_graph(rim + 1, [(0, v) for v in range(1, rim + 1)]
+                       + [(v, v % rim + 1) for v in range(1, rim + 1)])
+
+
+def fan(blades):
+    """Hub 0 joined to every vertex of the path 1..blades."""
+    return build_graph(blades + 1, [(0, v) for v in range(1, blades + 1)]
+                       + [(v, v + 1) for v in range(1, blades)])
+
+
+def triangular_lattice(rows, cols):
+    """A grid with one diagonal per cell: every inner vertex has degree 6."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+                if c + 1 < cols:
+                    edges.append((v, v + cols + 1))
+    return build_graph(rows * cols, edges)
+
+
+class TestVertexCoverAgainstEdgeStrip:
+    """Stripping triangles along G.adj gives the cover, or the failure, that
+    stripping along a copy of G.edges gives, at color bounds 4 and 6."""
+
+    @staticmethod
+    def assert_matches(G):
+        for color_bound in (4, 6):
+            expected = cover_outcome(edges_vertex_cover, G, color_bound)
+            assert cover_outcome(vertex_cover, G, color_bound) == expected
+
+    @pytest.mark.parametrize("radius, radius_high", [(1.0, None), (0.5, 2.0)])
+    def test_seeded_disk_instances(self, radius, radius_high):
+        for index, n in enumerate((12, 16, 30, 60, 100, 200, 400, 1000) * 2):
+            self.assert_matches(disk_graph(n, radius, radius_high, derive_seed(0xC5, index)))
+
+    def test_seeded_random_graphs(self):
+        rng = Rng(78)
+        for i in range(80):
+            self.assert_matches(random_graph(5 + i % 10, rng.uniform() * 0.7, rng))
+
+    def test_triangle_rich_graphs(self):
+        graphs = [complete(4), complete(6), triangular_lattice(6, 7), triangular_lattice(1, 5)]
+        graphs += [wheel(rim) for rim in range(3, 10)]
+        graphs += [fan(blades) for blades in range(1, 10)]
+        for G in graphs:
+            self.assert_matches(G)
 
 
 class TestColorOffline:

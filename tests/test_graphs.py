@@ -8,7 +8,7 @@ import diskapprox
 from diskapprox import checks
 from diskapprox.covering import color_offline, vertex_cover
 from diskapprox.domination import connected_dominating_set
-from diskapprox.errors import BadParameter, IdOutOfRange, NotConnected, SelfLoop
+from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NotConnected, SelfLoop
 from diskapprox.graphs import (
     VertexSet,
     bfs_levels,
@@ -19,8 +19,15 @@ from diskapprox.graphs import (
     induced_subgraph,
     is_connected,
 )
-from diskapprox.rng import Rng
-from refimpl import all_labeled_graphs, brute_degeneracy, find_triangle, random_graph
+from diskapprox.rng import Rng, derive_seed
+from refimpl import (
+    all_labeled_graphs,
+    brute_degeneracy,
+    disk_graph,
+    find_triangle,
+    heap_degeneracy_ordering,
+    random_graph,
+)
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -134,6 +141,70 @@ class TestDegeneracy:
         for i in range(150):
             G = random_graph(5 + i % 4, rng.uniform(), rng)
             assert degeneracy_ordering(G).degeneracy == brute_degeneracy(G)
+
+
+def peel_outcome(peel, G, degree_cap):
+    """The peel's order and degeneracy, or the message and witness it raises."""
+    try:
+        result = peel(G, degree_cap)
+    except MinDegreeExceeded as exc:
+        return "raised", str(exc), exc.witness
+    return "peeled", result.order, result.degeneracy
+
+
+def assert_peel_matches_heap(G):
+    expected = heap_degeneracy_ordering(G)
+    assert degeneracy_ordering(G) == expected
+    # a cap at or above the degeneracy never stops either peel, so the caps
+    # worth checking run from 0 to the first one that lets the peel finish
+    for degree_cap in range(expected.degeneracy + 1):
+        expected_outcome = peel_outcome(heap_degeneracy_ordering, G, degree_cap)
+        assert peel_outcome(degeneracy_ordering, G, degree_cap) == expected_outcome
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, edges)
+
+
+class TestDegeneracyAgainstHeapPeel:
+    """The bucket peel returns what the (degree, id) heap peel returns, and
+    under every degree cap raises the same message with the same witness."""
+
+    def test_every_labeled_graph_up_to_six_vertices(self):
+        for n in range(7):
+            for G in all_labeled_graphs(n):
+                assert_peel_matches_heap(G)
+
+    def test_seeded_random_graphs(self):
+        rng = Rng(13)
+        for i in range(200):
+            assert_peel_matches_heap(random_graph(7 + i % 24, rng.uniform(), rng))
+
+    def test_structured_graphs(self):
+        n = 12
+        ring = build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+        path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        star = build_graph(n, [(0, v) for v in range(1, n)])
+        isolated = build_graph(n, [(2, 5), (5, 9), (9, 2), (9, 11)])
+        empty = build_graph(0, [])
+        for G in (ring, path, star, grid(5, 7), complete(9), empty, build_graph(n, []), isolated):
+            assert_peel_matches_heap(G)
+
+    @pytest.mark.parametrize("radius, radius_high", [(1.0, None), (0.5, 2.0)])
+    def test_disk_graphs_at_a_thousand_vertices(self, radius, radius_high):
+        for index in range(2):
+            assert_peel_matches_heap(disk_graph(1000, radius, radius_high, derive_seed(0xD6, index)))
+
+    def test_cap_witness_is_the_vertices_left(self):
+        # K4 with a pendant path: the path peels away, then K4 stalls a cap of 2
+        G = build_graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)])
+        with pytest.raises(MinDegreeExceeded) as info:
+            degeneracy_ordering(G, 2)
+        assert str(info.value) == "residual subgraph has minimum degree 3 > 2"
+        assert info.value.witness.members == (0, 1, 2, 3)
+        assert degeneracy_ordering(G, 3).order == (6, 5, 4, 0, 1, 2, 3)
 
 
 def test_package_exports():
