@@ -11,6 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
 from .errors import BadParameter, ModelMismatch, NonPositiveRadius
@@ -143,8 +144,34 @@ _HALF_NEIGHBORHOOD = ((1, 0), (-1, 1), (0, 1), (1, 1))
 _BLOCK = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
 
 
+# Above this many disks the grid scan is cheaper than testing every pair:
+# the measured crossover lies between 32 and 48 disks, for unit and
+# [0.5, 2] radii at mean degree 4 and 6.
+_ALL_PAIRS_MAX = 32
+
+
 def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbor tuple of every disk; ``low``/``high`` bound the radii.
+
+    At most ``_ALL_PAIRS_MAX`` disks test every pair, with the same test as
+    :func:`_grid_adjacency`, which pairs larger inputs.  The pairs come in
+    lexicographic order, so each row fills in ascending order.
+    """
+    if len(disks) > _ALL_PAIRS_MAX:
+        return _grid_adjacency(disks, low, high)
+    rows: list[list[int]] = [[] for _ in disks]
+    for (i, (xi, yi, ri)), (j, (xj, yj, rj)) in combinations(enumerate(disks), 2):
+        dx = xi - xj
+        dy = yi - yj
+        reach = ri + rj
+        if dx * dx + dy * dy <= reach * reach:
+            rows[i].append(j)
+            rows[j].append(i)
+    return tuple(map(tuple, rows))
+
+
+def _grid_adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuple of every disk, found by a grid scan.
 
     Disks are split into radius levels (see :func:`_radius_levels`); unit
     disks, or any radii within a factor of two, make a single level.  Each

@@ -10,6 +10,7 @@ from diskapprox.errors import BadParameter, ModelMismatch, NonPositiveRadius
 from diskapprox.geometry import (
     GeometricInstance,
     _check_radii,
+    _grid_adjacency,
     _radius_levels,
     instance_to_graph,
     polygon_independence_bound,
@@ -18,7 +19,7 @@ from diskapprox.geometry import (
     sector_clique,
     sweep_order,
 )
-from diskapprox.graphs import build_graph, is_connected
+from diskapprox.graphs import Graph, build_graph, is_connected
 from diskapprox.rng import Rng, derive_seed
 from refimpl import all_pairs, brute_mis, per_draw_disks
 
@@ -43,9 +44,21 @@ def level_count(inst):
     return len(_radius_levels(inst.disks, *_check_radii(inst.disks)))
 
 
+def grid_graph(inst):
+    """The grid scan's graph, which ``instance_to_graph`` skips for small inputs."""
+    return Graph(inst.n, _grid_adjacency(inst.disks, *_check_radii(inst.disks)))
+
+
+def edge_counts(inst):
+    """Edge counts from ``instance_to_graph`` and from the grid scan."""
+    return instance_to_graph(inst).m, grid_graph(inst).m
+
+
 def assert_matches_all_pairs(inst, min_levels=2):
     assert level_count(inst) >= min_levels
-    assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
+    expected = build_graph(inst.n, all_pairs(inst))
+    assert instance_to_graph(inst) == expected
+    assert grid_graph(inst) == expected
 
 
 def neighborhood_independence(G, v):
@@ -59,19 +72,18 @@ def neighborhood_independence(G, v):
 
 class TestInstanceToGraph:
     def test_tangent_disks_intersect(self):
-        assert instance_to_graph(disks((0, 0, 1), (2, 0, 1))).m == 1
+        assert edge_counts(disks((0, 0, 1), (2, 0, 1))) == (1, 1)
 
     def test_just_beyond_tangency(self):
-        assert instance_to_graph(disks((0, 0, 1), (2 + 1e-6, 0, 1))).m == 0
+        assert edge_counts(disks((0, 0, 1), (2 + 1e-6, 0, 1))) == (0, 0)
 
     def test_colocated_triangle(self):
-        G = instance_to_graph(disks((1, 1, 1), (1, 1, 1), (1, 1, 1)))
-        assert G.m == 3
+        assert edge_counts(disks((1, 1, 1), (1, 1, 1), (1, 1, 1))) == (3, 3)
 
     def test_mixed_radii(self):
         # reach 0.5 + 2.5 = 3; centers 3 apart are tangent, 3.01 apart are not
-        assert instance_to_graph(disks((0, 0, 0.5), (3, 0, 2.5))).m == 1
-        assert instance_to_graph(disks((0, 0, 0.5), (3.01, 0, 2.5))).m == 0
+        assert edge_counts(disks((0, 0, 0.5), (3, 0, 2.5))) == (1, 1)
+        assert edge_counts(disks((0, 0, 0.5), (3.01, 0, 2.5))) == (0, 0)
 
     def test_nonpositive_radius(self):
         with pytest.raises(NonPositiveRadius):
@@ -87,7 +99,7 @@ class TestInstanceToGraph:
         for index in range(30):
             inst = random_instance(40, 9.0, 1.0, derive_seed(99, index),
                                    radius_high=2.0 if index % 3 == 0 else None)
-            assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
+            assert_matches_all_pairs(inst, min_levels=1)
 
     def test_rounded_difference_spanning_two_cells(self):
         # -1e-20 - 2 rounds to -2, so the squared test accepts centers a hair
@@ -115,7 +127,19 @@ class TestInstanceToGraph:
                 return v
 
             inst = disks(*[(coordinate(), coordinate(), pick(radii)) for _ in range(24)])
-            assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
+            assert_matches_all_pairs(inst, min_levels=1)
+
+    @pytest.mark.parametrize("radius, radius_high", [(1.0, None), (0.5, 2.0)])
+    def test_both_pairing_paths_at_every_size(self, radius, radius_high):
+        # instance_to_graph tests all pairs up to _ALL_PAIRS_MAX disks and
+        # scans the grid above; both must give the definition's sorted rows
+        for n in range(81):
+            base = random_instance(n + 1, 2.5 * (n + 1) ** 0.5, radius, derive_seed(0x5123, n), radius_high)
+            inst = GeometricInstance(base.disks[:n])
+            expected = build_graph(n, all_pairs(inst))
+            for G in (instance_to_graph(inst), grid_graph(inst)):
+                assert G == expected
+                assert all(list(row) == sorted(row) for row in G.adj)
 
     def test_translation_and_right_angle_rotation_invariance(self):
         inst = random_instance(30, 8.0, 1.0, 4242)
@@ -282,26 +306,26 @@ class TestMagnitudeLimits:
 
     def test_tangent_at_the_largest_magnitudes(self):
         big = self.big
-        assert instance_to_graph(disks((-big, 0, big), (big, 0, big))).m == 1
-        assert instance_to_graph(disks((-big, 0, big), (big, 2.0 ** 490, big))).m == 0
+        assert edge_counts(disks((-big, 0, big), (big, 0, big))) == (1, 1)
+        assert edge_counts(disks((-big, 0, big), (big, 2.0 ** 490, big))) == (0, 0)
 
     def test_tangent_at_the_smallest_radius(self):
         tiny = self.tiny
-        assert instance_to_graph(disks((0, 0, tiny), (2 * tiny, 0, tiny))).m == 1
-        assert instance_to_graph(disks((0, 0, tiny), (2 * tiny, 2.0 ** -520, tiny))).m == 0
-        assert instance_to_graph(disks((0, 0, tiny), (3 * tiny, 0, tiny))).m == 0
+        assert edge_counts(disks((0, 0, tiny), (2 * tiny, 0, tiny))) == (1, 1)
+        assert edge_counts(disks((0, 0, tiny), (2 * tiny, 2.0 ** -520, tiny))) == (0, 0)
+        assert edge_counts(disks((0, 0, tiny), (3 * tiny, 0, tiny))) == (0, 0)
 
     def test_smallest_and_largest_together(self):
         big, tiny = self.big, self.tiny
         inst = disks((0, 0, tiny), (3 * tiny, 0, tiny), (-big, big, big), (big, -big, big), (big, big, 1.0))
-        assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
+        assert_matches_all_pairs(inst, min_levels=1)
 
     @pytest.mark.parametrize("triple", [
         (BIG, 0, 1), (-BIG, 0, 1), (0, BIG, 1), (0, -BIG, 1), (0, 0, TINY), (0, 0, BIG),
     ], ids=["x-max", "x-min", "y-max", "y-min", "smallest-radius", "largest-radius"])
     def test_at_the_limits(self, triple):
         inst = disks((0, 0, 1), triple)
-        assert instance_to_graph(inst) == build_graph(inst.n, all_pairs(inst))
+        assert_matches_all_pairs(inst, min_levels=1)
 
     @pytest.mark.parametrize("triple, error", [
         pytest.param((2.0 ** 501, 0, 1), BadParameter, id="x"),
@@ -399,7 +423,7 @@ class TestRandomInstance:
             expected = per_draw_disks(n, 7.0, radius, seed, radius_high)
             assert random_instance(n, 7.0, radius, seed, radius_high).disks == expected
 
-    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 64])
     def test_uniforms_are_successive_uniform_draws(self, count):
         batch, single = Rng(0x5EED), Rng(0x5EED)
         assert batch.uniforms(count) == [single.uniform() for _ in range(count)]
@@ -532,6 +556,15 @@ class TestPolygonBound:
 
 
 class TestRng:
+    @pytest.mark.parametrize("seed, words", [
+        (0, (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC)),
+        (1234567, (6457827717110365317, 3203168211198807973)),
+    ])
+    def test_published_splitmix64_vectors(self, seed, words):
+        rng = Rng(seed)
+        assert tuple(rng.next_u64() for _ in words) == words
+        assert Rng(seed).uniforms(len(words)) == [(v >> 11) * 2.0 ** -53 for v in words]
+
     def test_streams_are_reproducible(self):
         assert [Rng(9).next_u64() for _ in range(4)] == [Rng(9).next_u64() for _ in range(4)]
 
