@@ -17,12 +17,11 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .errors import BadParameter, ParseError, VersionMismatch
+from .errors import BadParameter, NonPositiveRadius, ParseError, VersionMismatch
 from .geometry import GeometricInstance, _disk_fault
 from .graphs import Graph, build_graph
 
 FORMAT_VERSION = 1
-MODES = ("geometric", "abstract")
 
 
 def _fmt(value: float) -> str:
@@ -44,80 +43,113 @@ def render_instance(instance: GeometricInstance | Graph) -> str:
 def parse_instance(text: str) -> GeometricInstance | Graph:
     """A geometric file as a :class:`GeometricInstance`, an abstract one as a :class:`Graph`."""
     lines = text.splitlines()
-    header_seen = False
-    mode = ""
-    disks: dict[int, tuple[float, float, float]] = {}
-    count: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    last_line = 0
+    for header_no, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if tokens:
+            break
+    else:
+        raise ParseError(1, "missing header")
+    if tokens[0] != "udg" or len(tokens) != 3:
+        raise ParseError(header_no, "expected header 'udg <version> <mode>'")
+    try:
+        version = int(tokens[1])
+    except ValueError:
+        raise ParseError(header_no, f"bad version {tokens[1]!r}") from None
+    if version != FORMAT_VERSION:
+        raise VersionMismatch(f"format version {version} unsupported")
+    mode = tokens[2]
+    if mode == "geometric":
+        return _parse_disks(lines, header_no)
+    if mode == "abstract":
+        return _parse_graph(lines, header_no)
+    raise ParseError(header_no, f"unknown mode {mode!r}")
 
-    for line_no, raw in enumerate(lines, start=1):
-        last_line = line_no
+
+def _parse_disks(lines: list[str], header_no: int) -> GeometricInstance:
+    """The disks on the lines after the header, each range-checked once.
+
+    One loop converts every line; any fault in it, a duplicate or missing
+    id, or a disk out of range sends the lines to :func:`_disk_error`,
+    which scans them again only to name the first bad line.
+    """
+    by_id: dict[int, tuple[float, float, float]] = {}
+    count = 0
+    try:
+        for raw in lines[header_no:]:
+            tokens = raw.split()
+            if tokens:
+                keyword, disk_id, x, y, r = tokens
+                if keyword != "disk":
+                    raise ValueError(keyword)
+                by_id[int(disk_id)] = (float(x), float(y), float(r))
+                count += 1
+        # ``count`` lines hold the ids 0..count-1 exactly when each is present
+        instance = GeometricInstance(tuple(map(by_id.__getitem__, range(count))))
+        # range-check the disks here, where a fault can still name its line;
+        # instance_to_graph reads the bounds this caches
+        instance.radius_range
+    except (ValueError, KeyError, BadParameter, NonPositiveRadius):
+        raise _disk_error(lines, header_no) from None
+    return instance
+
+
+def _disk_error(lines: list[str], header_no: int) -> ParseError:
+    """The first fault of the disk lines after the header, named by its line."""
+    seen: set[int] = set()
+    for line_no, raw in enumerate(lines[header_no:], start=header_no + 1):
         tokens = raw.split()
         if not tokens:
             continue
-        if not header_seen:
-            if tokens[0] != "udg" or len(tokens) != 3:
-                raise ParseError(line_no, "expected header 'udg <version> <mode>'")
-            try:
-                version = int(tokens[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad version {tokens[1]!r}") from None
-            if version != FORMAT_VERSION:
-                raise VersionMismatch(f"format version {version} unsupported")
-            mode = tokens[2]
-            if mode not in MODES:
-                raise ParseError(line_no, f"unknown mode {mode!r}")
-            header_seen = True
+        if tokens[0] != "disk" or len(tokens) != 5:
+            return ParseError(line_no, "expected 'disk <id> <x> <y> <r>'")
+        try:
+            disk_id = int(tokens[1])
+            x, y, r = float(tokens[2]), float(tokens[3]), float(tokens[4])
+        except ValueError:
+            return ParseError(line_no, "bad disk fields")
+        fault = _disk_fault(x, y, r)
+        if fault:
+            return ParseError(line_no, fault)
+        if disk_id in seen:
+            return ParseError(line_no, f"duplicate disk id {disk_id}")
+        seen.add(disk_id)
+    return ParseError(len(lines), "disk ids must be exactly 0..n-1")
+
+
+def _parse_graph(lines: list[str], header_no: int) -> Graph:
+    """The graph on the lines after the header: a vertex count, then edges."""
+    count: Optional[int] = None
+    edges: list[tuple[int, int]] = []
+    for line_no, raw in enumerate(lines[header_no:], start=header_no + 1):
+        tokens = raw.split()
+        if not tokens:
             continue
         keyword = tokens[0]
-        if mode == "geometric":
-            if keyword != "disk" or len(tokens) != 5:
-                raise ParseError(line_no, "expected 'disk <id> <x> <y> <r>'")
+        if keyword == "n" and len(tokens) == 2:
+            if count is not None:
+                raise ParseError(line_no, "duplicate vertex count")
             try:
-                disk_id = int(tokens[1])
-                x, y, r = float(tokens[2]), float(tokens[3]), float(tokens[4])
+                count = int(tokens[1])
             except ValueError:
-                raise ParseError(line_no, "bad disk fields") from None
-            fault = _disk_fault(x, y, r)
-            if fault:
-                raise ParseError(line_no, fault)
-            if disk_id in disks:
-                raise ParseError(line_no, f"duplicate disk id {disk_id}")
-            disks[disk_id] = (x, y, r)
+                raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
+            if count < 0:
+                raise ParseError(line_no, "vertex count must be nonnegative")
+        elif keyword == "edge" and len(tokens) == 3:
+            if count is None:
+                raise ParseError(line_no, "edge before vertex count")
+            try:
+                u, v = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise ParseError(line_no, "bad edge endpoints") from None
+            if not (0 <= u < count and 0 <= v < count):
+                raise ParseError(line_no, f"edge ({u}, {v}) outside [0, {count})")
+            if u == v:
+                raise ParseError(line_no, f"self-loop at vertex {u}")
+            edges.append((u, v))
         else:
-            if keyword == "n" and len(tokens) == 2:
-                if count is not None:
-                    raise ParseError(line_no, "duplicate vertex count")
-                try:
-                    count = int(tokens[1])
-                except ValueError:
-                    raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
-                if count < 0:
-                    raise ParseError(line_no, "vertex count must be nonnegative")
-            elif keyword == "edge" and len(tokens) == 3:
-                if count is None:
-                    raise ParseError(line_no, "edge before vertex count")
-                try:
-                    u, v = int(tokens[1]), int(tokens[2])
-                except ValueError:
-                    raise ParseError(line_no, "bad edge endpoints") from None
-                if not (0 <= u < count and 0 <= v < count):
-                    raise ParseError(line_no, f"edge ({u}, {v}) outside [0, {count})")
-                if u == v:
-                    raise ParseError(line_no, f"self-loop at vertex {u}")
-                edges.append((u, v))
-            else:
-                raise ParseError(line_no, f"unexpected line {raw!r}")
-
-    if not header_seen:
-        raise ParseError(1, "missing header")
-    if mode == "geometric":
-        if sorted(disks) != list(range(len(disks))):
-            raise ParseError(last_line, "disk ids must be exactly 0..n-1")
-        return GeometricInstance(tuple(disks[i] for i in range(len(disks))))
+            raise ParseError(line_no, f"unexpected line {raw!r}")
     if count is None:
-        raise ParseError(last_line, "missing vertex count")
+        raise ParseError(len(lines), "missing vertex count")
     return build_graph(count, edges)
 
 
@@ -128,8 +160,16 @@ def write_instance(instance: GeometricInstance | Graph, path) -> None:
 
 
 def read_instance(path) -> GeometricInstance | Graph:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_instance(handle.read())
+    """The instance file at ``path``; a byte outside ASCII is a parse error naming its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # number the line as parse_instance would: the lines of the text before the byte
+        line_no = len((data[:exc.start] + b"x").decode("ascii").splitlines())
+        raise ParseError(line_no, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+    return parse_instance(text)
 
 
 def solution_document(problem: str, value: int, *, vertices=None, colors=None, meta=None) -> dict:

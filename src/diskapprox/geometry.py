@@ -32,9 +32,20 @@ class GeometricInstance:
         return len(self.disks)
 
     @cached_property
+    def radius_range(self) -> tuple[float, float]:
+        """The (smallest, largest) radius, found as every disk is range-checked.
+
+        Raises :class:`NonPositiveRadius` or :class:`BadParameter` for the
+        first disk :func:`_disk_fault` rejects, so an instance's disks are
+        checked once however often it is paired.
+        """
+        return _check_radii(self.disks)
+
+    @cached_property
     def unit(self) -> bool:
         """True when every disk has the same radius."""
-        return len({r for _, _, r in self.disks}) <= 1
+        low, high = self.radius_range
+        return not self.disks or low == high
 
 
 @dataclass(frozen=True)
@@ -125,22 +136,26 @@ def _radius_levels(disks, low: float, high: float) -> list[tuple[float, list[int
     return levels
 
 
-def _bucket(disks, ids, cell: float) -> dict[tuple[int, int], list[tuple]]:
-    """Disks ``ids`` keyed by grid cell, as (id, x, y, r) entries."""
+def _bucket(entries, cell: float) -> dict[tuple[int, int], list[tuple]]:
+    """``entries``, (id, x, y, ...) tuples, keyed by the grid cell of (x, y)."""
     # Cells are 2^-20 wider than the largest reach: the squared test rounds
     # dx = xi - xj, so it accepts centers a few ulps more than one reach
     # apart, e.g. (-1e-20, 0, 1) and (2, 0, 1), which cells of side exactly
     # 2 put two cells apart.
     cell *= 1.0 + 2.0 ** -20
+    floor = math.floor
     buckets: dict[tuple[int, int], list[tuple]] = {}
-    for i in ids:
-        x, y, r = disks[i]
-        key = (math.floor(x / cell), math.floor(y / cell))
-        buckets.setdefault(key, []).append((i, x, y, r))
+    get = buckets.get
+    for entry in entries:
+        key = (floor(entry[1] / cell), floor(entry[2] / cell))
+        members = get(key)
+        if members is None:
+            buckets[key] = [entry]
+        else:
+            members.append(entry)
     return buckets
 
 
-_HALF_NEIGHBORHOOD = ((1, 0), (-1, 1), (0, 1), (1, 1))
 _BLOCK = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
 
 
@@ -185,23 +200,64 @@ def _grid_adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ..
     center lies in the 3x3 block of that level's cells around the smaller
     center.  The smaller disks of a level are bucketed on each later level's
     grid, where a cell's pool is that block and every member tests all of
-    it, so a large disk never walks the fine grid.
+    it, so a large disk never walks the fine grid.  When every radius is
+    equal (``low == high``), the single level runs the same scan in
+    :func:`_pair_equal_radii`.
 
     The scan finds each unordered intersecting pair exactly once, so a hit
     is appended to both endpoints' rows with no dedup, and each row is
     sorted once at the end.
     """
     rows: list[list[int]] = [[] for _ in disks]
-    grids = [(cell, ids, _bucket(disks, ids, cell)) for cell, ids in _radius_levels(disks, low, high)]
-    for level, (_, ids, own) in enumerate(grids):
+    if low == high:
+        _pair_equal_radii(disks, high, rows)
+    else:
+        _pair_levels(disks, low, high, rows)
+    for row in rows:
+        row.sort()
+    return tuple(map(tuple, rows))
+
+
+def _pair_equal_radii(disks, radius: float, rows: list[list[int]]) -> None:
+    """Append every intersecting pair of disks that all have ``radius`` to ``rows``.
+
+    Entries drop the radius, and every pair is tested against one constant
+    ``(radius + radius) ** 2``, the same float the general test's
+    ``reach * reach`` gives, so the rows are those of :func:`_pair_levels`.
+    """
+    buckets = _bucket([(i, x, y) for i, (x, y, _) in enumerate(disks)], 2.0 * radius)
+    reach = radius + radius
+    limit = reach * reach
+    get = buckets.get
+    for (cx, cy), members in buckets.items():
+        pool = [*members, *get((cx + 1, cy), ()), *get((cx - 1, cy + 1), ()),
+                *get((cx, cy + 1), ()), *get((cx + 1, cy + 1), ())]
+        for a, (i, xi, yi) in enumerate(members, 1):
+            row = rows[i]
+            for j, xj, yj in pool[a:]:
+                dx = xi - xj
+                dy = yi - yj
+                if dx * dx + dy * dy <= limit:
+                    row.append(j)
+                    rows[j].append(i)
+
+
+def _pair_levels(disks, low: float, high: float, rows: list[list[int]]) -> None:
+    """Append every intersecting pair to ``rows`` by the radius-level scan."""
+    grids = []
+    for cell, ids in _radius_levels(disks, low, high):
+        entries = [(i,) + disks[i] for i in ids]
+        grids.append((cell, entries, _bucket(entries, cell)))
+    for level, (_, entries, own) in enumerate(grids):
         for cell, _, targets in grids[level:]:
             same = targets is own
-            probes = own if same else _bucket(disks, ids, cell)
-            offsets = _HALF_NEIGHBORHOOD if same else _BLOCK
-            for (cx, cy), members in probes.items():
-                pool = [e for ox, oy in offsets for e in targets.get((cx + ox, cy + oy), ())]
+            get = targets.get
+            for (cx, cy), members in (own if same else _bucket(entries, cell)).items():
                 if same:
-                    pool = members + pool
+                    pool = [*members, *get((cx + 1, cy), ()), *get((cx - 1, cy + 1), ()),
+                            *get((cx, cy + 1), ()), *get((cx + 1, cy + 1), ())]
+                else:
+                    pool = [e for ox, oy in _BLOCK for e in get((cx + ox, cy + oy), ())]
                 for a, (i, xi, yi, ri) in enumerate(members, 1):
                     row = rows[i]
                     for j, xj, yj, rj in pool[a:] if same else pool:
@@ -211,14 +267,11 @@ def _grid_adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ..
                         if dx * dx + dy * dy <= reach * reach:
                             row.append(j)
                             rows[j].append(i)
-    for row in rows:
-        row.sort()
-    return tuple(map(tuple, rows))
 
 
 def instance_to_graph(inst: GeometricInstance) -> Graph:
     """Intersection graph of the instance: edge iff dist(centers)^2 <= (r_u + r_v)^2."""
-    low, high = _check_radii(inst.disks)
+    low, high = inst.radius_range
     return Graph(inst.n, _adjacency(inst.disks, low, high))
 
 

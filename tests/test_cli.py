@@ -162,6 +162,12 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
         assert code == 1 and "line 2" in err and "radius" in err
 
+    def test_non_ascii_byte_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.udg"
+        path.write_bytes(b"udg 1 geometric\ndisk 0 0 0 1\ndisk 1\xc2\xa01 0 1\n")
+        for command in (["solve", str(path), "--problem", "vc"], ["verify", str(path), str(path)]):
+            assert run(capsys, *command) == (1, "", "error: line 3: non-ASCII byte 0xc2\n")
+
     @pytest.mark.parametrize("line", [
         "disk 0 3.273390607896142e+150 0 1",
         "disk 0 -3.273390607896142e+150 0 1",

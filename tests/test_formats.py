@@ -1,5 +1,6 @@
 import pytest
 
+from diskapprox import geometry
 from diskapprox.errors import BadParameter, ParseError, VersionMismatch
 from diskapprox.formats import (
     parse_instance,
@@ -80,6 +81,63 @@ class TestGeometricFiles:
         with pytest.raises(ParseError) as info:
             parse_instance(f"udg 1 geometric\n{line}\n")
         assert info.value.line_no == 2 and "radius" in str(info.value)
+
+    @pytest.mark.parametrize("text", [
+        "\n \nudg 1 geometric\ndisk 0 0 0 1\ndisk 1 1.5 0 0.5\ndisk 2 0 2 1\n",
+        "udg 1 geometric\n\n \t\ndisk 0 0 0 1\n\ndisk 1 1.5 0 0.5\ndisk 2 0 2 1\n\n\n",
+        "udg 1 geometric\r\ndisk 0 0 0 1\r\n\r\ndisk 1 1.5 0 0.5\r\ndisk 2 0 2 1\r\n",
+        "udg 1 geometric\rdisk 0 0 0 1\rdisk 1 1.5 0 0.5\rdisk 2 0 2 1",
+        "udg 1 geometric\ndisk 2 0 2 1\ndisk 0 0 0 1\ndisk 1 1.5 0 0.5\n",
+        "udg 1 geometric\r\ndisk 1 1.5 0 0.5\r\n\r\ndisk 2 0 2 1\r\ndisk 0 0 0 1\r\n\r\n",
+        "  udg\t1 geometric \n disk  0 0\t0 1.0\ndisk 1 15e-1 +0 0.50\ndisk 2 0 2 1",
+    ], ids=["blank-before-header", "blank-lines-between", "crlf", "lone-cr", "shuffled-ids",
+            "crlf-blank-shuffled", "spacing"])
+    def test_accepted_layouts(self, text):
+        assert parse_instance(text).disks == ((0.0, 0.0, 1.0), (1.5, 0.0, 0.5), (0.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("body, message", [
+        ("disk 0 0 0 1\n\ndisk 1 0 0 -1\n", "line 4: radius -1.0 must be positive"),
+        ("disk 0 0 0 1\r\n\r\n\r\ndisk 1 nan 0 1\r\n", "line 5: disk fields must be finite"),
+        ("\ndisk 0 0 -1e151 1\n", "line 3: coordinates must lie within 2^500 of 0"),
+        ("disk 1 0 0 1\n\ndisk 0 0 0 1\ndisk 1 1 1 1\n", "line 5: duplicate disk id 1"),
+        ("disk 0 0 0 1\ndisk 2 1 1 1\n\n", "line 4: disk ids must be exactly 0..n-1"),
+        ("\ndisk 0 zero 0 1\n", "line 3: bad disk fields"),
+        ("disk 0 0 0\n", "line 2: expected 'disk <id> <x> <y> <r>'"),
+        ("disk 0 0 0 1 1\n", "line 2: expected 'disk <id> <x> <y> <r>'"),
+        ("disk 0 0 0 1\nedge 0 1\n", "line 3: expected 'disk <id> <x> <y> <r>'"),
+        ("disk 0 0 0 1e151\ndisk 1 x 0 1\n", "line 2: radius 1e+151 must lie in [2^-500, 2^500]"),
+        ("disk 1 x 0 1\ndisk 0 0 0 1e151\n", "line 2: bad disk fields"),
+    ], ids=["after-blank", "crlf-after-blanks", "coordinate", "duplicate-shuffled", "missing-id",
+            "bad-field", "four-fields", "six-fields", "wrong-keyword", "range-before-syntax",
+            "syntax-before-range"])
+    def test_bad_disk_names_its_line(self, body, message):
+        # the first fault in line order is reported, whatever kind it is
+        with pytest.raises(ParseError) as info:
+            parse_instance(f"udg 1 geometric\n{body}")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("data, message", [
+        (b"udg 1 geometric\ndisk 0 0 0 1\ndisk 1\xc2\xa01 0 1\n", "line 3: non-ASCII byte 0xc2"),
+        (b"udg 1 geometric\r\n\r\ndisk 0 0 0 1\rdisk 1 \xff 0 1\r\n", "line 4: non-ASCII byte 0xff"),
+        (b"\xef\xbb\xbfudg 1 geometric\n", "line 1: non-ASCII byte 0xef"),
+        (b"udg 1 abstract\nn 2\nedge 0 1\n\x80\n", "line 4: non-ASCII byte 0x80"),
+    ], ids=["nbsp", "crlf-and-cr", "byte-order-mark", "abstract"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, data, message):
+        path = tmp_path / "bad.udg"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            read_instance(path)
+        assert str(info.value) == message
+
+    def test_each_disk_is_range_checked_once(self, monkeypatch, tmp_path):
+        path = tmp_path / "inst.udg"
+        write_instance(random_instance(40, 8.0, 1.0, 5), path)
+        checked = []
+        check = geometry._disk_fault
+        monkeypatch.setattr(geometry, "_disk_fault", lambda *disk: checked.append(disk) or check(*disk))
+        inst = read_instance(path)
+        assert instance_to_graph(inst) == instance_to_graph(inst) and inst.unit
+        assert sorted(checked) == sorted(inst.disks)
 
 
 class TestAbstractFiles:

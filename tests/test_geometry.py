@@ -129,17 +129,51 @@ class TestInstanceToGraph:
             inst = disks(*[(coordinate(), coordinate(), pick(radii)) for _ in range(24)])
             assert_matches_all_pairs(inst, min_levels=1)
 
-    @pytest.mark.parametrize("radius, radius_high", [(1.0, None), (0.5, 2.0)])
-    def test_both_pairing_paths_at_every_size(self, radius, radius_high):
+    @pytest.mark.parametrize("radius, radius_high, sizes", [
+        (1.0, None, range(81)),
+        (0.5, 2.0, range(81)),
+        (2.0 ** -400, None, range(33, 81)),
+        (0.3, None, range(33, 81)),
+        (2.0 ** 400, None, range(33, 81)),
+    ], ids=["1.0-None", "0.5-2.0", "equal-2^-400", "equal-0.3", "equal-2^400"])
+    def test_both_pairing_paths_at_every_size(self, radius, radius_high, sizes):
         # instance_to_graph tests all pairs up to _ALL_PAIRS_MAX disks and
-        # scans the grid above; both must give the definition's sorted rows
-        for n in range(81):
-            base = random_instance(n + 1, 2.5 * (n + 1) ** 0.5, radius, derive_seed(0x5123, n), radius_high)
+        # scans the grid above, with the equal-radius kernel when every radius
+        # is equal; all must give the definition's sorted rows
+        scale = radius if radius_high is None else 1.0
+        for n in sizes:
+            box = 2.5 * (n + 1) ** 0.5 * scale
+            base = random_instance(n + 1, box, radius, derive_seed(0x5123, n), radius_high)
             inst = GeometricInstance(base.disks[:n])
             expected = build_graph(n, all_pairs(inst))
             for G in (instance_to_graph(inst), grid_graph(inst)):
                 assert G == expected
                 assert all(list(row) == sorted(row) for row in G.adj)
+
+    @pytest.mark.parametrize("radius", [2.0 ** -400, 0.3, 1.0, 2.0 ** 400],
+                             ids=["2^-400", "0.3", "1", "2^400"])
+    def test_equal_radius_kernel(self, radius):
+        # tangent chains and lattices, and coincident disks, all of one radius;
+        # changing one radius sends the same disks through the general loop
+        d = 2.0 * radius
+        layouts = [
+            [(d * k, 0.0, radius) for k in range(40)],
+            [(-3.0 * d, d * k, radius) for k in range(40)],
+            [(d * (k % 7), d * (k // 7), radius) for k in range(49)],
+            [(d * k, d * k, radius) for k in range(40)],
+            [(radius, -radius, radius)] * 40,
+        ]
+        for layout in layouts:
+            inst = GeometricInstance(tuple(layout))
+            assert inst.unit
+            assert_matches_all_pairs(inst, min_levels=1)
+            x, y, r = layout[17]
+            mixed = GeometricInstance(tuple(layout[:17] + [(x, y, 1.5 * r)] + layout[18:]))
+            assert not mixed.unit
+            assert_matches_all_pairs(mixed, min_levels=1)
+        if radius != 0.3:  # powers of two: every chain neighbor is exactly tangent
+            assert instance_to_graph(GeometricInstance(tuple(layouts[0]))).m == 39
+        assert instance_to_graph(GeometricInstance(tuple(layouts[-1]))).m == 40 * 39 // 2
 
     def test_translation_and_right_angle_rotation_invariance(self):
         inst = random_instance(30, 8.0, 1.0, 4242)
