@@ -58,7 +58,7 @@ class ArrivalSequence:
 def _first_fit(G: Graph, order: Iterable[int]) -> Coloring:
     colors = [0] * G.n
     for v in order:
-        used = {colors[u] for u in G.neighbors(v) if colors[u]}
+        used = set(map(colors.__getitem__, G.adj[v]))  # 0, uncolored, is never tried
         c = 1
         while c in used:
             c += 1
@@ -89,28 +89,23 @@ def vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
     if color_bound < 2:
         raise BadParameter("color bound must be at least 2")
     alive = [True] * G.n
-    working = [set(nbrs) for nbrs in G.adj]
     taken: list[int] = []
-    # A removed vertex keeps an empty working set, and removals only shrink
-    # common neighborhoods, so an edge passed over never becomes a hit later:
-    # one forward pass strips what restarting at the lowest edge would.  The
-    # pass walks G.adj[u] for v > u, which is G.edges order; a hit removes u,
-    # which ends its row.
-    for u, nbrs in enumerate(G.adj):
-        here = working[u]
-        if not here:
+    adj = G.adj
+    # Removals only shrink common neighborhoods, so an edge passed over never
+    # becomes a hit later: one forward pass strips what restarting at the
+    # lowest edge would.  The pass walks adj[u] for v > u, which is G.edges
+    # order.  ``here``, the live neighbors of u, is built once per row: a
+    # removal happens only at a hit, and a hit removes u, which ends its row.
+    for u, nbrs in enumerate(adj):
+        if not alive[u]:
             continue
+        here = {w for w in nbrs if alive[w]}
         for v in nbrs[bisect_right(nbrs, u):]:
-            common = here & working[v]
-            if not common:
-                continue
-            for w in (u, v, min(common)):
-                alive[w] = False
-                for x in working[w]:
-                    working[x].discard(w)
-                working[w] = set()
-                taken.append(w)
-            break
+            if v in here and not here.isdisjoint(adj[v]):
+                for w in (u, v, min(here.intersection(adj[v]))):
+                    alive[w] = False
+                    taken.append(w)
+                break
 
     remainder = VertexSet.of([v for v in range(G.n) if alive[v]], G.n)
     core, core_ids = induced_subgraph(G, remainder)

@@ -165,9 +165,7 @@ def connected_dominating_set(
     connector_levels: list[tuple[int, ...]] = [()]
     previous_chosen: set[int] = {root}
     for level in levels[1:]:
-        dominated = tuple(
-            v for v in level if any(u in previous_chosen for u in G.neighbors(v))
-        )
+        dominated = tuple(v for v in level if not previous_chosen.isdisjoint(G.adj[v]))
         dominated_set = set(dominated)
         picked: list[int] = []
         blocked: set[int] = set()

@@ -41,7 +41,16 @@ def render_instance(instance: GeometricInstance | Graph) -> str:
 
 
 def parse_instance(text: str) -> GeometricInstance | Graph:
-    """A geometric file as a :class:`GeometricInstance`, an abstract one as a :class:`Graph`."""
+    """A geometric file as a :class:`GeometricInstance`, an abstract one as a :class:`Graph`.
+
+    A character outside ASCII is a parse error naming its line, as in
+    :func:`read_instance`: ``int`` and ``float`` would read other scripts'
+    digits, and ``split`` would split at a no-break space.
+    """
+    if not text.isascii():
+        index = next(i for i, ch in enumerate(text) if not ch.isascii())
+        line_no = len((text[:index] + "x").splitlines())
+        raise ParseError(line_no, f"non-ASCII character U+{ord(text[index]):04X}")
     lines = text.splitlines()
     for header_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
@@ -183,7 +192,31 @@ def solution_document(problem: str, value: int, *, vertices=None, colors=None, m
 
 
 def solution_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte, for a
+    document with string keys, without running json's pure-Python indent encoder."""
+    return _render(doc, "\n") + "\n"
+
+
+def _render(value, newline: str) -> str:
+    """``value`` nested as json.dumps(indent=2) nests it after ``newline``, a
+    line break and the enclosing indent.
+
+    A list of plain ints goes through ``list.__repr__``, whose ", " between
+    items becomes a line break; containers recurse; keys, scalars and empty
+    containers go through json.dumps.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        return "{" + ",".join(
+            f"{inner}{json.dumps(key)}: {_render(item, inner)}"
+            for key, item in sorted(value.items())
+        ) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        # exact types: json writes a bool as true, and repr writes True
+        if type(value) is list and set(map(type, value)) == {int}:
+            return "[" + inner + repr(value)[1:-1].replace(", ", "," + inner) + newline + "]"
+        return "[" + ",".join(inner + _render(item, inner) for item in value) + newline + "]"
+    return json.dumps(value)
 
 
 def _is_int(value) -> bool:

@@ -217,6 +217,26 @@ class TestVertexCoverAgainstEdgeStrip:
         for G in graphs:
             self.assert_matches(G)
 
+    def test_coincident_disks(self):
+        for n in (1, 2, 3, 5, 8, 13):
+            G = instance_to_graph(GeometricInstance(((0.25, -3.0, 1.0),) * n))
+            assert G.m == n * (n - 1) // 2
+            self.assert_matches(G)
+
+    def test_tangent_chain(self):
+        r = 2.0 ** -30
+        for n in (2, 3, 40, 200):
+            G = instance_to_graph(GeometricInstance(tuple((2 * r * i, 0.0, r) for i in range(n))))
+            assert G.m == n - 1
+            self.assert_matches(G)
+
+    def test_dense_unit_instances(self):
+        for index, n in enumerate((400, 1500)):
+            box = math.sqrt(n * math.pi * 4.0 / 20.0)
+            G = instance_to_graph(random_instance(n, box, 1.0, derive_seed(0xC6, index)))
+            assert 16.0 < 2 * G.m / n < 24.0  # about 20, less at the box edges
+            self.assert_matches(G)
+
 
 class TestColorOffline:
     def test_examples(self):

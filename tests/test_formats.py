@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from diskapprox import geometry
+from diskapprox.covering import ArrivalSequence
 from diskapprox.errors import BadParameter, ParseError, VersionMismatch
 from diskapprox.formats import (
     parse_instance,
@@ -11,8 +14,14 @@ from diskapprox.formats import (
     solution_to_json,
     write_instance,
 )
-from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
+from diskapprox.geometry import (
+    GeometricInstance,
+    instance_to_graph,
+    random_connected_instance,
+    random_instance,
+)
 from diskapprox.graphs import Graph, build_graph
+from diskapprox.problems import PROBLEMS, Options
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -129,6 +138,19 @@ class TestGeometricFiles:
             read_instance(path)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("udg 1 geometric\ndisk 0 \u0661 0 1\n", "line 2: non-ASCII character U+0661"),
+        ("udg 1 geometric\ndisk 0 0 0 1\n\ndisk 1\u00a01 0 1\n",
+         "line 4: non-ASCII character U+00A0"),
+        ("udg 1 abstract\nn 3\n\nedge 0 \u0662\n", "line 4: non-ASCII character U+0662"),
+        ("udg 1 abstract\n\nn\u00a03\nedge 0 1\n", "line 3: non-ASCII character U+00A0"),
+        ("udg \u0661 geometric\n", "line 1: non-ASCII character U+0661"),
+    ], ids=["digit", "nbsp-after-blank", "abstract-digit-after-blank", "abstract-nbsp", "header"])
+    def test_non_ascii_text_names_its_line(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+
     def test_each_disk_is_range_checked_once(self, monkeypatch, tmp_path):
         path = tmp_path / "inst.udg"
         write_instance(random_instance(40, 8.0, 1.0, 5), path)
@@ -217,3 +239,42 @@ class TestSolutionDocuments:
     def test_json_is_stable(self):
         doc = solution_document("mis", 1, vertices=[0], meta={"b": 1, "a": 2})
         assert solution_to_json(doc) == solution_to_json(parse_solution(solution_to_json(doc)))
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestSolutionWriter:
+    """solution_to_json writes exactly what json.dumps(indent=2, sort_keys=True) writes."""
+
+    @pytest.mark.parametrize("radius, radius_high", [(1.0, None), (0.5, 2.0)], ids=["unit", "circle"])
+    def test_every_solve_document(self, radius, radius_high):
+        for seed in (1, 2, 3):
+            inst, G = random_connected_instance(120, 11.0, radius, seed, radius_high)
+            variant = "unit" if inst.unit else "circle"
+            options = Options(lambda n: ArrivalSequence.random(n, seed + 4))
+            for name, problem in PROBLEMS.items():
+                meta = {"variant": variant, "n": G.n, "m": G.m}
+                answer = problem.heuristic(G, inst, variant, options, meta)
+                value = problem.size(answer)
+                if problem.coloring:
+                    doc = solution_document(name, value, colors=answer.colors, meta=meta)
+                else:
+                    doc = solution_document(name, value, vertices=answer, meta=meta)
+                assert solution_to_json(doc) == dumps(doc), (seed, name)
+            assert "trace" in meta and len(meta["trace"]["levels"]) > 2
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"problem": "vc", "value": 0, "vertices": [], "meta": {}},
+        {"levels": [[], [[]], [[], [0]], [0, []]]},
+        {"mixed": [True, 1, 2], "bools": [False, True], "negative": [-3, 0, -1]},
+        {"float": [1.5, 2], "scalars": [None, 0.1, -0.0, 1e300], "x": 2.5, "y": None},
+        {"quotes": 'say "hi"\\', "non-ascii": "d\u00e9j\u00e0 \u2603", "\u00e9": ["\n", "\t"]},
+        {"tuple": (1, 2), "nested": {"b": {"c": [[1], (2,)]}, "a": [{}, {"k": [7]}]}},
+        {"big": [2 ** 70, -(2 ** 70)], "one": [5]},
+    ], ids=["empty", "empty-vertices", "nested-empty", "bools", "floats", "strings",
+            "tuples-and-dicts", "big-ints"])
+    def test_hand_made_documents(self, doc):
+        assert solution_to_json(doc) == dumps(doc)
