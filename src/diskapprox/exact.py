@@ -1,14 +1,15 @@
 """Exhaustive exact solvers for small graphs.
 
 These are the ground truth every heuristic is measured against.  They run
-on bitmask adjacency, reject inputs beyond fixed size caps, and obey a
-wall-clock budget: each call returns an optimum with a witness or raises
-TooLarge / Timeout, never a silently approximate answer.
+on bitmask adjacency, reject inputs beyond fixed size caps, and stop each
+search at a fixed number of nodes: each call returns an optimum with a
+witness or raises TooLarge / Timeout, never a silently approximate answer.
+The node cap reads no clock, so whether a call answers or raises depends
+only on its input and its limits.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .covering import Coloring, _first_fit
@@ -20,7 +21,11 @@ DOMINATION_VARIANTS = ("plain", "independent", "total", "connected")
 
 @dataclass(frozen=True)
 class OracleLimits:
-    """Size caps and wall-clock budget for the exact solvers."""
+    """Size caps and the search-node cap for the exact solvers.
+
+    ``max_nodes`` bounds each search separately: the clique search inside
+    :func:`exact_chromatic` and its coloring search each get the full cap.
+    """
 
     max_independent_set: int = 24
     max_vertex_cover: int = 24
@@ -28,7 +33,7 @@ class OracleLimits:
     max_chromatic: int = 16
     max_domination: int = 18
     max_connected_domination: int = 16
-    time_budget: float = 60.0  # seconds per call
+    max_nodes: int = 2**22
 
     def __post_init__(self):
         caps = (
@@ -38,27 +43,28 @@ class OracleLimits:
             self.max_chromatic,
             self.max_domination,
             self.max_connected_domination,
+            self.max_nodes,
         )
-        if any(cap <= 0 for cap in caps) or self.time_budget <= 0:
+        if any(cap <= 0 for cap in caps):
             raise BadParameter("oracle limits must be positive")
 
 
 DEFAULT_LIMITS = OracleLimits()
 
 
-class _Deadline:
-    """Cheap periodic wall-clock check raising Timeout when the budget is gone."""
+class _NodeBudget:
+    """Counts search nodes and raises Timeout on the first one past the cap."""
 
-    __slots__ = ("expires", "ticks")
+    __slots__ = ("cap", "nodes")
 
-    def __init__(self, budget: float):
-        self.expires = time.perf_counter() + budget
-        self.ticks = 0
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.nodes = 0
 
     def check(self) -> None:
-        self.ticks += 1
-        if self.ticks & 0xFFF == 0 and time.perf_counter() > self.expires:
-            raise Timeout("oracle time budget exhausted")
+        self.nodes += 1
+        if self.nodes > self.cap:
+            raise Timeout(f"oracle search exceeded its cap of {self.cap} nodes")
 
 
 def _neighbor_masks(G: Graph) -> list[int]:
@@ -74,15 +80,25 @@ def _mask_to_vertices(mask: int) -> list[int]:
     return out
 
 
-def _mis_search(G: Graph, deadline: _Deadline) -> tuple[int, int]:
-    """Branch and bound for a maximum independent set; returns (size, bitmask)."""
+def _mis_search(G: Graph, budget: _NodeBudget) -> tuple[int, int]:
+    """Branch and bound for a maximum independent set; returns (size, bitmask).
+
+    Each node branches on its highest-degree survivor, taking it first.  It
+    is cut when ``count`` plus a bound on the survivors cannot beat the
+    incumbent: first the number of survivors, then a greedy clique cover of
+    them (an independent set meets each clique at most once).  Each clique
+    starts at the lowest uncovered survivor and grows by the lowest one
+    adjacent to all its members.  The incumbent changes only on a strict
+    gain, so the cuts drop no node that could change the result: the
+    returned witness is the one the search finds without them.
+    """
     masks = _neighbor_masks(G)
     best_size = -1
     best_mask = 0
 
     def search(alive: int, chosen: int, count: int) -> None:
         nonlocal best_size, best_mask
-        deadline.check()
+        budget.check()
         if count + alive.bit_count() <= best_size:
             return
         if alive == 0:
@@ -112,6 +128,19 @@ def _mis_search(G: Graph, deadline: _Deadline) -> tuple[int, int]:
             if take_count > best_size:
                 best_size, best_mask = take_count, take_mask
             return
+        room = best_size - count  # cliques the cover may use and still be cut
+        rest = alive
+        while rest and room >= 0:
+            low = rest & -rest
+            rest ^= low
+            grow = rest & masks[low.bit_length() - 1]
+            while grow:
+                low = grow & -grow
+                rest ^= low
+                grow &= masks[low.bit_length() - 1]
+            room -= 1
+        if room >= 0:
+            return
         bit = 1 << pick
         search(alive & ~(masks[pick] | bit), chosen | bit, count + 1)
         search(alive & ~bit, chosen, count)
@@ -124,7 +153,7 @@ def exact_mis(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, Ver
     """Maximum independent set size with a witness."""
     if G.n > limits.max_independent_set:
         raise TooLarge(f"n={G.n} exceeds the independent-set cap {limits.max_independent_set}")
-    size, mask = _mis_search(G, _Deadline(limits.time_budget))
+    size, mask = _mis_search(G, _NodeBudget(limits.max_nodes))
     return size, VertexSet.of(_mask_to_vertices(mask), G.n)
 
 
@@ -132,7 +161,7 @@ def exact_vc(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, Vert
     """Minimum vertex cover: complement of a maximum independent set."""
     if G.n > limits.max_vertex_cover:
         raise TooLarge(f"n={G.n} exceeds the vertex-cover cap {limits.max_vertex_cover}")
-    size, mask = _mis_search(G, _Deadline(limits.time_budget))
+    size, mask = _mis_search(G, _NodeBudget(limits.max_nodes))
     cover = [v for v in range(G.n) if not (mask >> v) & 1]
     return G.n - size, VertexSet.of(cover, G.n)
 
@@ -142,13 +171,13 @@ def exact_clique(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, 
     if G.n > limits.max_clique:
         raise TooLarge(f"n={G.n} exceeds the clique cap {limits.max_clique}")
     masks = _neighbor_masks(G)
-    deadline = _Deadline(limits.time_budget)
+    budget = _NodeBudget(limits.max_nodes)
     best_size = 0
     best_mask = 0
 
     def search(candidates: int, chosen: int, count: int) -> None:
         nonlocal best_size, best_mask
-        deadline.check()
+        budget.check()
         if count > best_size:
             best_size, best_mask = count, chosen
         if count + candidates.bit_count() <= best_size:
@@ -165,7 +194,7 @@ def exact_clique(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, 
     return best_size, VertexSet.of(_mask_to_vertices(best_mask), G.n)
 
 
-def _try_k_coloring(G: Graph, k: int, seed_clique: tuple[int, ...], deadline: _Deadline):
+def _try_k_coloring(G: Graph, k: int, seed_clique: tuple[int, ...], budget: _NodeBudget):
     """Complete backtracking search for a proper k-coloring, or None.
 
     The seed clique is pre-colored 1..len(clique); new colors may only be
@@ -178,7 +207,7 @@ def _try_k_coloring(G: Graph, k: int, seed_clique: tuple[int, ...], deadline: _D
         colors[v] = index + 1
 
     def backtrack(colored: int, used: int) -> bool:
-        deadline.check()
+        budget.check()
         if colored == G.n:
             return True
         # most saturated uncolored vertex; ties by degree, then lowest id
@@ -213,13 +242,13 @@ def exact_chromatic(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[in
         raise TooLarge(f"n={G.n} exceeds the chromatic cap {limits.max_chromatic}")
     if G.n == 0:
         return 0, Coloring.of([])
-    deadline = _Deadline(limits.time_budget)
+    budget = _NodeBudget(limits.max_nodes)
     _, clique = exact_clique(G, limits)
 
     # first-fit in id order caps the search
     upper = _first_fit(G, range(G.n)).num_colors
     for k in range(len(clique), upper + 1):
-        assignment = _try_k_coloring(G, k, clique.members, deadline)
+        assignment = _try_k_coloring(G, k, clique.members, budget)
         if assignment is not None:
             return k, Coloring.of(assignment)
     raise AssertionError("k-coloring search must succeed at the greedy bound")
@@ -298,9 +327,12 @@ def exact_domination(
       of the members already picked;
     * connected: two members of a connected set of size k are at most
       k - 1 apart in G, so candidates must lie in the distance-(k - 1)
-      ball of every member picked; each leaf is still tested for induced
-      connectivity.
+      ball of every member picked; each full set is still tested for
+      induced connectivity.
 
+    The last member is tried in its parent's loop rather than in a node of
+    its own: a candidate completes the set when its reach finishes the
+    cover, and for ``connected`` when the set it completes is connected.
     Every smaller size would fail and no cut drops an accepted subset, so
     the first subset accepted is optimal and is the lexicographically
     first one of its size.  Variants: plain, independent, total, connected.
@@ -331,15 +363,21 @@ def exact_domination(
         allow = [full & ~closed[v] for v in range(n)]
     else:
         allow = [full] * n  # the connected balls grow with the size below
-    deadline = _Deadline(limits.time_budget)
+    budget = _NodeBudget(limits.max_nodes)
     chosen: list[int] = []
 
     def extend(start: int, covered: int, allowed: int, slots: int) -> bool:
-        deadline.check()
-        if slots == 0:
-            return covered == full and (
-                variant != "connected" or _induced_connected(chosen, masks)
-            )
+        budget.check()
+        if slots == 1:
+            for v in range(start, n):
+                if covered | suffix[v] != full:
+                    return False
+                if (allowed >> v) & 1 and covered | reach[v] == full:
+                    chosen.append(v)
+                    if variant != "connected" or _induced_connected(chosen, masks):
+                        return True
+                    chosen.pop()
+            return False
         for v in range(start, n - slots + 1):
             if covered | suffix[v] != full:
                 return False

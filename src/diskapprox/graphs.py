@@ -232,7 +232,20 @@ def bfs_levels(G: Graph, root: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
 
 def is_connected(G: Graph) -> bool:
     """True when ``G`` has at most one component (so the empty graph is connected)."""
-    return len(components(G)) <= 1
+    if G.n == 0:
+        return True
+    adj = G.adj
+    seen = [False] * G.n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for u in adj[stack.pop()]:
+            if not seen[u]:
+                seen[u] = True
+                reached += 1
+                stack.append(u)
+    return reached == G.n
 
 
 def components(G: Graph) -> tuple[tuple[int, ...], ...]:

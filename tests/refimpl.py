@@ -28,6 +28,52 @@ def brute_mis(G: Graph) -> int:
     return max(len(s) for s in all_subsets(G.n) if checks.is_independent_set(G, s))
 
 
+def uncut_mis_search(G: Graph) -> tuple[int, int]:
+    """The library's MIS branch and bound without its clique-cover cut:
+    the same branching order, so the same (size, bitmask) it must return."""
+    masks = [sum(1 << u for u in nbrs) for nbrs in G.adj]
+    best_size = -1
+    best_mask = 0
+
+    def search(alive: int, chosen: int, count: int) -> None:
+        nonlocal best_size, best_mask
+        if count + alive.bit_count() <= best_size:
+            return
+        if alive == 0:
+            best_size, best_mask = count, chosen
+            return
+        # branch on the highest-degree survivor (lowest id on ties)
+        pick = -1
+        pick_degree = -1
+        scan = alive
+        while scan:
+            low = scan & -scan
+            v = low.bit_length() - 1
+            scan ^= low
+            degree = (masks[v] & alive).bit_count()
+            if degree > pick_degree:
+                pick_degree = degree
+                pick = v
+        if pick_degree <= 1:
+            # survivors form isolated vertices and disjoint edges: greedy is exact
+            take_mask, take_count, rest = chosen, count, alive
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                take_mask |= low
+                take_count += 1
+                rest &= ~(masks[v] | low)
+            if take_count > best_size:
+                best_size, best_mask = take_count, take_mask
+            return
+        bit = 1 << pick
+        search(alive & ~(masks[pick] | bit), chosen | bit, count + 1)
+        search(alive & ~bit, chosen, count)
+
+    search((1 << G.n) - 1, 0, 0)
+    return best_size, best_mask
+
+
 def brute_vc(G: Graph) -> int:
     return min(len(s) for s in all_subsets(G.n) if checks.is_vertex_cover(G, s))
 

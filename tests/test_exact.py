@@ -24,7 +24,7 @@ from diskapprox.exact import (
     exact_vc,
 )
 from diskapprox.geometry import random_connected_instance
-from diskapprox.graphs import build_graph, is_connected
+from diskapprox.graphs import VertexSet, build_graph, is_connected
 from diskapprox.rng import Rng, derive_seed
 from refimpl import (
     all_labeled_graphs,
@@ -36,6 +36,7 @@ from refimpl import (
     complement,
     first_dominating_set,
     random_graph,
+    uncut_mis_search,
 )
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -128,15 +129,36 @@ class TestGuards:
 
     def test_limits_must_be_positive(self):
         with pytest.raises(BadParameter):
-            OracleLimits(time_budget=0)
+            OracleLimits(max_nodes=0)
 
-    def test_time_budget_is_enforced(self):
+    def test_node_cap_is_enforced(self):
         # connected domination on C16 searches sizes 7 (diameter 8, minus 1)
-        # to 14 in about 40k nodes, so the clock is read after 4096 of them
+        # to 14 in exactly 23,490 nodes
         C16 = cycle(16)
-        tight = OracleLimits(time_budget=1e-9)
-        with pytest.raises(Timeout):
-            exact_domination(C16, "connected", tight)
+        nodes = 23_490
+        with pytest.raises(Timeout, match=f"cap of {nodes - 1} nodes"):
+            exact_domination(C16, "connected", OracleLimits(max_nodes=nodes - 1))
+        size, witness = exact_domination(C16, "connected", OracleLimits(max_nodes=nodes))
+        assert (size, witness.members) == (14, tuple(range(14)))
+
+    def test_same_call_same_outcome(self):
+        searches = [
+            (lambda limits: exact_domination(cycle(16), "connected", limits), 23_490),
+            (lambda limits: exact_mis(grid(4, 6), limits), 10**4),
+            (lambda limits: exact_chromatic(c5(), limits), 10**4),
+        ]
+        for search, enough in searches:
+            seen = []
+            for cap in (1, enough // 3, enough - 1, enough):
+                outcomes = set()
+                for _ in range(3):
+                    try:
+                        outcomes.add(search(OracleLimits(max_nodes=cap)))
+                    except Timeout as error:
+                        outcomes.add(str(error))
+                assert len(outcomes) == 1, cap
+                seen += outcomes
+            assert isinstance(seen[0], str) and not isinstance(seen[-1], str)
 
 
 class TestNaiveReference:
@@ -302,3 +324,46 @@ class TestDominationSearch:
         cases = _domination_reference()
         for variant in DOMINATION_VARIANTS:
             assert max(G.n for G, v, _ in cases if v == variant) == _cap(variant), variant
+
+
+def crown(k):
+    """K_{k,k} minus a perfect matching."""
+    return build_graph(2 * k, [(u, k + v) for u in range(k) for v in range(k) if u != v])
+
+
+def _mis_graphs():
+    """Labeled, structured and random graphs up to the independent-set cap."""
+    for n in range(6):
+        yield from all_labeled_graphs(n)
+    top = DEFAULT_LIMITS.max_independent_set
+    for n in range(1, top + 1):
+        yield path(n)
+        yield build_graph(n, [(0, v) for v in range(1, n)])
+        if n >= 3:
+            yield cycle(n)
+    for rows in range(2, 5):
+        for cols in range(rows, top // rows + 1):
+            yield grid(rows, cols)
+    # unions of cliques: the greedy clique cover equals the optimum
+    for sizes in [(2, 3), (3, 3, 3), (4, 1, 4), (5, 5, 5, 5), (2,) * 12, (6, 6, 6, 6), (3,) * 8]:
+        yield disjoint_union(*map(complete, sizes))
+    for k in range(2, top // 2 + 1):
+        yield crown(k)
+    rng = Rng(609)
+    for index in range(40):
+        yield complement(random_graph(8 + index % 17, 0.1 + 0.4 * rng.uniform(), rng))
+    for index in range(200):
+        n = 12 + index % 13
+        radius_high = None if index % 2 else 2.0
+        radius = 1.0 if radius_high is None else 0.5
+        box = tuned_box(n, radius, radius_high, 3.0 + index % 4)
+        yield random_connected_instance(n, box, radius, derive_seed(0x3A5, index), radius_high)[1]
+
+
+class TestMisWitness:
+    def test_matches_the_uncut_search(self):
+        for G in _mis_graphs():
+            size, mask = uncut_mis_search(G)
+            chosen = {v for v in range(G.n) if (mask >> v) & 1}
+            assert exact_mis(G) == (size, VertexSet.of(chosen, G.n)), G.adj
+            assert exact_vc(G) == (G.n - size, VertexSet.of(set(range(G.n)) - chosen, G.n)), G.adj

@@ -320,6 +320,17 @@ class TestConnectivity:
         parts = components(G)
         assert sorted(v for part in parts for v in part) == list(range(6))
 
+    def test_reach_walk_agrees_with_components(self):
+        path_then_isolated = build_graph(5, [(0, 1), (1, 2), (2, 3)])
+        isolated_then_path = build_graph(5, [(1, 2), (2, 3), (3, 4)])
+        fixed = [build_graph(0, []), build_graph(1, []), build_graph(2, []), path_then_isolated, isolated_then_path]
+        rng = Rng(313)
+        sampled = [random_graph(1 + i % 12, 0.5 * rng.uniform(), rng) for i in range(300)]
+        for G in fixed + sampled:
+            assert is_connected(G) == (len(components(G)) <= 1), G.adj
+        assert [is_connected(G) for G in fixed] == [True, True, False, False, False]
+        assert any(is_connected(G) for G in sampled) and not all(is_connected(G) for G in sampled)
+
 
 class TestLongChain:
     """A path of 2 * 10^4 vertices: every deep search here must be iterative."""
