@@ -14,7 +14,6 @@ from .domination import (
     CdsTrace,
     connected_dominating_set,
     dominating_set,
-    independent_set_geometric,
     independent_set_graph,
     total_dominating_set,
 )

@@ -13,12 +13,12 @@ from .graphs import Graph
 
 def is_vertex_cover(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
-    return all(v in chosen or chosen.issuperset(G.neighbors(v)) for v in range(G.n))
+    return all(v in chosen or chosen.issuperset(G.adj[v]) for v in range(G.n))
 
 
 def is_independent_set(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
-    return not any(u in chosen for v in range(G.n) if v in chosen for u in G.neighbors(v))
+    return not any(u in chosen for v in range(G.n) if v in chosen for u in G.adj[v])
 
 
 def is_clique(G: Graph, vertices: Iterable[int]) -> bool:
@@ -33,7 +33,7 @@ def is_clique(G: Graph, vertices: Iterable[int]) -> bool:
 def is_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
     return all(
-        v in chosen or any(u in chosen for u in G.neighbors(v))
+        v in chosen or any(u in chosen for u in G.adj[v])
         for v in range(G.n)
     )
 
@@ -45,7 +45,7 @@ def is_independent_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
 
 def is_total_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
-    return all(any(u in chosen for u in G.neighbors(v)) for v in range(G.n))
+    return all(any(u in chosen for u in G.adj[v]) for v in range(G.n))
 
 
 def is_connected_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
@@ -59,7 +59,7 @@ def is_connected_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
     stack = [start]
     while stack:
         v = stack.pop()
-        for u in G.neighbors(v):
+        for u in G.adj[v]:
             if u in chosen and u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -70,4 +70,4 @@ def is_proper_coloring(G: Graph, colors: Iterable[int]) -> bool:
     colors = list(colors)
     if len(colors) != G.n or any(c < 1 for c in colors):
         return False
-    return not any(colors[u] == colors[v] for v in range(G.n) for u in G.neighbors(v))
+    return not any(colors[u] == colors[v] for v in range(G.n) for u in G.adj[v])

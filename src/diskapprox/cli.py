@@ -10,7 +10,6 @@ input is outside its graph class.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bench as bench_mod
@@ -245,7 +244,7 @@ def main(argv=None) -> int:
     except ClassCertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DiskApproxError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (DiskApproxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

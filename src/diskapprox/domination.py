@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BadParameter, IsolatedVertex, ModelMismatch, NoEligibleVertex, NotConnected
-from .geometry import GeometricInstance, instance_to_graph, sweep_order
+from .errors import BadParameter, IsolatedVertex, NoEligibleVertex, NotConnected
 from .graphs import Graph, VertexSet, bfs_levels, greedy_maximal_independent_set
 
 
@@ -50,7 +49,7 @@ def _has_independent_subset(G: Graph, candidates: Iterable[int], size: int) -> b
     if len(pool) < size:
         return False
     pool_set = set(pool)
-    internal = {v: pool_set.intersection(G.neighbors(v)) for v in pool}
+    internal = {v: pool_set.intersection(G.adj[v]) for v in pool}
     pool.sort(key=lambda v: (len(internal[v]), v))  # sparse candidates first: succeeds sooner
 
     def extend(start: int, chosen: int, blocked: frozenset[int]) -> bool:
@@ -86,7 +85,7 @@ def independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
     while alive:
         pick = None
         for v in sorted(alive):
-            neighborhood = [u for u in G.neighbors(v) if u in alive]
+            neighborhood = [u for u in G.adj[v] if u in alive]
             if len(neighborhood) <= bound or not _has_independent_subset(
                 G, neighborhood, bound + 1
             ):
@@ -99,22 +98,8 @@ def independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
             )
         chosen.append(pick)
         alive.discard(pick)
-        alive.difference_update(G.neighbors(pick))
+        alive.difference_update(G.adj[pick])
     return VertexSet.of(chosen, G.n)
-
-
-def independent_set_geometric(inst: GeometricInstance) -> VertexSet:
-    """Sweep unit disks by ascending x; take each survivor, delete its neighbors.
-
-    That is greedy maximal independent set over the intersection graph in
-    sweep_order.  The leftmost surviving disk always has neighborhood
-    independence at most 3, so this matches the guarantee of
-    independent_set_graph(G, 3) in O(n log n + m) time.  Raises
-    ModelMismatch unless all radii are equal.
-    """
-    if not inst.unit:
-        raise ModelMismatch("the sweep needs equal radii")
-    return greedy_maximal_independent_set(instance_to_graph(inst), sweep_order(inst))
 
 
 def dominating_set(G: Graph) -> VertexSet:
@@ -134,10 +119,10 @@ def total_dominating_set(G: Graph) -> VertexSet:
     domination impossible and raises IsolatedVertex.
     """
     for v in range(G.n):
-        if G.degree(v) == 0:
+        if not G.adj[v]:
             raise IsolatedVertex(v)
     base = greedy_maximal_independent_set(G, range(G.n))
-    partners = {G.neighbors(v)[0] for v in base}
+    partners = {G.adj[v][0] for v in base}
     return VertexSet.of(set(base.members) | partners, G.n)
 
 
@@ -166,14 +151,13 @@ def connected_dominating_set(
     previous_chosen: set[int] = {root}
     for level in levels[1:]:
         dominated = tuple(v for v in level if not previous_chosen.isdisjoint(G.adj[v]))
-        dominated_set = set(dominated)
         picked: list[int] = []
-        blocked: set[int] = set()
+        blocked = set(dominated)
         for v in level:
-            if v in dominated_set or v in blocked:
+            if v in blocked:
                 continue
             picked.append(v)
-            blocked.update(G.neighbors(v))
+            blocked.update(G.adj[v])
         independent_levels.append(tuple(picked))
         dominated_levels.append(dominated)
         connector_levels.append(tuple(sorted({parent[v] for v in picked})))

@@ -200,8 +200,6 @@ def _try_k_coloring(G: Graph, k: int, seed_clique: tuple[int, ...], budget: _Nod
     The seed clique is pre-colored 1..len(clique); new colors may only be
     introduced in order, which prunes color permutations.
     """
-    if len(seed_clique) > k:
-        return None
     colors = [0] * G.n
     for index, v in enumerate(seed_clique):
         colors[v] = index + 1
@@ -216,12 +214,12 @@ def _try_k_coloring(G: Graph, k: int, seed_clique: tuple[int, ...], budget: _Nod
         for v in range(G.n):
             if colors[v]:
                 continue
-            saturation = len({colors[u] for u in G.neighbors(v) if colors[u]})
-            key = (saturation, G.degree(v), -v)
+            saturation = len({colors[u] for u in G.adj[v] if colors[u]})
+            key = (saturation, len(G.adj[v]), -v)
             if key > pick_key:
                 pick_key = key
                 pick = v
-        forbidden = {colors[u] for u in G.neighbors(pick)}
+        forbidden = {colors[u] for u in G.adj[pick]}
         for c in range(1, min(k, used + 1) + 1):
             if c in forbidden:
                 continue
@@ -346,7 +344,7 @@ def exact_domination(
         raise NotConnected("connected domination needs a connected graph")
     if variant == "total":
         for v in range(G.n):
-            if G.degree(v) == 0:
+            if not G.adj[v]:
                 raise IsolatedVertex(v)
     if G.n == 0:
         return 0, VertexSet.of([], 0)

@@ -351,10 +351,10 @@ def sector_clique(inst: GeometricInstance, G: Graph) -> VertexSet:
         raise ModelMismatch("graph disagrees with the instance")
     if G.n == 0:
         return VertexSet.of([], 0)
-    center = max(range(G.n), key=lambda v: (G.degree(v), -v))
+    center = max(range(G.n), key=lambda v: (len(G.adj[v]), -v))
     cx, cy, _ = inst.disks[center]
     sectors: list[list[int]] = [[] for _ in range(6)]
-    for u in G.neighbors(center):
+    for u in G.adj[center]:
         ux, uy, _ = inst.disks[u]
         angle = math.atan2(uy - cy, ux - cx)
         if angle < 0.0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NotConnected, SelfLoop
@@ -31,13 +30,6 @@ class VertexSet:
             raise IdOutOfRange(f"vertex ids must lie in [0, {host_n})")
         return VertexSet(members, host_n)
 
-    @cached_property
-    def _lookup(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    def __contains__(self, vertex: int) -> bool:
-        return vertex in self._lookup
-
     def __iter__(self):
         return iter(self.members)
 
@@ -48,8 +40,9 @@ class VertexSet:
 class Graph:
     """Simple undirected graph held as its sorted adjacency: symmetric, no loops, no repeats.
 
+    ``adj[v]`` is the neighbor tuple of ``v`` and ``len(adj[v])`` its degree.
     ``edges`` and ``m`` are derived from ``adj`` on each call, so loops read
-    :meth:`neighbors` instead.
+    ``adj`` instead.
     """
 
     __slots__ = ("n", "adj")
@@ -66,12 +59,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(map(len, self.adj)) // 2
-
-    def neighbors(self, vertex: int) -> tuple[int, ...]:
-        return self.adj[vertex]
-
-    def degree(self, vertex: int) -> int:
-        return len(self.adj[vertex])
 
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self.adj), default=0)
@@ -194,7 +181,7 @@ def greedy_maximal_independent_set(G: Graph, order: Iterable[int]) -> VertexSet:
             continue
         chosen.append(v)
         blocked[v] = True
-        for u in G.neighbors(v):
+        for u in G.adj[v]:
             blocked[u] = True
     return VertexSet.of(chosen, G.n)
 
@@ -218,7 +205,7 @@ def bfs_levels(G: Graph, root: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
         levels.append(tuple(frontier))
         discovered: list[int] = []
         for v in frontier:
-            for u in G.neighbors(v):
+            for u in G.adj[v]:
                 if not seen[u]:
                     seen[u] = True
                     parent[u] = v
@@ -261,7 +248,7 @@ def components(G: Graph) -> tuple[tuple[int, ...], ...]:
         while stack:
             v = stack.pop()
             member.append(v)
-            for u in G.neighbors(v):
+            for u in G.adj[v]:
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)

@@ -57,8 +57,15 @@ def _online_color(G, inst, variant, options, meta):
 
 
 def _independent_set(G, inst, variant, options, meta):
+    """Equal radii: greedy maximal independent set over ``G`` in sweep_order.
+
+    The leftmost surviving unit disk's neighborhood holds at most 3
+    independent disks, all to its right, so each pick deletes at most 3
+    disks of an optimum: ratio 3, in O(n log n + m) on the graph already
+    built.  Anything else runs the eligibility search (bound 5 for circles).
+    """
     if inst is not None and variant == "unit" and inst.unit:
-        meta["method"] = "sweep"  # independent_set_geometric on the G already built
+        meta["method"] = "sweep"
         return graphs.greedy_maximal_independent_set(G, geometry.sweep_order(inst))
     meta["method"] = "eligibility-search"
     return domination.independent_set_graph(G, 3 if variant == "unit" else 5)

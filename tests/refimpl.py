@@ -144,7 +144,7 @@ def brute_degeneracy(G: Graph) -> int:
         if not subset:
             continue
         inside = set(subset)
-        lowest = min(len(inside.intersection(G.neighbors(v))) for v in subset)
+        lowest = min(len(inside.intersection(G.adj[v])) for v in subset)
         best = max(best, lowest)
     return best
 
@@ -152,7 +152,7 @@ def brute_degeneracy(G: Graph) -> int:
 def heap_degeneracy_ordering(G: Graph, degree_cap=None) -> DegeneracyResult:
     """The minimum-degree peel with one heap of (degree, id) pairs: pop the
     lowest pair, skip it if stale, push a fresh pair per decrement."""
-    degree = [G.degree(v) for v in range(G.n)]
+    degree = [len(nbrs) for nbrs in G.adj]
     heap = [(degree[v], v) for v in range(G.n)]
     heapq.heapify(heap)
     removed = [False] * G.n
@@ -172,7 +172,7 @@ def heap_degeneracy_ordering(G: Graph, degree_cap=None) -> DegeneracyResult:
         order.append(v)
         if current > degeneracy:
             degeneracy = current
-        for u in G.neighbors(v):
+        for u in G.adj[v]:
             if not removed[u]:
                 degree[u] -= 1
                 heapq.heappush(heap, (degree[u], u))
@@ -184,7 +184,7 @@ def edges_vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
     core colored first-fit (presented as an arrival order) along the reverse
     of ``heap_degeneracy_ordering``."""
     alive = [True] * G.n
-    working = [set(G.neighbors(v)) for v in range(G.n)]
+    working = [set(nbrs) for nbrs in G.adj]
     taken: list[int] = []
     for u, v in G.edges:
         common = working[u] & working[v]
@@ -225,7 +225,7 @@ def edges_vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
 def find_triangle(G: Graph):
     """First triangle in lowest-edge order (lowest common neighbor), or None."""
     for u, v in G.edges:
-        common = set(G.neighbors(u)) & set(G.neighbors(v))
+        common = set(G.adj[u]) & set(G.adj[v])
         if common:
             return tuple(sorted((u, v, min(common))))
     return None

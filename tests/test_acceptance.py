@@ -20,7 +20,6 @@ from diskapprox.covering import (
 from diskapprox.domination import (
     connected_dominating_set,
     dominating_set,
-    independent_set_geometric,
     independent_set_graph,
     total_dominating_set,
 )
@@ -39,7 +38,7 @@ from diskapprox.geometry import (
     sector_clique,
     sweep_order,
 )
-from diskapprox.graphs import build_graph, degeneracy_ordering
+from diskapprox.graphs import build_graph, degeneracy_ordering, greedy_maximal_independent_set
 from diskapprox.matching import nt_decompose
 from diskapprox.rng import Rng, derive_seed
 from refimpl import all_labeled_graphs, random_graph
@@ -152,7 +151,7 @@ def test_criterion_4_independent_set(criterion):
         G = instance_to_graph(inst)
         optimum, _ = exact_mis(G)
         by_graph = independent_set_graph(G, 3)
-        by_sweep = independent_set_geometric(inst)
+        by_sweep = greedy_maximal_independent_set(G, sweep_order(inst))
         for label, chosen in (("graph", by_graph), ("sweep", by_sweep)):
             if not checks.is_independent_set(G, chosen):
                 failures.append((index, label, "not independent"))
@@ -168,7 +167,7 @@ def test_criterion_4_independent_set(criterion):
         for slot, inst in enumerate(instances):
             gc.collect()
             t0 = time.perf_counter()
-            independent_set_geometric(inst)
+            greedy_maximal_independent_set(instance_to_graph(inst), sweep_order(inst))
             best[slot] = min(best[slot], time.perf_counter() - t0)
     small, large = best
     growth = large / small
@@ -238,7 +237,7 @@ def test_criterion_6_nt_decomposition(criterion):
         if not checks.is_independent_set(G, decomposition.excluded):
             failures.append((tag, "excluded side not independent"))
         for v in decomposition.excluded:
-            if not set(G.neighbors(v)) <= forced:
+            if not set(G.adj[v]) <= forced:
                 failures.append((tag, "excluded neighbor outside forced"))
                 break
         found = any(
@@ -277,11 +276,11 @@ def test_criterion_7_structural_properties(criterion):
         G = instance_to_graph(inst)
 
         for v in range(G.n):
-            nbrs = G.neighbors(v)
+            nbrs = G.adj[v]
             if len(nbrs) >= 6 and independent_subset_exists(G, nbrs, 6):
                 failures.append((index, v, "induced six-star"))
         first = sweep_order(inst)[0]
-        if independent_subset_exists(G, G.neighbors(first), 4):
+        if independent_subset_exists(G, G.adj[first], 4):
             failures.append((index, "sweep-first independence > 3"))
 
         clique = sector_clique(inst, G)

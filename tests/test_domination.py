@@ -7,14 +7,12 @@ from diskapprox import checks
 from diskapprox.domination import (
     connected_dominating_set,
     dominating_set,
-    independent_set_geometric,
     independent_set_graph,
     total_dominating_set,
 )
 from diskapprox.errors import (
     BadParameter,
     IsolatedVertex,
-    ModelMismatch,
     NoEligibleVertex,
     NotConnected,
 )
@@ -24,8 +22,9 @@ from diskapprox.geometry import (
     instance_to_graph,
     random_connected_instance,
     random_instance,
+    sweep_order,
 )
-from diskapprox.graphs import build_graph
+from diskapprox.graphs import build_graph, greedy_maximal_independent_set
 from diskapprox.problems import PROBLEMS
 from diskapprox.rng import derive_seed
 from refimpl import sweep_mis
@@ -129,23 +128,41 @@ class TestIndependentSetGraph:
             assert 3 * len(chosen) >= optimum
 
 
+def sweep(inst):
+    """The unit-disk sweep: greedy maximal independent set in sweep_order."""
+    return greedy_maximal_independent_set(instance_to_graph(inst), sweep_order(inst))
+
+
 class TestIndependentSetGeometric:
     def test_three_disks_in_a_row(self):
         inst = GeometricInstance(((0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (2.0, 0.0, 1.0)))
-        assert independent_set_geometric(inst).members == (0,)
+        assert sweep(inst).members == (0,)
 
     def test_spread_disks(self):
         inst = GeometricInstance(((0.0, 0.0, 1.0), (5.0, 0.0, 1.0), (10.0, 0.0, 1.0)))
-        assert len(independent_set_geometric(inst)) == 3
+        assert len(sweep(inst)) == 3
 
     def test_colocated(self):
         inst = GeometricInstance(tuple([(3.0, 3.0, 1.0)] * 9))
-        assert len(independent_set_geometric(inst)) == 1
+        assert len(sweep(inst)) == 1
 
-    def test_rejects_mixed_radii(self):
-        inst = GeometricInstance(((0.0, 0.0, 1.0), (5.0, 0.0, 2.0)))
-        with pytest.raises(ModelMismatch):
-            independent_set_geometric(inst)
+    def test_only_equal_radii_take_the_sweep(self):
+        mixed = GeometricInstance(((0.0, 0.0, 1.0), (5.0, 0.0, 2.0), (9.0, 0.0, 1.0)))
+        unit = GeometricInstance(((0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (2.0, 0.0, 1.0)))
+        for inst, variant, method in (
+            (mixed, "unit", "eligibility-search"),
+            (mixed, "circle", "eligibility-search"),
+            (unit, "circle", "eligibility-search"),
+            (None, "unit", "eligibility-search"),
+            (unit, "unit", "sweep"),
+        ):
+            G = instance_to_graph(inst if inst is not None else unit)
+            meta = {}
+            chosen = PROBLEMS["mis"].heuristic(G, inst, variant, None, meta)
+            assert meta["method"] == method
+            if method == "eligibility-search":
+                bound = 3 if variant == "unit" else 5
+                assert chosen.members == independent_set_graph(G, bound).members
 
     @pytest.mark.parametrize("name", sorted(STRUCTURED_UNIT))
     def test_matches_the_reference_sweep(self, name):
@@ -154,7 +171,7 @@ class TestIndependentSetGeometric:
         G = instance_to_graph(inst)
         assert edges is None or G.m == edges
         expected = sweep_mis(inst)
-        assert independent_set_geometric(inst).members == expected
+        assert sweep(inst).members == expected
         meta = {}
         assert PROBLEMS["mis"].heuristic(G, inst, "unit", None, meta).members == expected
         assert meta["method"] == "sweep"
@@ -162,13 +179,16 @@ class TestIndependentSetGeometric:
     def test_matches_the_reference_sweep_on_random_instances(self):
         for index in range(30):
             inst = unit_instance(index, n=10 + 3 * index, mean_degree=6.0)
-            assert independent_set_geometric(inst).members == sweep_mis(inst)
+            meta = {}
+            chosen = PROBLEMS["mis"].heuristic(instance_to_graph(inst), inst, "unit", None, meta)
+            assert meta["method"] == "sweep"
+            assert chosen.members == sweep_mis(inst)
 
     def test_one_third_guarantee(self):
         for index in range(50):
             inst = unit_instance(index, n=14)
             G = instance_to_graph(inst)
-            chosen = independent_set_geometric(inst)
+            chosen = sweep(inst)
             assert checks.is_independent_set(G, chosen)
             optimum, _ = exact_mis(G)
             assert 3 * len(chosen) >= optimum

@@ -44,7 +44,7 @@ class TestBuildGraph:
     def test_single_edge(self):
         G = build_graph(2, [(0, 1)])
         assert G.m == 1
-        assert G.neighbors(0) == (1,)
+        assert G.adj[0] == (1,)
 
     def test_reversed_duplicate_collapses(self):
         G = build_graph(3, [(0, 1), (1, 0)])
@@ -52,8 +52,8 @@ class TestBuildGraph:
 
     def test_c5_degrees(self):
         G = c5()
-        assert [G.degree(v) for v in range(5)] == [2, 2, 2, 2, 2]
-        assert sum(G.degree(v) for v in range(5)) == 2 * G.m
+        assert [len(nbrs) for nbrs in G.adj] == [2, 2, 2, 2, 2]
+        assert sum(map(len, G.adj)) == 2 * G.m
 
     def test_id_out_of_range(self):
         with pytest.raises(IdOutOfRange):
@@ -70,7 +70,7 @@ class TestBuildGraph:
         rng = Rng(11)
         for _ in range(20):
             G = random_graph(12, 0.3, rng)
-            pairs = {(u, v) for u in range(G.n) for v in G.neighbors(u) if u < v}
+            pairs = {(u, v) for u in range(G.n) for v in G.adj[u] if u < v}
             assert G.edges == tuple(sorted(pairs))
             assert G.m == len(pairs)
             for u in range(G.n):
@@ -129,7 +129,7 @@ class TestDegeneracy:
             result = degeneracy_ordering(G)
             suffix = set(range(G.n))
             for v in result.order:
-                assert len(suffix.intersection(G.neighbors(v))) <= result.degeneracy
+                assert len(suffix.intersection(G.adj[v])) <= result.degeneracy
                 suffix.discard(v)
 
     def test_matches_brute_force_exhaustively_n4(self):

@@ -178,7 +178,7 @@ def assert_valid_decomposition(G, decomposition):
     assert forced | half | excluded == set(range(G.n))
     assert checks.is_independent_set(G, excluded)
     for v in excluded:
-        assert set(G.neighbors(v)) <= forced
+        assert set(G.adj[v]) <= forced
     # any cover of the half part extends to a cover of the whole graph
     for u, v in G.edges:
         assert u in forced or v in forced or (u in half and v in half)

@@ -9,11 +9,11 @@ from diskapprox.bench import tuned_box
 from diskapprox.domination import (
     connected_dominating_set,
     dominating_set,
-    independent_set_geometric,
     independent_set_graph,
 )
 from diskapprox.geometry import instance_to_graph, random_connected_instance, random_instance
 from diskapprox.graphs import components, is_connected
+from diskapprox.problems import PROBLEMS
 from diskapprox.matching import max_matching, nt_decompose
 from diskapprox.rng import derive_seed
 from refimpl import all_pairs, bipartite_edges, build_bipartite
@@ -45,7 +45,7 @@ def test_intersection_graph():
         H = nx_graph(inst.n, all_pairs(inst))
         assert G.edges == tuple(sorted((min(u, v), max(u, v)) for u, v in H.edges))
         assert G.m == H.number_of_edges()
-        assert [G.degree(v) for v in range(G.n)] == [H.degree(v) for v in range(inst.n)]
+        assert [len(nbrs) for nbrs in G.adj] == [H.degree(v) for v in range(inst.n)]
 
 
 def test_matching_on_the_bipartite_double():
@@ -68,7 +68,7 @@ def test_domination_and_independence():
         H = nx_graph(inst.n, all_pairs(inst))
         independent = [dominating_set(G), independent_set_graph(G, 3 if inst.unit else 5)]
         if inst.unit:
-            independent.append(independent_set_geometric(inst))
+            independent.append(PROBLEMS["mis"].heuristic(G, inst, "unit", None, {}))
         for chosen in independent:
             assert H.subgraph(chosen.members).number_of_edges() == 0
         assert nx.is_dominating_set(H, set(dominating_set(G)))
