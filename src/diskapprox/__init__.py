@@ -11,7 +11,6 @@ from .covering import (
     vertex_cover,
 )
 from .domination import (
-    CdsTrace,
     connected_dominating_set,
     dominating_set,
     independent_set_graph,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
 
-from . import exact
 from .covering import ArrivalSequence
 from .errors import BadParameter
 from .geometry import _check_radius_range, random_connected_instance
@@ -164,7 +163,7 @@ def run_bench(
             problem = PROBLEMS[name]
             started = time.perf_counter()
             heur = problem.size(problem.heuristic(G, inst, variant, options, {}))
-            opt, _ = problem.oracle(G, exact.DEFAULT_LIMITS)
+            opt, _ = problem.oracle(G)
             elapsed_ms = int((time.perf_counter() - started) * 1000)
             records.append(
                 BenchRecord(

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import bench as bench_mod
-from . import covering, exact
+from . import covering
 from .errors import BadParameter, ClassCertificateError, DiskApproxError
 from .formats import (
     parse_solution,
@@ -97,7 +97,7 @@ def _cmd_solution(args) -> int:
     problem = PROBLEMS[args.problem]
     if args.command == "exact":
         meta: dict = {"n": G.n, "m": G.m, "oracle": True}
-        value, answer = problem.oracle(G, exact.DEFAULT_LIMITS)
+        value, answer = problem.oracle(G)
     else:
         variant = args.variant or ("unit" if inst is None or inst.unit else "circle")
         meta = {"variant": variant, "n": G.n, "m": G.m}
@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--problem", required=True, choices=SOLVE_PROBLEMS)
     solve.add_argument("--variant", choices=("unit", "circle"), default=None)
-    solve.add_argument("--root", type=int, default=None, help="root vertex for cds")
+    solve.add_argument("--root", type=int, default=0, help="root vertex for cds")
     solve.add_argument(
         "--order",
         default="ids",

@@ -9,45 +9,15 @@ and independent dominating sets, 10 for total and connected domination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import BadParameter, IsolatedVertex, NoEligibleVertex, NotConnected
 from .graphs import Graph, VertexSet, bfs_levels, greedy_maximal_independent_set
 
 
-@dataclass(frozen=True)
-class CdsTrace:
-    """Level-by-level record of the breadth-first backbone construction.
-
-    Per BFS level: the level set, the vertices already dominated by the
-    previous level's choices on arrival, the independent vertices chosen,
-    and the tree parents pulled in to wire those choices to the level above.
-    """
-
-    depth: int
-    levels: tuple[tuple[int, ...], ...]
-    dominated: tuple[tuple[int, ...], ...]
-    independent: tuple[tuple[int, ...], ...]
-    connectors: tuple[tuple[int, ...], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "levels": [list(level) for level in self.levels],
-            "dominated": [list(level) for level in self.dominated],
-            "independent": [list(level) for level in self.independent],
-            "connectors": [list(level) for level in self.connectors],
-        }
-
-
 def _has_independent_subset(G: Graph, candidates: Iterable[int], size: int) -> bool:
     """Is there a set of ``size`` pairwise non-adjacent vertices among ``candidates``?"""
-    if size <= 0:
-        return True
     pool = list(candidates)
-    if len(pool) < size:
-        return False
     pool_set = set(pool)
     internal = {v: pool_set.intersection(G.adj[v]) for v in pool}
     pool.sort(key=lambda v: (len(internal[v]), v))  # sparse candidates first: succeeds sooner
@@ -126,31 +96,33 @@ def total_dominating_set(G: Graph) -> VertexSet:
     return VertexSet.of(set(base.members) | partners, G.n)
 
 
-def connected_dominating_set(
-    G: Graph, root: Optional[int] = None
-) -> tuple[VertexSet, CdsTrace]:
+def connected_dominating_set(G: Graph, root: int = 0) -> tuple[VertexSet, dict]:
     """Breadth-first backbone: a maximal independent set threaded by tree parents.
 
-    Level by level from ``root`` (default 0), the vertices not already
-    dominated from the previous level's choices receive a greedy independent
-    set of their own, and each chosen vertex pulls in its BFS-tree parent.
-    The result dominates the graph, induces a connected subgraph, and is at
-    most twice the size of the maximal independent set it contains; on
-    unit-disk graphs that is within 10 times the optimal connected (or
-    total) dominating set.
+    Level by level from ``root``, the vertices not already dominated from
+    the previous level's choices receive a greedy independent set of their
+    own, and each chosen vertex pulls in its BFS-tree parent.  The result
+    dominates the graph, induces a connected subgraph, and is at most twice
+    the size of the maximal independent set it contains; on unit-disk graphs
+    that is within 10 times the optimal connected (or total) dominating set.
+
+    Returns the set and a level-by-level trace: ``depth``, the last BFS
+    level's index, and per level, as lists of lists, the level set
+    (``levels``), the vertices already dominated by the previous level's
+    choices on arrival (``dominated``), the independent vertices chosen
+    (``independent``), and the tree parents pulled in to wire those choices
+    to the level above (``connectors``).
     """
     if G.n == 0:
         raise NotConnected("empty graph has no connected dominating set")
-    if root is None:
-        root = 0
     levels, parent = bfs_levels(G, root)
 
-    independent_levels: list[tuple[int, ...]] = [(root,)]
-    dominated_levels: list[tuple[int, ...]] = [()]
-    connector_levels: list[tuple[int, ...]] = [()]
+    independent_levels: list[list[int]] = [[root]]
+    dominated_levels: list[list[int]] = [[]]
+    connector_levels: list[list[int]] = [[]]
     previous_chosen: set[int] = {root}
     for level in levels[1:]:
-        dominated = tuple(v for v in level if not previous_chosen.isdisjoint(G.adj[v]))
+        dominated = [v for v in level if not previous_chosen.isdisjoint(G.adj[v])]
         picked: list[int] = []
         blocked = set(dominated)
         for v in level:
@@ -158,9 +130,9 @@ def connected_dominating_set(
                 continue
             picked.append(v)
             blocked.update(G.adj[v])
-        independent_levels.append(tuple(picked))
+        independent_levels.append(picked)
         dominated_levels.append(dominated)
-        connector_levels.append(tuple(sorted({parent[v] for v in picked})))
+        connector_levels.append(sorted({parent[v] for v in picked}))
         previous_chosen = set(picked)
 
     members: set[int] = set()
@@ -168,11 +140,11 @@ def connected_dominating_set(
         members.update(chunk)
     for chunk in connector_levels:
         members.update(chunk)
-    trace = CdsTrace(
-        depth=len(levels) - 1,
-        levels=levels,
-        dominated=tuple(dominated_levels),
-        independent=tuple(independent_levels),
-        connectors=tuple(connector_levels),
-    )
+    trace = {
+        "depth": len(levels) - 1,
+        "levels": [list(level) for level in levels],
+        "dominated": dominated_levels,
+        "independent": independent_levels,
+        "connectors": connector_levels,
+    }
     return VertexSet.of(members, G.n), trace

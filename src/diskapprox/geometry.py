@@ -110,20 +110,15 @@ def _check_radius_range(radius: float, radius_high: Optional[float]) -> None:
         raise BadParameter("radius_high must be finite, at least radius and at most 2^500")
 
 
-def _radius_levels(disks, low: float, high: float) -> list[tuple[float, list[int]]]:
+def _radius_levels(disks) -> list[tuple[float, list[int]]]:
     """Disk ids split into levels of increasing radius, each with its cell side.
 
     Each level takes the remaining disks of radius at most twice their lower
     median, so it holds at least half of them and there are at most
     log2(n) + 1 levels; every radius of a later level exceeds every radius
     of an earlier one.  A level's cell side is twice its largest radius.
-    ``low``/``high`` are the smallest and largest radius.  When every disk
-    fits in the first level (``high`` at most twice the lower median, found
-    by counting the radii below ``high / 2``), the ids are not sorted.
     """
     n = len(disks)
-    if high <= 2.0 * low or sum(1 for _, _, r in disks if 2.0 * r < high) <= (n - 1) // 2:
-        return [(2.0 * high, range(n))]
     order = sorted(range(n), key=lambda i: disks[i][2])
     radii = [disks[i][2] for i in order]
     levels = []
@@ -212,7 +207,7 @@ def _grid_adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ..
     if low == high:
         _pair_equal_radii(disks, high, rows)
     else:
-        _pair_levels(disks, low, high, rows)
+        _pair_levels(disks, rows)
     for row in rows:
         row.sort()
     return tuple(map(tuple, rows))
@@ -242,10 +237,10 @@ def _pair_equal_radii(disks, radius: float, rows: list[list[int]]) -> None:
                     rows[j].append(i)
 
 
-def _pair_levels(disks, low: float, high: float, rows: list[list[int]]) -> None:
+def _pair_levels(disks, rows: list[list[int]]) -> None:
     """Append every intersecting pair to ``rows`` by the radius-level scan."""
     grids = []
-    for cell, ids in _radius_levels(disks, low, high):
+    for cell, ids in _radius_levels(disks):
         entries = [(i,) + disks[i] for i in ids]
         grids.append((cell, entries, _bucket(entries, cell)))
     for level, (_, entries, own) in enumerate(grids):

@@ -9,7 +9,7 @@ caller that swaps module attributes (a tracer, a mock) sees every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import checks, covering, domination, exact, geometry, graphs
 
@@ -19,7 +19,7 @@ class Options:
     """Inputs some heuristics read: the on-line arrival order for n vertices, the cds root."""
 
     arrival: Callable[[int], covering.ArrivalSequence]
-    root: Optional[int] = None
+    root: int = 0
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class Problem:
 
     ``heuristic(G, inst, variant, options, meta)`` returns a VertexSet (a
     Coloring if ``coloring``) and may note how it ran in ``meta``;
-    ``oracle(G, limits)`` returns (optimum, witness); ``check(G, solution)``
-    validates a vertex list or a color list; ``bounds`` maps each variant
-    with a guarantee to its ratio.
+    ``oracle(G)`` returns (optimum, witness) under ``exact.DEFAULT_LIMITS``;
+    ``check(G, solution)`` validates a vertex list or a color list;
+    ``bounds`` maps each variant with a guarantee to its ratio.
     """
 
     heuristic: Callable
@@ -72,61 +72,60 @@ def _independent_set(G, inst, variant, options, meta):
 
 
 def _connected_dominating_set(G, inst, variant, options, meta):
-    chosen, trace = domination.connected_dominating_set(G, options.root)
-    meta["root"] = options.root if options.root is not None else 0
-    meta["trace"] = trace.to_dict()
+    meta["root"] = options.root
+    chosen, meta["trace"] = domination.connected_dominating_set(G, options.root)
     return chosen
 
 
 PROBLEMS: dict[str, Problem] = {
     "vc": Problem(
         heuristic=lambda G, inst, variant, *_: covering.vertex_cover(G, 4 if variant == "unit" else 6),
-        oracle=lambda G, limits: exact.exact_vc(G, limits),
+        oracle=lambda G: exact.exact_vc(G),
         check=lambda G, vertices: checks.is_vertex_cover(G, vertices),
         bounds={"unit": 1.5, "circle": 5.0 / 3.0},
     ),
     "color": Problem(
         heuristic=lambda G, *_: covering.color_offline(G),
-        oracle=lambda G, limits: exact.exact_chromatic(G, limits),
+        oracle=lambda G: exact.exact_chromatic(G),
         check=lambda G, colors: checks.is_proper_coloring(G, colors),
         bounds={"unit": 3.0, "circle": 6.0},
         coloring=True,
     ),
     "online-color": Problem(
         heuristic=_online_color,
-        oracle=lambda G, limits: exact.exact_chromatic(G, limits),
+        oracle=lambda G: exact.exact_chromatic(G),
         check=lambda G, colors: checks.is_proper_coloring(G, colors),
         bounds={"unit": 6.0},
         coloring=True,
     ),
     "mis": Problem(
         heuristic=_independent_set,
-        oracle=lambda G, limits: exact.exact_mis(G, limits),
+        oracle=lambda G: exact.exact_mis(G),
         check=lambda G, vertices: checks.is_independent_set(G, vertices),
         bounds={"unit": 3.0, "circle": 5.0},
         maximize=True,
     ),
     "ds": Problem(
         heuristic=lambda G, *_: domination.dominating_set(G),
-        oracle=lambda G, limits: exact.exact_domination(G, "plain", limits),
+        oracle=lambda G: exact.exact_domination(G, "plain"),
         check=lambda G, vertices: checks.is_dominating_set(G, vertices),
         bounds={"unit": 5.0},
     ),
     "ids": Problem(
         heuristic=lambda G, *_: domination.dominating_set(G),
-        oracle=lambda G, limits: exact.exact_domination(G, "independent", limits),
+        oracle=lambda G: exact.exact_domination(G, "independent"),
         check=lambda G, vertices: checks.is_independent_dominating_set(G, vertices),
         bounds={"unit": 5.0},
     ),
     "tds": Problem(
         heuristic=lambda G, *_: domination.total_dominating_set(G),
-        oracle=lambda G, limits: exact.exact_domination(G, "total", limits),
+        oracle=lambda G: exact.exact_domination(G, "total"),
         check=lambda G, vertices: checks.is_total_dominating_set(G, vertices),
         bounds={"unit": 10.0},
     ),
     "cds": Problem(
         heuristic=_connected_dominating_set,
-        oracle=lambda G, limits: exact.exact_domination(G, "connected", limits),
+        oracle=lambda G: exact.exact_domination(G, "connected"),
         check=lambda G, vertices: checks.is_connected_dominating_set(G, vertices),
         bounds={"unit": 10.0},
     ),

@@ -212,7 +212,7 @@ def test_criterion_5_domination_family(criterion):
             failures.append((index, "cds ratio > 10"))
         if len(connected) > 10 * optimum_total:
             failures.append((index, "cds vs total ratio > 10"))
-        for picked, connectors in zip(trace.independent, trace.connectors):
+        for picked, connectors in zip(trace["independent"], trace["connectors"]):
             if len(connectors) > len(picked):
                 failures.append((index, "level connectors exceed choices"))
     criterion(

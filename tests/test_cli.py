@@ -5,6 +5,7 @@ import pytest
 
 from diskapprox import checks, geometry
 from diskapprox.cli import main
+from diskapprox.domination import connected_dominating_set
 from diskapprox.formats import read_instance, write_instance
 from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
 from diskapprox.graphs import build_graph, is_connected
@@ -118,6 +119,23 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["meta"]["root"] == 2
         assert doc["meta"]["trace"]["independent"][0] == [2]
+
+    def test_cds_default_root_is_zero(self, capsys, connected_instance):
+        G = instance_to_graph(read_instance(connected_instance))
+        chosen, trace = connected_dominating_set(G)
+        assert (chosen, trace) == connected_dominating_set(G, 0)
+        code, out, _ = run(capsys, "solve", connected_instance, "--problem", "cds")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["vertices"] == list(chosen.members)
+        assert doc["meta"]["root"] == 0
+        assert doc["meta"]["trace"] == trace
+        # lists of int lists, so the JSON writer renders each level through list.__repr__
+        assert type(trace["depth"]) is int
+        assert sorted(trace) == ["connectors", "depth", "dominated", "independent", "levels"]
+        for key in ("levels", "dominated", "independent", "connectors"):
+            assert type(trace[key]) is list
+            assert all(type(level) is list and set(map(type, level)) <= {int} for level in trace[key])
 
     def test_class_certificate_exit_code(self, capsys, tmp_path):
         K44 = build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)])
@@ -317,6 +335,22 @@ class TestBench:
             ratio, bound = float(fields[7]), float(fields[8])
             assert 1.0 <= ratio <= bound + 1e-9
             assert fields[9] == "0"  # reproducible by default
+
+    def test_timings_fill_only_the_ms_column(self, capsys):
+        args = ("bench", "--instances", "3", "--n-range", "6:9", "--problems", "vc,cds", "--seed", "5")
+        code, plain, _ = run(capsys, *args)
+        assert code == 0
+        code, timed, _ = run(capsys, *args, "--timings")
+        assert code == 0
+        assert run(capsys, *args) == (0, plain, "")
+        plain_rows = [line.split(",") for line in plain.splitlines()]
+        timed_rows = [line.split(",") for line in timed.splitlines()]
+        assert len(plain_rows) == len(timed_rows) == 1 + 3 * 2
+        assert timed_rows[0] == plain_rows[0]
+        for fixed, timed_row in zip(plain_rows[1:], timed_rows[1:]):
+            assert fixed[9] == "0"
+            assert timed_row[:9] == fixed[:9]
+            assert timed_row[9] == str(int(timed_row[9])) and int(timed_row[9]) >= 0
 
     def test_circle_variant(self, capsys):
         code, out, _ = run(

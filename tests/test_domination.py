@@ -246,20 +246,20 @@ class TestConnectedDominatingSet:
     def test_k4(self):
         chosen, trace = connected_dominating_set(complete(4))
         assert chosen.members == (0,)
-        assert trace.depth == 1
+        assert trace["depth"] == 1
 
     def test_p5_takes_everything(self):
         P5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         chosen, trace = connected_dominating_set(P5, 0)
         assert chosen.members == (0, 1, 2, 3, 4)
-        assert trace.independent == ((0,), (), (2,), (), (4,))
-        assert trace.connectors == ((), (), (1,), (), (3,))
+        assert trace["independent"] == [[0], [], [2], [], [4]]
+        assert trace["connectors"] == [[], [], [1], [], [3]]
         assert exact_domination(P5, "connected")[0] == 3
 
     def test_star_rooted_at_leaf(self):
         chosen, trace = connected_dominating_set(star(5), root=1)
         assert len(chosen) == 6
-        assert trace.independent[0] == (1,)
+        assert trace["independent"][0] == [1]
         assert exact_domination(star(5), "connected")[0] == 1
 
     def test_not_connected(self):
@@ -270,8 +270,8 @@ class TestConnectedDominatingSet:
 
     def test_trace_serializes(self):
         _, trace = connected_dominating_set(c5())
-        payload = json.loads(json.dumps(trace.to_dict()))
-        assert payload["depth"] == trace.depth
+        payload = json.loads(json.dumps(trace))
+        assert payload["depth"] == trace["depth"]
         assert payload["independent"][0] == [0]
 
     def test_validity_and_level_accounting(self):
@@ -280,9 +280,9 @@ class TestConnectedDominatingSet:
             G = instance_to_graph(inst)
             chosen, trace = connected_dominating_set(G)
             assert checks.is_connected_dominating_set(G, chosen)
-            backbone = {v for level in trace.independent for v in level}
+            backbone = {v for level in trace["independent"] for v in level}
             assert checks.is_independent_dominating_set(G, backbone)
-            for picked, connectors in zip(trace.independent, trace.connectors):
+            for picked, connectors in zip(trace["independent"], trace["connectors"]):
                 assert len(connectors) <= len(picked)
             assert len(chosen) <= 2 * len(backbone)
 
@@ -300,4 +300,4 @@ class TestConnectedDominatingSet:
         for root in range(G.n):
             chosen, trace = connected_dominating_set(G, root)
             assert checks.is_connected_dominating_set(G, chosen)
-            assert trace.independent[0] == (root,)
+            assert trace["independent"][0] == [root]

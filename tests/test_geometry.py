@@ -41,7 +41,7 @@ def disks(*triples):
 
 
 def level_count(inst):
-    return len(_radius_levels(inst.disks, *_check_radii(inst.disks)))
+    return len(_radius_levels(inst.disks))
 
 
 def grid_graph(inst):
@@ -191,7 +191,7 @@ class TestRadiusLevels:
         rng = Rng(3)
         inst = disks(*[(rng.uniform(), rng.uniform(), 2.0 ** (16 * rng.uniform() - 8))
                        for _ in range(300)])
-        levels = _radius_levels(inst.disks, *_check_radii(inst.disks))
+        levels = _radius_levels(inst.disks)
         assert sorted(i for _, ids in levels for i in ids) == list(range(inst.n))
         remaining = inst.n
         for (cell, ids), (_, later) in zip(levels, levels[1:] + [(0.0, [])]):
@@ -278,7 +278,7 @@ class TestRadiusLevels:
                    (50.0, 0.0, 1.0), (3.0, 0.0, 2.0), (10.0, 3.0, 2.0), (7.0, 0.0, 2.0),
                    (20.0, 1.0 + edge, edge), (20.0 + 2 * edge, 1.0 + edge, edge)]
         inst = disks(*triples)
-        levels = _radius_levels(inst.disks, *_check_radii(inst.disks))
+        levels = _radius_levels(inst.disks)
         assert [sorted(ids) for _, ids in levels] == [[0, 1, 2, 3, 4, 5, 6, 7], [8, 9]]
         assert set(instance_to_graph(inst).edges) >= {(0, 5), (1, 6), (5, 7), (2, 8), (8, 9)}
         assert_matches_all_pairs(inst)

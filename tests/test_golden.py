@@ -12,7 +12,6 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from diskapprox import cli, problems
 from diskapprox.covering import ArrivalSequence
-from diskapprox.exact import DEFAULT_LIMITS
 from diskapprox.formats import write_instance
 from diskapprox.geometry import random_connected_instance
 from diskapprox.graphs import build_graph
@@ -92,6 +91,6 @@ def test_problem_table_is_complete():
         answer = problem.heuristic(G, inst, "unit", options, {})
         solution = answer.colors if problem.coloring else answer.members
         assert problem.check(G, solution), name
-        opt, witness = problem.oracle(G, DEFAULT_LIMITS)
+        opt, witness = problem.oracle(G)
         assert problem.check(G, witness.colors if problem.coloring else witness.members), name
         assert 1.0 <= problem.ratio(problem.size(answer), opt) <= problem.bounds["unit"], name

@@ -355,7 +355,7 @@ class TestLongChain:
         G = self.chain()
         cds, trace = connected_dominating_set(G)
         assert checks.is_connected_dominating_set(G, cds)
-        assert trace.depth == self.n - 1
+        assert trace["depth"] == self.n - 1
 
 
 class TestVertexSet:
