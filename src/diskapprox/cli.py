@@ -93,6 +93,10 @@ def _load(path) -> tuple[GeometricInstance | None, Graph]:
 
 def _cmd_solution(args) -> int:
     """solve and exact: the problem's heuristic or its exact oracle, as a solution document."""
+    # --root and --order exist on args only when given (argparse.SUPPRESS)
+    for flag, owner in (("root", "cds"), ("order", "online-color")):
+        if hasattr(args, flag) and args.problem != owner:
+            raise BadParameter(f"--{flag} applies only to --problem {owner}")
     inst, G = _load(args.instance)
     problem = PROBLEMS[args.problem]
     if args.command == "exact":
@@ -101,7 +105,8 @@ def _cmd_solution(args) -> int:
     else:
         variant = args.variant or ("unit" if inst is None or inst.unit else "circle")
         meta = {"variant": variant, "n": G.n, "m": G.m}
-        options = Options(lambda n: _parse_order_spec(args.order, n), args.root)
+        order = getattr(args, "order", "ids")
+        options = Options(lambda n: _parse_order_spec(order, n), getattr(args, "root", 0))
         answer = problem.heuristic(G, inst, variant, options, meta)
         value = problem.size(answer)
     if problem.coloring:
@@ -193,11 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--problem", required=True, choices=SOLVE_PROBLEMS)
     solve.add_argument("--variant", choices=("unit", "circle"), default=None)
-    solve.add_argument("--root", type=int, default=0, help="root vertex for cds")
+    solve.add_argument(
+        "--root", type=int, default=argparse.SUPPRESS, help="root vertex for cds (default 0)"
+    )
     solve.add_argument(
         "--order",
-        default="ids",
-        help="arrival order for online-color: 'ids', 'random:SEED', or a comma list",
+        default=argparse.SUPPRESS,
+        help="arrival order for online-color: 'ids' (default), 'random:SEED', or a comma list",
     )
     solve.set_defaults(func=_cmd_solution)
 

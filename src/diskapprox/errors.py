@@ -72,7 +72,3 @@ class ParseError(DiskApproxError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
-
-
-class VersionMismatch(DiskApproxError):
-    pass

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .errors import BadParameter, NonPositiveRadius, ParseError, VersionMismatch
+from .errors import BadParameter, NonPositiveRadius, ParseError
 from .geometry import GeometricInstance, _disk_fault
 from .graphs import Graph, build_graph
 
@@ -65,7 +65,7 @@ def parse_instance(text: str) -> GeometricInstance | Graph:
     except ValueError:
         raise ParseError(header_no, f"bad version {tokens[1]!r}") from None
     if version != FORMAT_VERSION:
-        raise VersionMismatch(f"format version {version} unsupported")
+        raise ParseError(header_no, f"format version {version} unsupported")
     mode = tokens[2]
     if mode == "geometric":
         return _parse_disks(lines, header_no)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diskapprox
 from diskapprox import checks, geometry
 from diskapprox.cli import main
 from diskapprox.domination import connected_dominating_set
@@ -96,13 +101,35 @@ class TestSolve:
         assert json.loads(out)["value"] == 1
 
     def test_every_problem_passes_verify(self, capsys, tmp_path, connected_instance):
-        for problem in ("vc", "color", "online-color", "mis", "ds", "ids", "tds", "cds"):
-            code, out, _ = run(capsys, "solve", connected_instance, "--problem", problem)
-            assert code == 0, problem
-            solution_path = tmp_path / f"{problem}.json"
+        argvs = [[p] for p in ("vc", "color", "online-color", "mis", "ds", "ids", "tds", "cds")]
+        argvs.append(["online-color", "--order", "random:5"])
+        for index, extra in enumerate(argvs):
+            code, out, _ = run(capsys, "solve", connected_instance, "--problem", *extra)
+            assert code == 0, extra
+            solution_path = tmp_path / f"{index}.json"
             solution_path.write_text(out)
             verify_code, verdict, _ = run(capsys, "verify", connected_instance, str(solution_path))
-            assert verify_code == 0 and verdict == "valid\n", problem
+            assert verify_code == 0 and verdict == "valid\n", extra
+
+    @pytest.mark.parametrize("problem, flag, owner", [
+        ("vc", "--root=999", "cds"),
+        ("online-color", "--root=1", "cds"),
+        ("vc", "--order=bogus", "online-color"),
+        ("cds", "--order=ids", "online-color"),
+    ])
+    def test_refuses_an_option_the_problem_ignores(self, capsys, geo_instance, problem, flag, owner):
+        code, out, err = run(capsys, "solve", geo_instance, "--problem", problem, flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag.split('=')[0]} applies only to --problem {owner}\n"
+
+    def test_omitted_root_and_order_take_their_defaults(self, capsys, connected_instance):
+        for problem, flag in (("cds", "--root=0"), ("online-color", "--order=ids")):
+            code, plain, _ = run(capsys, "solve", connected_instance, "--problem", problem)
+            assert code == 0
+            assert run(capsys, "solve", connected_instance, "--problem", problem, flag) == (
+                0, plain, ""
+            )
+        assert json.loads(plain)["meta"]["order"] == list(range(10))
 
     def test_online_color_orders(self, capsys, geo_instance):
         code, out, _ = run(
@@ -130,6 +157,7 @@ class TestSolve:
         assert doc["vertices"] == list(chosen.members)
         assert doc["meta"]["root"] == 0
         assert doc["meta"]["trace"] == trace
+        assert trace["independent"][0] == [0]
         # lists of int lists, so the JSON writer renders each level through list.__repr__
         assert type(trace["depth"]) is int
         assert sorted(trace) == ["connectors", "depth", "dominated", "independent", "levels"]
@@ -141,14 +169,20 @@ class TestSolve:
         K44 = build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)])
         path = tmp_path / "k44.udg"
         write_instance(K44, path)
-        code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
-        assert code == 2 and "error" in err
-        code, _, _ = run(capsys, "solve", str(path), "--problem", "mis")
-        assert code == 2
+        assert run(capsys, "solve", str(path), "--problem", "vc") == (
+            2, "", "error: residual subgraph has minimum degree 4 > 3\n"
+        )
+        assert run(capsys, "solve", str(path), "--problem", "mis") == (
+            2, "", "error: no vertex has neighborhood independence number <= 3\n"
+        )
         # the circle variant has enough colors for this graph
         code, out, _ = run(capsys, "solve", str(path), "--problem", "vc", "--variant", "circle")
         assert code == 0
+        assert json.loads(out)["value"] == 4
         assert checks.is_vertex_cover(K44, json.loads(out)["vertices"])
+        solution = tmp_path / "k44-circle.json"
+        solution.write_text(out)
+        assert run(capsys, "verify", str(path), str(solution)) == (0, "valid\n", "")
 
     def test_vc_on_a_ring_of_2001_disks(self, capsys, tmp_path):
         # an odd cycle: valid unit-disk input whose matching needs long augmenting paths
@@ -179,6 +213,10 @@ class TestSolve:
         path.write_text("udg 1 geometric\ndisk 1 1 0 -1\n")
         code, _, err = run(capsys, "solve", str(path), "--problem", "vc")
         assert code == 1 and "line 2" in err and "radius" in err
+        path.write_text("udg 1 geometric\ndisk 0 0 0 1\n\ndisk 1 0 0 -1\n")
+        assert run(capsys, "solve", str(path), "--problem", "vc") == (
+            1, "", "error: line 4: radius -1.0 must be positive\n"
+        )
 
     def test_non_ascii_byte_names_its_line(self, capsys, tmp_path):
         path = tmp_path / "bad.udg"
@@ -270,6 +308,21 @@ class TestExact:
         doc = json.loads(out)
         assert checks.is_proper_coloring(G, doc["colors"])
 
+    def test_abstract_optima_verify_and_repeat(self, capsys, tmp_path):
+        # a triangle 0-1-2 with the path 2-3-4-5 hanging off vertex 2
+        path = tmp_path / "abstract.udg"
+        path.write_text(
+            "udg 1 abstract\nn 6\nedge 0 1\nedge 1 2\nedge 2 0\nedge 2 3\nedge 3 4\nedge 4 5\n"
+        )
+        for problem, optimum in (("vc", 3), ("mis", 3), ("ds", 2), ("ids", 2), ("tds", 3), ("cds", 3)):
+            code, out, err = run(capsys, "exact", str(path), "--problem", problem)
+            assert (code, err) == (0, ""), problem
+            assert json.loads(out)["value"] == optimum, problem
+            assert run(capsys, "exact", str(path), "--problem", problem) == (0, out, ""), problem
+            solution = tmp_path / f"{problem}.json"
+            solution.write_text(out)
+            assert run(capsys, "verify", str(path), str(solution)) == (0, "valid\n", ""), problem
+
 
 class TestVerify:
     def test_rejects_tampered_solution(self, capsys, tmp_path, geo_instance):
@@ -358,10 +411,12 @@ class TestBench:
             "--problems", "vc,color,mis", "--seed", "4", "--radius", "0.5:2",
         )
         assert code == 0
-        for line in out.strip().split("\n")[1:]:
+        lines = out.strip().split("\n")
+        assert len(lines) == 1 + 2 * 3
+        for line in lines[1:]:
             fields = line.split(",")
             assert fields[3] == "0.5:2"
-            assert float(fields[7]) <= float(fields[8]) + 1e-9
+            assert 1.0 <= float(fields[7]) <= float(fields[8]) + 1e-9
 
     def test_equal_radius_range_is_the_unit_variant(self, capsys):
         args = ("bench", "--instances", "3", "--n-range", "6:9", "--problems", "vc,ds", "--seed", "4")
@@ -427,6 +482,29 @@ class TestBench:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: no box side for --radius ") and "--mean-degree" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestModuleEntry:
+    def test_python_dash_m_exit_codes(self, tmp_path):
+        """``python -m diskapprox`` runs cli.main and exits with its code: 0, 1 and 2."""
+        env = {**os.environ, "PYTHONPATH": str(Path(diskapprox.__file__).parents[1])}
+        bad = tmp_path / "bad.udg"
+        bad.write_text("udg 1 abstract\nn 3\nedge 0 7\n")
+        k44 = tmp_path / "k44.udg"
+        write_instance(build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)]), k44)
+        for argv, expected in (
+            (["bound", "--polygon", "4"], (0, "15\n", "")),
+            (["solve", str(bad), "--problem", "vc"],
+             (1, "", "error: line 3: edge (0, 7) outside [0, 3)\n")),
+            (["solve", str(k44), "--problem", "vc"],
+             (2, "", "error: residual subgraph has minimum degree 4 > 3\n")),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "diskapprox", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == expected, argv
 
 
 class TestUsage:

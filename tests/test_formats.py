@@ -4,7 +4,7 @@ import pytest
 
 from diskapprox import geometry
 from diskapprox.covering import ArrivalSequence
-from diskapprox.errors import BadParameter, ParseError, VersionMismatch
+from diskapprox.errors import BadParameter, ParseError
 from diskapprox.formats import (
     parse_instance,
     parse_solution,
@@ -99,8 +99,9 @@ class TestGeometricFiles:
         "udg 1 geometric\ndisk 2 0 2 1\ndisk 0 0 0 1\ndisk 1 1.5 0 0.5\n",
         "udg 1 geometric\r\ndisk 1 1.5 0 0.5\r\n\r\ndisk 2 0 2 1\r\ndisk 0 0 0 1\r\n\r\n",
         "  udg\t1 geometric \n disk  0 0\t0 1.0\ndisk 1 15e-1 +0 0.50\ndisk 2 0 2 1",
+        "\r\n \r\nudg 1 geometric\r\ndisk 2 0 2 1\r\n\r\ndisk 1 1.5 0 0.5\r\ndisk 0 0 0 1\r\n",
     ], ids=["blank-before-header", "blank-lines-between", "crlf", "lone-cr", "shuffled-ids",
-            "crlf-blank-shuffled", "spacing"])
+            "crlf-blank-shuffled", "spacing", "crlf-blank-header-reversed"])
     def test_accepted_layouts(self, text):
         assert parse_instance(text).disks == ((0.0, 0.0, 1.0), (1.5, 0.0, 0.5), (0.0, 2.0, 1.0))
 
@@ -201,8 +202,10 @@ class TestHeaders:
             parse_instance("disk 0 0 0 1\n")
 
     def test_version_mismatch(self):
-        with pytest.raises(VersionMismatch):
-            parse_instance("udg 2 geometric\n")
+        with pytest.raises(ParseError) as info:
+            parse_instance("\n\nudg 2 geometric\n")
+        assert info.value.line_no == 3
+        assert str(info.value) == "line 3: format version 2 unsupported"
 
     def test_unknown_mode(self):
         with pytest.raises(ParseError):
