@@ -165,7 +165,11 @@ def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
 
     At most ``_ALL_PAIRS_MAX`` disks test every pair, with the same test as
     :func:`_grid_adjacency`, which pairs larger inputs.  The pairs come in
-    lexicographic order, so each row fills in ascending order.
+    lexicographic order, so each row fills in ascending order.  The pair test
+    ``dx * dx + dy * dy <= reach * reach`` has four copies: this loop,
+    :func:`_pair_equal_radii`, :func:`_pair_levels` and the sampler's
+    connectivity search :func:`_reaches_every_disk`; a change to it changes
+    all four.
     """
     if len(disks) > _ALL_PAIRS_MAX:
         return _grid_adjacency(disks, low, high)
@@ -311,17 +315,52 @@ def random_connected_instance(
     """Rejection-sample :func:`random_instance` until the derived graph is connected.
 
     Attempt k uses the child seed derive_seed(seed, k), which keeps the
-    sampling uniform over connected instances and reproducible.  Returns
-    the accepted instance with the graph its connectivity test built, which
-    equals ``instance_to_graph(instance)``, so callers need not pair the
-    disks again.
+    sampling uniform over connected instances and reproducible.  A draw of
+    at most ``_ALL_PAIRS_MAX`` disks is tested by :func:`_reaches_every_disk`
+    on the disks themselves, and only an accepted draw is paired.  The
+    search is quadratic, so a larger draw, which the grid scan pairs, is
+    paired first and its graph tested.  Either way the result is the
+    instance with ``instance_to_graph(instance)``, so callers need not pair
+    the disks again.
     """
     for attempt in range(_CONNECTED_TRIES):
         inst = random_instance(n, box, radius, derive_seed(seed, attempt), radius_high)
-        G = instance_to_graph(inst)
-        if is_connected(G):
-            return inst, G
+        if n <= _ALL_PAIRS_MAX:
+            if _reaches_every_disk(inst.disks):
+                return inst, instance_to_graph(inst)
+        else:
+            G = instance_to_graph(inst)
+            if is_connected(G):
+                return inst, G
     raise BadParameter(f"no connected instance found in {_CONNECTED_TRIES} attempts")
+
+
+def _reaches_every_disk(disks) -> bool:
+    """True when the intersection graph of ``disks`` (at least one) is connected.
+
+    A reach search from the last disk: each disk taken off the stack is
+    tested only against the disks not yet reached, with the pair test of
+    :func:`_adjacency` (``xi - xj`` is the negation of ``xj - xi`` and
+    ``ri + rj`` commutes, so the order of a pair does not change the test),
+    and its hits are pushed.  The search builds no rows, and a disconnected
+    draw stops as soon as the stack runs dry, having made at most the
+    n(n-1)/2 tests of all pairs.
+    """
+    unreached = list(disks)
+    stack = [unreached.pop()]
+    while stack and unreached:
+        xi, yi, ri = stack.pop()
+        kept = []
+        for disk in unreached:
+            dx = xi - disk[0]
+            dy = yi - disk[1]
+            reach = ri + disk[2]
+            if dx * dx + dy * dy <= reach * reach:
+                stack.append(disk)
+            else:
+                kept.append(disk)
+        unreached = kept
+    return not unreached
 
 
 def sweep_order(inst: GeometricInstance) -> tuple[int, ...]:

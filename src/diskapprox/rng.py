@@ -7,15 +7,27 @@ version.  The core is splitmix64: the state walks a fixed odd increment
 and each output word is a finalizing avalanche hash of the state.
 Uniform doubles take the top 53 bits of one output word divided by
 2**53, which is exact in binary64.
+
+:meth:`Rng.uniforms` computes a whole batch at once: the states sit in
+128-bit lanes of one Python int, so each round of the finalizer is one
+big-int operation over every lane instead of one bytecode loop per draw.
+Each lane is masked to 64 bits before every multiply, so bits a shift
+pulled in from the next lane never enter a product, and the lanes are
+read back as little-endian bytes, so the batch gives the same floats on
+every platform as the same number of single draws.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 MASK64 = (1 << 64) - 1
 
 _INCREMENT = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_MASK53 = (1 << 53) - 1
 
 
 def mix64(value: int) -> int:
@@ -49,17 +61,38 @@ class Rng:
 
     def uniforms(self, count: int) -> list[float]:
         """The next ``count`` values of :meth:`uniform`, leaving the state where
-        ``count`` calls would."""
-        state = self._state
-        values = []
-        for _ in range(count):
-            # next_u64 with the mix64 finalizer inlined, saving a call per draw
-            state = (state + _INCREMENT) & MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-            values.append(((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
-        self._state = state
-        return values
+        ``count`` calls would (``count <= 0`` draws nothing).
+
+        Draw k (k = 1..count) hashes ``state + k * increment`` mod 2^64, where
+        ``state`` is the state before the call.  Those states fill the 128-bit
+        lanes of one int, lane k - 1 at bit 128 * (k - 1), and every round of
+        :func:`mix64` runs once over all lanes.  A lane holds a 64-bit word
+        and room for its 128-bit product with a 64-bit constant, so no product
+        carries into the next lane.  A right shift does pull the next lane's
+        low bits into this lane's top half, so every lane is masked back to
+        64 bits after each xor-shift and before each multiply; unmasked, those
+        bits would enter the product.  The lanes are decoded from explicit
+        little-endian bytes, swapped to the host's order, so the floats are
+        the same on every platform.
+        """
+        if count <= 0:
+            return []
+        ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")  # 1 in every lane
+        lanes = MASK64 * ones
+        steps = array("Q", bytes(16 * count))
+        steps[0::2] = array("Q", range(1, count + 1))
+        if sys.byteorder == "big":
+            steps.byteswap()
+        # per lane, state + k * increment < 2^64 * (count + 1): no carry out
+        z = (self._state * ones + _INCREMENT * int.from_bytes(steps, "little")) & lanes
+        z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
+        z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
+        z = ((z ^ (z >> 31)) >> 11) & (_MASK53 * ones)
+        words = array("Q", z.to_bytes(16 * count, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        self._state = (self._state + count * _INCREMENT) & MASK64
+        return [word * 2.0 ** -53 for word in words[0::2]]
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection so there is no modulo bias."""

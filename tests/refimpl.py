@@ -10,13 +10,20 @@ import heapq
 import math
 from itertools import combinations, product
 
-from diskapprox import checks
+from diskapprox import checks, geometry
 from diskapprox.covering import ArrivalSequence, color_online_firstfit
 from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded
 from diskapprox.geometry import instance_to_graph, random_instance
-from diskapprox.graphs import DegeneracyResult, Graph, VertexSet, build_graph, induced_subgraph
+from diskapprox.graphs import (
+    DegeneracyResult,
+    Graph,
+    VertexSet,
+    build_graph,
+    induced_subgraph,
+    is_connected,
+)
 from diskapprox.matching import BipartiteGraph, nt_decompose
-from diskapprox.rng import Rng
+from diskapprox.rng import MASK64, Rng, derive_seed
 
 
 def all_subsets(n):
@@ -130,6 +137,33 @@ def per_draw_disks(n, box, radius, seed, radius_high=None):
     else:
         radii = [radius + (radius_high - radius) * rng.uniform() for _ in range(n)]
     return tuple((x, y, r) for (x, y), r in zip(centers, radii))
+
+
+def scalar_uniforms(seed: int, count: int) -> list[float]:
+    """``Rng(seed).uniforms(count)`` one state at a time: walk the state by
+    the splitmix64 increment, hash it with the finalizer, keep the top 53
+    bits as a double in [0, 1)."""
+    state = seed & MASK64
+    values = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        values.append(((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
+    return values
+
+
+def reference_connected_instance(n, box, radius, seed, radius_high=None):
+    """``random_connected_instance`` as a plain loop: draw attempt k from
+    derive_seed(seed, k), pair it, and return the first whose graph is
+    connected, with that graph.  It draws through ``geometry.random_instance``
+    so a test can count its attempts."""
+    for attempt in range(10_000):
+        inst = geometry.random_instance(n, box, radius, derive_seed(seed, attempt), radius_high)
+        G = instance_to_graph(inst)
+        if is_connected(G):
+            return inst, G
+    raise AssertionError("no connected instance found")
 
 
 def brute_domination(G: Graph, variant: str):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from diskapprox import checks
+from diskapprox import checks, geometry
 from diskapprox.bench import tuned_box
 from diskapprox.errors import BadParameter, ModelMismatch, NonPositiveRadius
 from diskapprox.geometry import (
@@ -12,6 +12,7 @@ from diskapprox.geometry import (
     _check_radii,
     _grid_adjacency,
     _radius_levels,
+    _reaches_every_disk,
     instance_to_graph,
     polygon_independence_bound,
     random_connected_instance,
@@ -20,8 +21,14 @@ from diskapprox.geometry import (
     sweep_order,
 )
 from diskapprox.graphs import Graph, build_graph, is_connected
-from diskapprox.rng import Rng, derive_seed
-from refimpl import all_pairs, brute_mis, per_draw_disks
+from diskapprox.rng import _INCREMENT, MASK64, Rng, derive_seed
+from refimpl import (
+    all_pairs,
+    brute_mis,
+    per_draw_disks,
+    reference_connected_instance,
+    scalar_uniforms,
+)
 
 
 BIG = 2.0 ** 500
@@ -457,11 +464,16 @@ class TestRandomInstance:
             expected = per_draw_disks(n, 7.0, radius, seed, radius_high)
             assert random_instance(n, 7.0, radius, seed, radius_high).disks == expected
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 7, 64])
+    @pytest.mark.parametrize("count", [-1, 0, 1, 2, 3, 7, 64, 1000])
     def test_uniforms_are_successive_uniform_draws(self, count):
-        batch, single = Rng(0x5EED), Rng(0x5EED)
-        assert batch.uniforms(count) == [single.uniform() for _ in range(count)]
-        assert batch.next_u64() == single.next_u64()
+        # 2^64 - 1 and 2^64 - 1 - increment wrap the state in the first lanes
+        for seed in (0x5EED, 0, MASK64, MASK64 - _INCREMENT):
+            batch, single = Rng(seed), Rng(seed)
+            values = batch.uniforms(count)
+            assert values == scalar_uniforms(seed, count)
+            assert values == [single.uniform() for _ in range(count)]
+            assert batch._state == single._state
+            assert batch.next_u64() == single.next_u64()
 
     def test_tuned_box_is_stable_across_calls(self):
         for args in ((30, 1.0, None, 4.0), (17, 0.5, 2.0, 6.0), (1, 1.0, None, 4.0)):
@@ -474,14 +486,53 @@ class TestRandomInstance:
         assert is_connected(G)
 
     def test_connected_sampler_accepts_the_first_connected_attempt(self):
-        for seed in range(20):
-            attempt = 0
-            while not is_connected(instance_to_graph(
-                    random_instance(14, 6.0, 0.5, derive_seed(seed, attempt), 2.0))):
-                attempt += 1
-            expected = random_instance(14, 6.0, 0.5, derive_seed(seed, attempt), 2.0)
-            assert random_connected_instance(14, 6.0, 0.5, seed, 2.0) == (
-                expected, instance_to_graph(expected))
+        # 32 disks are the last the reach search tests; 33 and 40 pair every draw
+        for radius, radius_high in ((1.0, None), (0.5, 2.0)):
+            for n in (1, 2, 8, 24, 32, 33, 40):
+                box = tuned_box(n, radius, radius_high, 4.0)
+                for seed in range(20):
+                    assert random_connected_instance(n, box, radius, seed, radius_high) == (
+                        reference_connected_instance(n, box, radius, seed, radius_high))
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_connected_sampler_draws_once_per_attempt(self, monkeypatch, n):
+        calls = []
+        draw = geometry.random_instance
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(geometry, "random_instance", counted)
+        box = tuned_box(n, 1.0, None, 4.0)
+        for seed in range(10):
+            random_connected_instance(n, box, 1.0, seed)
+        sampled = len(calls)
+        for seed in range(10):
+            reference_connected_instance(n, box, 1.0, seed)
+        assert sampled == len(calls) - sampled > 10
+
+    def test_reach_search_on_structured_draws(self):
+        # the float test joins _bucket's pair, 2 + 1e-20 apart, so the search must too
+        cases = [((0.0, 0.0, 1.0),), ((-1e-20, 0.0, 1.0), (2.0, 0.0, 1.0))]
+        for k in range(-4, 5):
+            r = 2.0 ** k
+            chain = [(2 * r * i, 3 * r, r) for i in range(9)]
+            cases.append(chain)  # exactly tangent
+            cases.append(chain[:4] + [(up(x), y, r) for x, y, r in chain[4:]])  # link 3-4 broken
+        cases.append([(1.5, -2.5, 1.0)] * 5)
+        cases.append([(1.5, -2.5, 1.0)] * 3 + [(9.0, 9.0, 1.0)] * 3)
+        # neighbors on the ring are 1.88 apart, the next ones 3.7
+        ring = [(6 * math.cos(a * math.pi / 10), 6 * math.sin(a * math.pi / 10), 1.0)
+                for a in range(20)]
+        cases.append(ring)
+        cases.append(ring[:7] + [(9 * ring[7][0], 9 * ring[7][1], 1.0)] + ring[8:])
+        outcomes = []
+        for triples in cases:
+            connected = is_connected(instance_to_graph(disks(*triples)))
+            assert _reaches_every_disk(tuple(triples)) == connected, triples
+            outcomes.append(connected)
+        assert outcomes == [True, True] + [True, False] * 9 + [True, False, True, False]
 
 
 class TestSweepOrder:
@@ -598,6 +649,12 @@ class TestRng:
         rng = Rng(seed)
         assert tuple(rng.next_u64() for _ in words) == words
         assert Rng(seed).uniforms(len(words)) == [(v >> 11) * 2.0 ** -53 for v in words]
+
+    def test_uniforms_pinned(self):
+        # bit patterns of the first four draws; a lane decoded in the wrong
+        # byte order gives other floats
+        assert Rng(0x5EED).uniforms(4) == [
+            0.038848734697185194, 0.3328011087394298, 0.3646818563781382, 0.44071360968258344]
 
     def test_streams_are_reproducible(self):
         assert [Rng(9).next_u64() for _ in range(4)] == [Rng(9).next_u64() for _ in range(4)]
