@@ -27,7 +27,6 @@ from .exact import (
 )
 from .geometry import (
     GeometricInstance,
-    PolygonBound,
     instance_to_graph,
     polygon_independence_bound,
     random_connected_instance,
@@ -36,7 +35,6 @@ from .geometry import (
     sweep_order,
 )
 from .graphs import (
-    DegeneracyResult,
     Graph,
     VertexSet,
     bfs_levels,
@@ -48,7 +46,6 @@ from .graphs import (
     is_connected,
 )
 from .matching import (
-    BipartiteGraph,
     NtDecomposition,
     konig_cover,
     max_matching,

@@ -170,7 +170,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    print(polygon_independence_bound(args.polygon).independence_bound)
+    print(polygon_independence_bound(args.polygon))
     return 0
 
 

@@ -74,7 +74,8 @@ def color_triangle_free(G: Graph, degree_bound: int = 3) -> Coloring:
     input is outside the intended class.
     """
     # each vertex sees at most degree_bound colored neighbors in this pass
-    return _first_fit(G, reversed(degeneracy_ordering(G, degree_bound).order))
+    order, _ = degeneracy_ordering(G, degree_bound)
+    return _first_fit(G, reversed(order))
 
 
 def vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
@@ -137,7 +138,8 @@ def color_offline(G: Graph) -> Coloring:
     Uses at most degeneracy + 1 colors, which is within 3x of optimal on
     unit-disk graphs and 6x on arbitrary-radius disk graphs.
     """
-    return _first_fit(G, reversed(degeneracy_ordering(G).order))
+    order, _ = degeneracy_ordering(G)
+    return _first_fit(G, reversed(order))
 
 
 def color_online_firstfit(G: Graph, sequence: ArrivalSequence) -> Coloring:
@@ -160,7 +162,7 @@ def coloring_lower_bound(G: Graph, inst: Optional[GeometricInstance] = None) -> 
     """
     if G.n == 0:
         return 0
-    degeneracy = degeneracy_ordering(G).degeneracy
+    _, degeneracy = degeneracy_ordering(G)
     bound = (degeneracy + 2) // 3 + 1
     if inst is not None:
         bound = max(bound, len(sector_clique(inst, G)))

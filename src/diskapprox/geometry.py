@@ -48,20 +48,6 @@ class GeometricInstance:
         return not self.disks or low == high
 
 
-@dataclass(frozen=True)
-class PolygonBound:
-    """How many disjoint unit regular polygons can simultaneously touch one.
-
-    ``area`` is the area of the polygon itself (inscribed in a unit circle);
-    ``independence_bound`` caps the independence number of any vertex
-    neighborhood in an intersection graph of such polygons.
-    """
-
-    sides: int
-    area: float
-    independence_bound: int
-
-
 # Coordinates within 2^500 of 0 and radii in [2^-500, 2^500] keep the
 # pairing arithmetic finite and normal: a squared distance or squared reach
 # is at most 2^1003, a squared reach at least 2^-998 (a squared distance
@@ -398,11 +384,14 @@ def sector_clique(inst: GeometricInstance, G: Graph) -> VertexSet:
     return VertexSet.of([center, *fullest], G.n)
 
 
-def polygon_independence_bound(sides: int) -> PolygonBound:
+def polygon_independence_bound(sides: int) -> int:
     """Evaluate ceil(18*pi / (sides * sin(2*pi/sides))) for 3 <= sides <= 2^53.
 
-    A regular polygon inscribed in a unit circle that touches a given one
-    fits inside the circle of radius 3 around it, so at most area(circle) /
+    The result caps how many pairwise-disjoint unit regular polygons can
+    touch one, so it bounds the independence number of any vertex
+    neighborhood in an intersection graph of such polygons.  A regular
+    polygon inscribed in a unit circle that touches a given one fits inside
+    the circle of radius 3 around it, so at most area(circle) /
     area(polygon) pairwise-disjoint polygons can all touch it.  Values
     within 1e-9 of an integer are nudged down before the ceiling so the
     result cannot flip on the last bit of a platform's libm; no such
@@ -415,6 +404,5 @@ def polygon_independence_bound(sides: int) -> PolygonBound:
         raise BadParameter("a polygon needs at least 3 sides")
     if sides > 2**53:
         raise BadParameter("a polygon may have at most 2^53 sides")
-    scaled = sides * math.sin(2.0 * math.pi / sides)
-    raw = 18.0 * math.pi / scaled
-    return PolygonBound(sides, scaled / 2.0, max(10, math.ceil(raw - 1e-9)))
+    raw = 18.0 * math.pi / (sides * math.sin(2.0 * math.pi / sides))
+    return max(10, math.ceil(raw - 1e-9))

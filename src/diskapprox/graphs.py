@@ -78,19 +78,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DegeneracyResult:
-    """Removal order from repeated minimum-degree deletion, and the value it certifies.
-
-    ``degeneracy`` is the largest current degree observed at any removal,
-    i.e. the largest d such that some subgraph has minimum degree d.  Within
-    the suffix starting at position i, order[i] has degree <= degeneracy.
-    """
-
-    order: tuple[int, ...]
-    degeneracy: int
-
-
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Canonical graph on ``n`` vertices; (u, v) and (v, u) collapse, duplicates too."""
     if n < 0:
@@ -117,8 +104,15 @@ def induced_subgraph(G: Graph, subset: VertexSet) -> tuple[Graph, tuple[int, ...
     return Graph(len(id_map), adj), id_map
 
 
-def degeneracy_ordering(G: Graph, degree_cap: Optional[int] = None) -> DegeneracyResult:
+def degeneracy_ordering(
+    G: Graph, degree_cap: Optional[int] = None
+) -> tuple[tuple[int, ...], int]:
     """Repeatedly remove a minimum-degree vertex (lowest id on ties).
+
+    Returns ``(order, degeneracy)``: the removal order, and the largest
+    current degree seen at any removal, i.e. the largest d such that some
+    subgraph has minimum degree d.  Within the suffix that starts at
+    position i, order[i] has degree <= degeneracy.
 
     Degree buckets (Matula & Beck): ``buckets[d]`` is a min-heap of ids that
     holds every present vertex of current degree d, plus stale entries left
@@ -166,7 +160,7 @@ def degeneracy_ordering(G: Graph, degree_cap: Optional[int] = None) -> Degenerac
                 heappush(buckets[d - 1], u)
                 if d <= low:
                     low = d - 1
-    return DegeneracyResult(tuple(order), max(top, 0))
+    return tuple(order), max(top, 0)
 
 
 def greedy_maximal_independent_set(G: Graph, order: Iterable[int]) -> VertexSet:

@@ -13,15 +13,6 @@ from .graphs import Graph, VertexSet
 
 
 @dataclass(frozen=True)
-class BipartiteGraph:
-    """Bipartite graph as ``left_n`` rows of right neighbors, each strictly increasing in [0, right_n)."""
-
-    left_n: int
-    right_n: int
-    adj: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class NtDecomposition:
     """Half-integral cover decomposition of a graph's vertex set.
 
@@ -40,20 +31,24 @@ class NtDecomposition:
         return len(self.forced) + len(self.half) / 2.0
 
 
-def max_matching(B: BipartiteGraph) -> tuple[tuple[int, int], ...]:
+def max_matching(
+    adjacency: tuple[tuple[int, ...], ...], right_n: int
+) -> tuple[tuple[int, int], ...]:
     """Maximum-cardinality matching by layered augmentation (Hopcroft-Karp).
 
+    The bipartite graph is its left adjacency: row l holds the right
+    neighbors of left vertex l, strictly increasing in [0, right_n).
     Returned as (left, right) pairs sorted by left id; scanning order is
     fixed so the matching is deterministic.
     """
-    adjacency = B.adj
-    match_left = [-1] * B.left_n
-    match_right = [-1] * B.right_n
-    layer = [0] * B.left_n
+    left_n = len(adjacency)
+    match_left = [-1] * left_n
+    match_right = [-1] * right_n
+    layer = [0] * left_n
 
     def build_layers() -> bool:
         queue: deque[int] = deque()
-        for l in range(B.left_n):
+        for l in range(left_n):
             if match_left[l] == -1:
                 layer[l] = 0
                 queue.append(l)
@@ -108,16 +103,19 @@ def max_matching(B: BipartiteGraph) -> tuple[tuple[int, int], ...]:
                     cursor[-1] += 1
 
     while build_layers():
-        for l in range(B.left_n):
+        for l in range(left_n):
             if match_left[l] == -1:
                 augment(l)
-    return tuple((l, match_left[l]) for l in range(B.left_n) if match_left[l] != -1)
+    return tuple((l, match_left[l]) for l in range(left_n) if match_left[l] != -1)
 
 
 def konig_cover(
-    B: BipartiteGraph, matching: Iterable[tuple[int, int]]
+    adjacency: tuple[tuple[int, ...], ...],
+    right_n: int,
+    matching: Iterable[tuple[int, int]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimum vertex cover of ``B`` from a maximum matching.
+    """Minimum vertex cover, from a maximum matching, of the bipartite graph
+    whose left adjacency is ``adjacency`` (as for :func:`max_matching`).
 
     Alternating reachability from the unmatched left vertices; the cover is
     the unreached lefts plus the reached rights.  Its size must equal the
@@ -125,11 +123,11 @@ def konig_cover(
     supplied matching was not maximum.
     """
     matching = tuple(matching)
-    adjacency = B.adj
+    left_n = len(adjacency)
     match_left: dict[int, int] = {}
     match_right: dict[int, int] = {}
     for l, r in matching:
-        nbrs = adjacency[l] if 0 <= l < B.left_n else ()
+        nbrs = adjacency[l] if 0 <= l < left_n else ()
         i = bisect_left(nbrs, r)
         if i == len(nbrs) or nbrs[i] != r:
             raise BadParameter(f"({l}, {r}) is not an edge of the bipartite graph")
@@ -138,10 +136,10 @@ def konig_cover(
         match_left[l] = r
         match_right[r] = l
 
-    reached_left = [False] * B.left_n
-    reached_right = [False] * B.right_n
+    reached_left = [False] * left_n
+    reached_right = [False] * right_n
     queue: deque[int] = deque()
-    for l in range(B.left_n):
+    for l in range(left_n):
         if l not in match_left:
             reached_left[l] = True
             queue.append(l)
@@ -156,13 +154,13 @@ def konig_cover(
                 reached_left[partner] = True
                 queue.append(partner)
 
-    cover_left = tuple(l for l in range(B.left_n) if not reached_left[l])
-    cover_right = tuple(r for r in range(B.right_n) if reached_right[r])
+    cover_left = tuple(l for l in range(left_n) if not reached_left[l])
+    cover_right = tuple(r for r in range(right_n) if reached_right[r])
     if len(cover_left) + len(cover_right) != len(matching):
         raise NotMaximumMatching(
             f"cover size {len(cover_left) + len(cover_right)} != matching size {len(matching)}"
         )
-    for l in range(B.left_n):
+    for l in range(left_n):
         for r in adjacency[l]:
             if reached_left[l] and not reached_right[r]:
                 raise NotMaximumMatching(f"edge ({l}, {r}) left uncovered")
@@ -177,8 +175,7 @@ def nt_decompose(G: Graph) -> NtDecomposition:
     inside the Konig cover, and the vertices with score 1, 1/2 and 0 form
     ``forced``, ``half`` and ``excluded``.
     """
-    double = BipartiteGraph(G.n, G.n, G.adj)
-    cover_left, cover_right = konig_cover(double, max_matching(double))
+    cover_left, cover_right = konig_cover(G.adj, G.n, max_matching(G.adj, G.n))
     copies = [0] * G.n
     for l in cover_left:
         copies[l] += 1

@@ -15,14 +15,13 @@ from diskapprox.covering import ArrivalSequence, color_online_firstfit
 from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded
 from diskapprox.geometry import instance_to_graph, random_instance
 from diskapprox.graphs import (
-    DegeneracyResult,
     Graph,
     VertexSet,
     build_graph,
     induced_subgraph,
     is_connected,
 )
-from diskapprox.matching import BipartiteGraph, nt_decompose
+from diskapprox.matching import nt_decompose
 from diskapprox.rng import MASK64, Rng, derive_seed
 
 
@@ -183,9 +182,10 @@ def brute_degeneracy(G: Graph) -> int:
     return best
 
 
-def heap_degeneracy_ordering(G: Graph, degree_cap=None) -> DegeneracyResult:
+def heap_degeneracy_ordering(G: Graph, degree_cap=None) -> tuple[tuple[int, ...], int]:
     """The minimum-degree peel with one heap of (degree, id) pairs: pop the
-    lowest pair, skip it if stale, push a fresh pair per decrement."""
+    lowest pair, skip it if stale, push a fresh pair per decrement.  Returns
+    ``(order, degeneracy)``."""
     degree = [len(nbrs) for nbrs in G.adj]
     heap = [(degree[v], v) for v in range(G.n)]
     heapq.heapify(heap)
@@ -210,7 +210,7 @@ def heap_degeneracy_ordering(G: Graph, degree_cap=None) -> DegeneracyResult:
             if not removed[u]:
                 degree[u] -= 1
                 heapq.heappush(heap, (degree[u], u))
-    return DegeneracyResult(tuple(order), degeneracy)
+    return tuple(order), degeneracy
 
 
 def edges_vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
@@ -239,7 +239,7 @@ def edges_vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
     if len(decomposition.half) > 0:
         half_graph, half_ids = induced_subgraph(core, decomposition.half)
         try:
-            order = heap_degeneracy_ordering(half_graph, color_bound - 1).order
+            order, _ = heap_degeneracy_ordering(half_graph, color_bound - 1)
         except MinDegreeExceeded as exc:
             original = [core_ids[half_ids[w]] for w in exc.witness]
             raise MinDegreeExceeded(str(exc), VertexSet.of(original, G.n)) from None
@@ -265,8 +265,10 @@ def find_triangle(G: Graph):
     return None
 
 
-def build_bipartite(left_n: int, right_n: int, edges) -> BipartiteGraph:
-    """A ``BipartiteGraph`` from (left, right) pairs, range-checked, repeats dropped."""
+def build_bipartite(left_n: int, right_n: int, edges) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The ``(adjacency, right_n)`` pair that ``max_matching`` and
+    ``konig_cover`` take, from (left, right) pairs, range-checked, repeats
+    dropped."""
     if left_n < 0 or right_n < 0:
         raise BadParameter("side sizes must be nonnegative")
     neighbors = [set() for _ in range(left_n)]
@@ -274,12 +276,12 @@ def build_bipartite(left_n: int, right_n: int, edges) -> BipartiteGraph:
         if not (0 <= l < left_n) or not (0 <= r < right_n):
             raise IdOutOfRange(f"edge ({l}, {r}) outside {left_n}x{right_n}")
         neighbors[l].add(r)
-    return BipartiteGraph(left_n, right_n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
+    return tuple(tuple(sorted(nbrs)) for nbrs in neighbors), right_n
 
 
-def bipartite_edges(B: BipartiteGraph) -> tuple[tuple[int, int], ...]:
-    """Sorted (left, right) pairs of ``B``."""
-    return tuple((l, r) for l, nbrs in enumerate(B.adj) for r in nbrs)
+def bipartite_edges(adjacency) -> tuple[tuple[int, int], ...]:
+    """Sorted (left, right) pairs of a left adjacency."""
+    return tuple((l, r) for l, nbrs in enumerate(adjacency) for r in nbrs)
 
 
 def minimum_vertex_covers(G: Graph) -> list[frozenset[int]]:

@@ -105,7 +105,7 @@ def test_criterion_2_offline_coloring(criterion):
         coloring = color_offline(G)
         assert checks.is_proper_coloring(G, coloring.colors)
         chromatic, _ = exact_chromatic(G)
-        degeneracy = degeneracy_ordering(G).degeneracy
+        _, degeneracy = degeneracy_ordering(G)
         if coloring.num_colors > 3 * chromatic:
             failures.append((index, f"{coloring.num_colors} > 3*{chromatic}"))
         if coloring.num_colors > degeneracy + 1:
@@ -317,13 +317,13 @@ def test_criterion_8_polygon_bound(criterion):
 
     failures = []
     for sides, expected in ((3, 22), (4, 15), (6, 11)):
-        got = polygon_independence_bound(sides).independence_bound
+        got = polygon_independence_bound(sides)
         if got != expected:
             failures.append((sides, got, expected))
     for sides in range(3, 65):
         value = 18 * pi / (sides * dec_sin(2 * pi / sides))
         reference = int(value.to_integral_value(rounding=ROUND_CEILING))
-        got = polygon_independence_bound(sides).independence_bound
+        got = polygon_independence_bound(sides)
         if got != reference:
             failures.append((sides, got, reference))
         distance = abs(value - value.to_integral_value())

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import diskapprox
-from diskapprox import checks, geometry
+from diskapprox import bench, checks, geometry
 from diskapprox.cli import main
+from diskapprox.covering import ArrivalSequence, color_online_firstfit
 from diskapprox.domination import connected_dominating_set
+from diskapprox.errors import BadParameter
 from diskapprox.formats import read_instance, write_instance
 from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
 from diskapprox.graphs import build_graph, is_connected
@@ -139,6 +141,28 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert sorted(doc["meta"]["order"]) == list(range(12))
+
+    def test_online_color_list_order(self, capsys, geo_instance):
+        order = list(range(11, -1, -1))
+        code, out, _ = run(
+            capsys, "solve", geo_instance, "--problem", "online-color",
+            "--order", ",".join(map(str, order)),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["order"] == order
+        G = instance_to_graph(read_instance(geo_instance))
+        assert doc["colors"] == list(color_online_firstfit(G, ArrivalSequence.of(order)).colors)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0,0,1", "arrival order must be a permutation of 0..n-1"),
+        ("1,0", "arrival sequence does not match the graph"),
+    ], ids=["repeated-id", "too-short"])
+    def test_rejects_a_list_order_that_is_no_arrival_order(self, capsys, geo_instance, spec, message):
+        code, out, err = run(
+            capsys, "solve", geo_instance, "--problem", "online-color", "--order", spec,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_cds_meta_carries_trace(self, capsys, connected_instance):
         code, out, _ = run(capsys, "solve", connected_instance, "--problem", "cds", "--root", "2")
@@ -354,6 +378,22 @@ class TestVerify:
         pytest.param('{"problem": "color", "value": 1, "colors": {"0": 1}}', "error: ", id="colors-dict"),
         pytest.param('{"problem": "color", "value": 1, "colors": [[1]]}', "error: ", id="nested-color"),
         pytest.param("[" * 100_000, "error: ", id="deep-nesting"),
+        # the instance has 10 vertices and some edge; a verdict ending in a
+        # newline must be the whole first line
+        pytest.param('{"problem": "tsp", "value": 0, "vertices": []}',
+                     "invalid: unknown problem 'tsp'\n", id="unknown-problem"),
+        pytest.param(json.dumps({"problem": "color", "value": 1, "colors": [1] * 10}),
+                     "invalid: coloring is not proper\n", id="monochrome"),
+        pytest.param(json.dumps({"problem": "color", "value": 9, "colors": list(range(1, 10))}),
+                     "invalid: coloring is not proper\n", id="coloring-one-short"),
+        pytest.param(json.dumps({"problem": "color", "value": 10, "colors": list(range(10))}),
+                     "invalid: coloring is not proper\n", id="color-zero"),
+        pytest.param(json.dumps({"problem": "color", "value": 11, "colors": list(range(1, 11))}),
+                     "invalid: value does not match the number of colors\n", id="color-count"),
+        pytest.param(json.dumps({"problem": "vc", "value": 9, "vertices": list(range(10))}),
+                     "invalid: value does not match the vertex count\n", id="vertex-count"),
+        pytest.param('{"problem": "cds", "value": 0, "vertices": []}',
+                     "invalid: not a valid cds solution\n", id="empty-cds"),
     ])
     def test_rejects_forged_documents(self, capsys, tmp_path, connected_instance, text, verdict):
         forged = tmp_path / "forged.json"
@@ -423,6 +463,16 @@ class TestBench:
         unit = run(capsys, *args, "--radius", "1")
         assert unit[0] == 0
         assert run(capsys, *args, "--radius", "1:1") == unit
+
+    @pytest.mark.parametrize("instances, n_low, n_high, problems, message", [
+        (0, 6, 8, ("vc",), "need at least one instance"),
+        (1, 8, 6, ("vc",), "bad n range"),
+        (1, 6, 8, ("vc", "tsp"), "unknown problems: ['tsp']"),
+    ], ids=["no-instances", "misordered-n-range", "unknown-problem"])
+    def test_run_bench_rejects_bad_arguments(self, instances, n_low, n_high, problems, message):
+        with pytest.raises(BadParameter) as info:
+            bench.run_bench(instances, n_low, n_high, problems, seed=1)
+        assert str(info.value) == message
 
     def test_circle_variant_rejects_domination(self, capsys):
         code, _, err = run(

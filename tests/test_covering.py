@@ -249,8 +249,9 @@ class TestColorOffline:
         for _ in range(60):
             G = random_graph(11, rng.uniform(), rng)
             coloring = color_offline(G)
+            _, degeneracy = degeneracy_ordering(G)
             assert checks.is_proper_coloring(G, coloring.colors)
-            assert coloring.num_colors <= degeneracy_ordering(G).degeneracy + 1
+            assert coloring.num_colors <= degeneracy + 1
 
     def test_three_times_optimum_on_unit_instances(self):
         for index in range(40):

@@ -109,6 +109,10 @@ class TestGuards:
         with pytest.raises(TooLarge):
             exact_mis(big)
         with pytest.raises(TooLarge):
+            exact_vc(big)
+        with pytest.raises(TooLarge):
+            exact_clique(big)
+        with pytest.raises(TooLarge):
             exact_domination(build_graph(19, []), "plain")
         with pytest.raises(TooLarge):
             exact_chromatic(build_graph(17, []))

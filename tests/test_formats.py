@@ -115,11 +115,12 @@ class TestGeometricFiles:
         ("disk 0 0 0\n", "line 2: expected 'disk <id> <x> <y> <r>'"),
         ("disk 0 0 0 1 1\n", "line 2: expected 'disk <id> <x> <y> <r>'"),
         ("disk 0 0 0 1\nedge 0 1\n", "line 3: expected 'disk <id> <x> <y> <r>'"),
+        ("disk 0 0 0 1\ndisc 1 0 0 1\n", "line 3: expected 'disk <id> <x> <y> <r>'"),
         ("disk 0 0 0 1e151\ndisk 1 x 0 1\n", "line 2: radius 1e+151 must lie in [2^-500, 2^500]"),
         ("disk 1 x 0 1\ndisk 0 0 0 1e151\n", "line 2: bad disk fields"),
     ], ids=["after-blank", "crlf-after-blanks", "coordinate", "duplicate-shuffled", "missing-id",
-            "bad-field", "four-fields", "six-fields", "wrong-keyword", "range-before-syntax",
-            "syntax-before-range"])
+            "bad-field", "four-fields", "six-fields", "wrong-keyword", "misspelled-keyword",
+            "range-before-syntax", "syntax-before-range"])
     def test_bad_disk_names_its_line(self, body, message):
         # the first fault in line order is reported, whatever kind it is
         with pytest.raises(ParseError) as info:
@@ -175,9 +176,10 @@ class TestAbstractFiles:
         write_instance(G, path)
         assert read_instance(path) == G
 
-    def test_edge_before_count(self):
-        with pytest.raises(ParseError):
-            parse_instance("udg 1 abstract\nedge 0 1\nn 3\n")
+    def test_blank_line_between_edges(self):
+        lines = [f"edge {u} {v}" for u, v in C5_EDGES]
+        text = "udg 1 abstract\nn 5\n" + "\n\n".join(lines) + "\n"
+        assert parse_instance(text) == build_graph(5, C5_EDGES)
 
     @pytest.mark.parametrize("body, line_no, reason", [
         ("n -5\n", 2, "vertex count must be nonnegative"),
@@ -185,7 +187,15 @@ class TestAbstractFiles:
         ("n 3\nedge -1 2\n", 3, "edge (-1, 2) outside [0, 3)"),
         ("n 0\nedge 0 0\n", 3, "edge (0, 0) outside [0, 0)"),
         ("n 3\nedge 0 1\nedge 1 1\n", 4, "self-loop at vertex 1"),
-    ], ids=["negative-count", "endpoint-beyond-n", "negative-endpoint", "empty-graph", "self-loop"])
+        ("n 3\nn 3\n", 3, "duplicate vertex count"),
+        ("n x\n", 2, "bad vertex count 'x'"),
+        ("n 3\nedge a 1\n", 3, "bad edge endpoints"),
+        ("n 3\nfoo\n", 3, "unexpected line 'foo'"),
+        ("\n\n", 3, "missing vertex count"),
+        ("edge 0 1\nn 3\n", 2, "edge before vertex count"),
+    ], ids=["negative-count", "endpoint-beyond-n", "negative-endpoint", "empty-graph", "self-loop",
+            "duplicate-count", "bad-count", "bad-endpoints", "unexpected-line", "missing-count",
+            "edge-before-count"])
     def test_bad_graph_names_its_line(self, body, line_no, reason):
         with pytest.raises(ParseError) as info:
             parse_instance(f"udg 1 abstract\n{body}")
@@ -210,6 +220,11 @@ class TestHeaders:
     def test_unknown_mode(self):
         with pytest.raises(ParseError):
             parse_instance("udg 1 hyperbolic\n")
+
+    def test_bad_version(self):
+        with pytest.raises(ParseError) as info:
+            parse_instance("udg x geometric\n")
+        assert str(info.value) == "line 1: bad version 'x'"
 
 
 class TestSolutionDocuments:

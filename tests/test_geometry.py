@@ -485,6 +485,12 @@ class TestRandomInstance:
         assert G == instance_to_graph(inst)
         assert is_connected(G)
 
+    def test_connected_sampler_gives_up(self, monkeypatch):
+        # five unit disks in a box of side 1000 are almost never connected
+        monkeypatch.setattr(geometry, "_CONNECTED_TRIES", 2)
+        with pytest.raises(BadParameter, match="^no connected instance found in 2 attempts$"):
+            random_connected_instance(5, 1000.0, 1.0, 1)
+
     def test_connected_sampler_accepts_the_first_connected_attempt(self):
         # 32 disks are the last the reach search tests; 33 and 40 pair every draw
         for radius, radius_high in ((1.0, None), (0.5, 2.0)):
@@ -574,6 +580,10 @@ class TestSectorClique:
         G = instance_to_graph(inst)
         assert len(sector_clique(inst, G)) == 1
 
+    def test_empty(self):
+        clique = sector_clique(GeometricInstance(()), build_graph(0, []))
+        assert clique.members == () and clique.host_n == 0
+
     def test_model_mismatch(self):
         inst = disks((0, 0, 1), (10, 0, 1))
         with pytest.raises(ModelMismatch):
@@ -612,27 +622,23 @@ class TestUnitDiskStructure:
 
 class TestPolygonBound:
     def test_reference_values(self):
-        assert polygon_independence_bound(3).independence_bound == 22
-        assert polygon_independence_bound(4).independence_bound == 15
-        assert polygon_independence_bound(6).independence_bound == 11
-
-    def test_area(self):
-        square = polygon_independence_bound(4)
-        assert square.area == pytest.approx(2.0)
+        assert polygon_independence_bound(3) == 22
+        assert polygon_independence_bound(4) == 15
+        assert polygon_independence_bound(6) == 11
 
     def test_rejects_degenerate_polygons(self):
         with pytest.raises(BadParameter):
             polygon_independence_bound(2)
 
     def test_bound_shrinks_toward_disks(self):
-        values = [polygon_independence_bound(p).independence_bound for p in range(3, 65)]
+        values = [polygon_independence_bound(p) for p in range(3, 65)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] >= math.ceil(18 * math.pi / (2 * math.pi) - 1e-6)
 
     @pytest.mark.parametrize("sides", [10**5, 3 * 10**5, 10**6, 10**9, 2**53])
     def test_large_side_counts_stay_above_nine(self, sides):
         # sides * sin(2*pi/sides) < 2*pi, so the ratio exceeds 9 for every count
-        assert polygon_independence_bound(sides).independence_bound == 10
+        assert polygon_independence_bound(sides) == 10
 
     @pytest.mark.parametrize("sides", [2**53 + 1, 10**400], ids=["2^53+1", "10^400"])
     def test_rejects_side_counts_beyond_float_precision(self, sides):
@@ -674,3 +680,7 @@ class TestRng:
         rng = Rng(13)
         seen = {rng.randrange(5) for _ in range(200)}
         assert seen == {0, 1, 2, 3, 4}
+
+    def test_randrange_rejects_an_empty_range(self):
+        with pytest.raises(ValueError, match="^bound must be positive$"):
+            Rng(1).randrange(0)

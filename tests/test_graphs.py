@@ -63,6 +63,10 @@ class TestBuildGraph:
         with pytest.raises(SelfLoop):
             build_graph(3, [(1, 1)])
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(BadParameter, match="^vertex count must be nonnegative$"):
+            build_graph(-1, [])
+
     def test_graphs_compare_by_structure(self):
         assert build_graph(3, [(0, 1)]) == build_graph(3, [(1, 0), (0, 1)])
 
@@ -115,49 +119,53 @@ class TestInducedSubgraph:
 
 class TestDegeneracy:
     def test_examples(self):
-        assert degeneracy_ordering(complete(4)).degeneracy == 3
-        assert degeneracy_ordering(c5()).degeneracy == 2
-        assert degeneracy_ordering(build_graph(3, [])).degeneracy == 0
+        for G, expected in ((complete(4), 3), (c5(), 2), (build_graph(3, []), 0)):
+            _, degeneracy = degeneracy_ordering(G)
+            assert degeneracy == expected
 
     def test_lowest_id_ties(self):
-        assert degeneracy_ordering(c5()).order == (0, 1, 2, 3, 4)
+        order, _ = degeneracy_ordering(c5())
+        assert order == (0, 1, 2, 3, 4)
 
     def test_suffix_degree_bound(self):
         rng = Rng(11)
         for _ in range(40):
             G = random_graph(8, rng.uniform(), rng)
-            result = degeneracy_ordering(G)
+            order, degeneracy = degeneracy_ordering(G)
             suffix = set(range(G.n))
-            for v in result.order:
-                assert len(suffix.intersection(G.adj[v])) <= result.degeneracy
+            for v in order:
+                assert len(suffix.intersection(G.adj[v])) <= degeneracy
                 suffix.discard(v)
 
     def test_matches_brute_force_exhaustively_n4(self):
         for G in all_labeled_graphs(4):
-            assert degeneracy_ordering(G).degeneracy == brute_degeneracy(G)
+            _, degeneracy = degeneracy_ordering(G)
+            assert degeneracy == brute_degeneracy(G)
 
     def test_matches_brute_force_random_n8(self):
         rng = Rng(7)
         for i in range(150):
             G = random_graph(5 + i % 4, rng.uniform(), rng)
-            assert degeneracy_ordering(G).degeneracy == brute_degeneracy(G)
+            _, degeneracy = degeneracy_ordering(G)
+            assert degeneracy == brute_degeneracy(G)
 
 
 def peel_outcome(peel, G, degree_cap):
     """The peel's order and degeneracy, or the message and witness it raises."""
     try:
-        result = peel(G, degree_cap)
+        order, degeneracy = peel(G, degree_cap)
     except MinDegreeExceeded as exc:
         return "raised", str(exc), exc.witness
-    return "peeled", result.order, result.degeneracy
+    return "peeled", order, degeneracy
 
 
 def assert_peel_matches_heap(G):
     expected = heap_degeneracy_ordering(G)
     assert degeneracy_ordering(G) == expected
+    _, degeneracy = expected
     # a cap at or above the degeneracy never stops either peel, so the caps
     # worth checking run from 0 to the first one that lets the peel finish
-    for degree_cap in range(expected.degeneracy + 1):
+    for degree_cap in range(degeneracy + 1):
         expected_outcome = peel_outcome(heap_degeneracy_ordering, G, degree_cap)
         assert peel_outcome(degeneracy_ordering, G, degree_cap) == expected_outcome
 
@@ -204,7 +212,7 @@ class TestDegeneracyAgainstHeapPeel:
             degeneracy_ordering(G, 2)
         assert str(info.value) == "residual subgraph has minimum degree 3 > 2"
         assert info.value.witness.members == (0, 1, 2, 3)
-        assert degeneracy_ordering(G, 3).order == (6, 5, 4, 0, 1, 2, 3)
+        assert degeneracy_ordering(G, 3) == ((6, 5, 4, 0, 1, 2, 3), 3)
 
 
 def test_package_exports():

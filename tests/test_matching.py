@@ -8,7 +8,7 @@ from diskapprox.errors import BadParameter, IdOutOfRange, NotMaximumMatching
 from diskapprox.exact import exact_vc
 from diskapprox.geometry import instance_to_graph, random_instance
 from diskapprox.graphs import build_graph, induced_subgraph
-from diskapprox.matching import BipartiteGraph, konig_cover, max_matching, nt_decompose
+from diskapprox.matching import konig_cover, max_matching, nt_decompose
 from diskapprox.rng import Rng
 from refimpl import (
     all_labeled_graphs,
@@ -32,28 +32,29 @@ class TestBuildBipartite:
             left = 1 + rng.randrange(6)
             right = 1 + rng.randrange(6)
             pairs = [(rng.randrange(left), rng.randrange(right)) for _ in range(rng.randrange(30))]
-            B = build_bipartite(left, right, pairs)
-            assert B.adj == tuple(
+            adj, right_n = build_bipartite(left, right, pairs)
+            assert adj == tuple(
                 tuple(sorted({r for l, r in pairs if l == row})) for row in range(left)
             )
-            assert bipartite_edges(B) == tuple(sorted(set(pairs)))
+            assert right_n == right
+            assert bipartite_edges(adj) == tuple(sorted(set(pairs)))
 
 
 class TestMaxMatching:
     def test_k22(self):
-        assert len(max_matching(k22())) == 2
+        assert len(max_matching(*k22())) == 2
 
     def test_three_vertex_path(self):
         B = build_bipartite(2, 1, [(0, 0), (1, 0)])
-        assert len(max_matching(B)) == 1
+        assert len(max_matching(*B)) == 1
 
     def test_empty(self):
-        assert max_matching(build_bipartite(3, 3, [])) == ()
+        assert max_matching(*build_bipartite(3, 3, [])) == ()
 
     def test_needs_augmenting_paths(self):
         # greedy in id order stalls at 2 here; maximum is 3
         B = build_bipartite(3, 3, [(0, 0), (0, 1), (1, 0), (2, 1), (2, 2), (1, 2)])
-        assert len(max_matching(B)) == 3
+        assert len(max_matching(*B)) == 3
 
     def test_matched_pairs_are_edges(self):
         rng = Rng(41)
@@ -64,9 +65,9 @@ class TestMaxMatching:
                 (l, r) for l in range(left) for r in range(right)
                 if rng.uniform() < 0.4
             ]
-            B = build_bipartite(left, right, edges)
-            matching = max_matching(B)
-            assert all(pair in set(bipartite_edges(B)) for pair in matching)
+            adj, right_n = build_bipartite(left, right, edges)
+            matching = max_matching(adj, right_n)
+            assert all(pair in set(bipartite_edges(adj)) for pair in matching)
             assert len({l for l, _ in matching}) == len(matching)
             assert len({r for _, r in matching}) == len(matching)
 
@@ -76,7 +77,7 @@ class TestMaxMatching:
         # than the interpreter's recursion limit
         n = 3000
         edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-        matching = max_matching(build_bipartite(n, n, edges))
+        matching = max_matching(*build_bipartite(n, n, edges))
         assert matching == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
 
     def test_edge_validation(self):
@@ -96,8 +97,8 @@ class TestMaxMatching:
                 (l, r) for l in range(left) for r in range(right)
                 if rng.uniform() < 0.45
             ]
-            B = build_bipartite(left, right, edges)
-            pairs = bipartite_edges(B)
+            adj, right_n = build_bipartite(left, right, edges)
+            pairs = bipartite_edges(adj)
             conflicts = [
                 (a, b)
                 for a in range(len(pairs))
@@ -105,32 +106,32 @@ class TestMaxMatching:
                 if pairs[a][0] == pairs[b][0] or pairs[a][1] == pairs[b][1]
             ]
             line_graph = build_graph(len(pairs), conflicts)
-            assert len(max_matching(B)) == exact_mis(line_graph)[0]
+            assert len(max_matching(adj, right_n)) == exact_mis(line_graph)[0]
 
 
 class TestKonigCover:
     def test_perfect_matching_on_k22(self):
         B = k22()
-        left, right = konig_cover(B, max_matching(B))
+        left, right = konig_cover(*B, max_matching(*B))
         assert len(left) + len(right) == 2
 
     def test_left_star(self):
         B = build_bipartite(1, 3, [(0, 0), (0, 1), (0, 2)])
-        left, right = konig_cover(B, max_matching(B))
+        left, right = konig_cover(*B, max_matching(*B))
         assert left == (0,) and right == ()
 
     def test_empty(self):
-        assert konig_cover(build_bipartite(2, 2, []), ()) == ((), ())
+        assert konig_cover(*build_bipartite(2, 2, []), ()) == ((), ())
 
     def test_submaximal_matching_rejected(self):
         with pytest.raises(NotMaximumMatching):
-            konig_cover(k22(), [(0, 0)])
+            konig_cover(*k22(), [(0, 0)])
 
     def test_non_matching_rejected(self):
         with pytest.raises(BadParameter):
-            konig_cover(k22(), [(0, 0), (0, 1)])
+            konig_cover(*k22(), [(0, 0), (0, 1)])
         with pytest.raises(BadParameter):
-            konig_cover(build_bipartite(2, 2, [(0, 0)]), [(0, 1)])
+            konig_cover(*build_bipartite(2, 2, [(0, 0)]), [(0, 1)])
 
     @pytest.mark.parametrize(
         "pair", [(-1, 0), (2, 0), (0, 2), (0, -1)], ids=["left-1", "left-n", "right-n", "right-1"]
@@ -141,7 +142,7 @@ class TestKonigCover:
     def test_out_of_range_pair_rejected(self, B, pair):
         # both sides have 2 vertices, so each pair has an id just outside one side
         with pytest.raises(BadParameter):
-            konig_cover(B, [pair])
+            konig_cover(*B, [pair])
 
     def test_cover_touches_every_edge(self):
         rng = Rng(8)
@@ -152,19 +153,19 @@ class TestKonigCover:
                 (l, r) for l in range(left) for r in range(right)
                 if rng.uniform() < 0.35
             ]
-            B = build_bipartite(left, right, edges)
-            matching = max_matching(B)
-            cover_l, cover_r = konig_cover(B, matching)
+            adj, right_n = build_bipartite(left, right, edges)
+            matching = max_matching(adj, right_n)
+            cover_l, cover_r = konig_cover(adj, right_n, matching)
             assert len(cover_l) + len(cover_r) == len(matching)
             left_set, right_set = set(cover_l), set(cover_r)
-            assert all(l in left_set or r in right_set for l, r in bipartite_edges(B))
+            assert all(l in left_set or r in right_set for l, r in bipartite_edges(adj))
 
 
 def reference_decomposition(G):
     """Classes and matching of the bipartite double built pair by pair with build_bipartite."""
     double = build_bipartite(G.n, G.n, list(G.edges) + [(v, u) for u, v in G.edges])
-    matching = max_matching(double)
-    cover_left, cover_right = konig_cover(double, matching)
+    matching = max_matching(*double)
+    cover_left, cover_right = konig_cover(*double, matching)
     copies = Counter(cover_left) + Counter(cover_right)
     classes = tuple(tuple(v for v in range(G.n) if copies[v] == k) for k in (2, 1, 0))
     return double, classes, matching
@@ -262,8 +263,8 @@ class TestNtDecomposition:
         assert sum(core.m for core in cores) > 100
         for G in graphs + cores:
             double, classes, matching = reference_decomposition(G)
-            assert double.adj == G.adj
+            assert double == (G.adj, G.n)
             decomposition = nt_decompose(G)
             members = (decomposition.forced, decomposition.half, decomposition.excluded)
             assert tuple(part.members for part in members) == classes
-            assert max_matching(BipartiteGraph(G.n, G.n, G.adj)) == matching
+            assert max_matching(G.adj, G.n) == matching

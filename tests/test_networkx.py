@@ -51,13 +51,13 @@ def test_intersection_graph():
 def test_matching_on_the_bipartite_double():
     for inst in instances():
         G = instance_to_graph(inst)
-        double = build_bipartite(G.n, G.n, list(G.edges) + [(v, u) for u, v in G.edges])
+        adj, right_n = build_bipartite(G.n, G.n, list(G.edges) + [(v, u) for u, v in G.edges])
         D = nx.Graph()
         D.add_nodes_from((("left", v) for v in range(G.n)), bipartite=0)
         D.add_nodes_from((("right", v) for v in range(G.n)), bipartite=1)
-        D.add_edges_from((("left", l), ("right", r)) for l, r in bipartite_edges(double))
+        D.add_edges_from((("left", l), ("right", r)) for l, r in bipartite_edges(adj))
         size = len(nx.max_weight_matching(D, maxcardinality=True))
-        assert len(max_matching(double)) == size
+        assert len(max_matching(adj, right_n)) == size
         # the vertex-cover LP optimum is half the double's maximum matching
         assert nt_decompose(G).lower_bound == size / 2
 
