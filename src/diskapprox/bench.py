@@ -16,6 +16,7 @@ from typing import Optional
 
 from .covering import ArrivalSequence
 from .errors import BadParameter
+from .exact import check_size
 from .geometry import _check_radius_range, random_connected_instance
 from .problems import PROBLEMS, Options
 from .rng import Rng, derive_seed
@@ -157,6 +158,9 @@ def run_bench(
                 f"no box side for --radius {_radius_text(radius, radius_high)}"
                 f" and --mean-degree {mean_degree:g} is representable"
             ) from None
+        for name in problems:
+            # the oracle's own refusal, before a draw that it would refuse
+            check_size(n, PROBLEMS[name].cap)
         inst, G = random_connected_instance(n, box, radius, instance_seed, radius_high)
         options = Options(partial(ArrivalSequence.random, seed=derive_seed(instance_seed, 7)))
         for name in problems:

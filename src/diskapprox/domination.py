@@ -9,6 +9,7 @@ and independent dominating sets, 10 for total and connected domination.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable
 
 from .errors import BadParameter, IsolatedVertex, NoEligibleVertex, NotConnected
@@ -47,28 +48,48 @@ def independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
     vertex for bound 3 and arbitrary-radius disk graphs for bound 5; a graph
     with no eligible vertex is outside the claimed class and raises
     NoEligibleVertex with the surviving vertices as witness.
+
+    Candidates come off a min-heap of ids.  Deletions only shrink surviving
+    neighborhoods, so a vertex can gain eligibility but never lose it, and
+    one that fails the test stays ineligible until a neighbor is deleted.
+    So a failed vertex waits outside the heap and is pushed back only when
+    one of its neighbors dies; every survivor below the heap's top is
+    waiting and ineligible, and each pick is the lowest-id eligible
+    survivor.  When the heap runs dry every survivor waits: none is
+    eligible.  Each vertex is tested once plus once per re-push, so the
+    cost is O((n + m) log n) plus the tests, not a re-scan per pick.
     """
     if bound < 1:
         raise BadParameter("bound must be at least 1")
+    adj = G.adj
     alive: set[int] = set(range(G.n))
+    heap = list(range(G.n))  # ascending, so already a heap
+    waiting: set[int] = set()
     chosen: list[int] = []
-    while alive:
-        pick = None
-        for v in sorted(alive):
-            neighborhood = [u for u in G.adj[v] if u in alive]
-            if len(neighborhood) <= bound or not _has_independent_subset(
-                G, neighborhood, bound + 1
-            ):
-                pick = v
-                break
-        if pick is None:
-            raise NoEligibleVertex(
-                f"no vertex has neighborhood independence number <= {bound}",
-                VertexSet.of(alive, G.n),
-            )
-        chosen.append(pick)
-        alive.discard(pick)
-        alive.difference_update(G.adj[pick])
+    while heap:
+        v = heappop(heap)
+        if v not in alive:
+            continue
+        neighborhood = alive.intersection(adj[v])
+        if len(neighborhood) > bound and _has_independent_subset(G, neighborhood, bound + 1):
+            waiting.add(v)
+            continue
+        chosen.append(v)
+        alive.discard(v)
+        alive -= neighborhood
+        if waiting:
+            waiting -= neighborhood
+            for u in neighborhood:
+                woken = waiting.intersection(adj[u])
+                if woken:
+                    waiting -= woken
+                    for w in woken:
+                        heappush(heap, w)
+    if alive:
+        raise NoEligibleVertex(
+            f"no vertex has neighborhood independence number <= {bound}",
+            VertexSet.of(alive, G.n),
+        )
     return VertexSet.of(chosen, G.n)
 
 

@@ -51,6 +51,23 @@ class OracleLimits:
 
 DEFAULT_LIMITS = OracleLimits()
 
+# what each size cap of OracleLimits bounds, as its TooLarge message names it
+_CAP_NAMES = {
+    "max_independent_set": "independent-set",
+    "max_vertex_cover": "vertex-cover",
+    "max_clique": "clique",
+    "max_chromatic": "chromatic",
+    "max_domination": "domination",
+    "max_connected_domination": "domination",
+}
+
+
+def check_size(n: int, cap: str, limits: OracleLimits = DEFAULT_LIMITS) -> None:
+    """Raise TooLarge when ``n`` exceeds the size cap ``limits.<cap>``."""
+    bound = getattr(limits, cap)
+    if n > bound:
+        raise TooLarge(f"n={n} exceeds the {_CAP_NAMES[cap]} cap {bound}")
+
 
 class _NodeBudget:
     """Counts search nodes and raises Timeout on the first one past the cap."""
@@ -151,16 +168,14 @@ def _mis_search(G: Graph, budget: _NodeBudget) -> tuple[int, int]:
 
 def exact_mis(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, VertexSet]:
     """Maximum independent set size with a witness."""
-    if G.n > limits.max_independent_set:
-        raise TooLarge(f"n={G.n} exceeds the independent-set cap {limits.max_independent_set}")
+    check_size(G.n, "max_independent_set", limits)
     size, mask = _mis_search(G, _NodeBudget(limits.max_nodes))
     return size, VertexSet.of(_mask_to_vertices(mask), G.n)
 
 
 def exact_vc(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, VertexSet]:
     """Minimum vertex cover: complement of a maximum independent set."""
-    if G.n > limits.max_vertex_cover:
-        raise TooLarge(f"n={G.n} exceeds the vertex-cover cap {limits.max_vertex_cover}")
+    check_size(G.n, "max_vertex_cover", limits)
     size, mask = _mis_search(G, _NodeBudget(limits.max_nodes))
     cover = [v for v in range(G.n) if not (mask >> v) & 1]
     return G.n - size, VertexSet.of(cover, G.n)
@@ -168,8 +183,7 @@ def exact_vc(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, Vert
 
 def exact_clique(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, VertexSet]:
     """Maximum clique by its own branch and bound (independent of exact_mis)."""
-    if G.n > limits.max_clique:
-        raise TooLarge(f"n={G.n} exceeds the clique cap {limits.max_clique}")
+    check_size(G.n, "max_clique", limits)
     masks = _neighbor_masks(G)
     budget = _NodeBudget(limits.max_nodes)
     best_size = 0
@@ -236,8 +250,7 @@ def _try_k_coloring(G: Graph, k: int, seed_clique: tuple[int, ...], budget: _Nod
 
 def exact_chromatic(G: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[int, Coloring]:
     """Chromatic number by iterative deepening from the clique number."""
-    if G.n > limits.max_chromatic:
-        raise TooLarge(f"n={G.n} exceeds the chromatic cap {limits.max_chromatic}")
+    check_size(G.n, "max_chromatic", limits)
     if G.n == 0:
         return 0, Coloring.of([])
     budget = _NodeBudget(limits.max_nodes)
@@ -337,9 +350,8 @@ def exact_domination(
     """
     if variant not in DOMINATION_VARIANTS:
         raise BadParameter(f"unknown domination variant {variant!r}")
-    cap = limits.max_connected_domination if variant == "connected" else limits.max_domination
-    if G.n > cap:
-        raise TooLarge(f"n={G.n} exceeds the domination cap {cap}")
+    cap = "max_connected_domination" if variant == "connected" else "max_domination"
+    check_size(G.n, cap, limits)
     if variant == "connected" and not is_connected(G):
         raise NotConnected("connected domination needs a connected graph")
     if variant == "total":

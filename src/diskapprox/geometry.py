@@ -269,22 +269,25 @@ def random_instance(
 ) -> GeometricInstance:
     """``n`` disk centers i.i.d. uniform in [0, box)^2, bit-reproducible from ``seed``.
 
-    With ``radius_high`` set, per-disk radii are drawn uniformly from
-    [radius, radius_high] after all the centers, so the centers for a given
-    seed do not depend on whether radii vary.
+    The stream gives x and y of each center in turn, then, with
+    ``radius_high`` set, a radius uniform in [radius, radius_high] per disk,
+    so the centers for a given seed do not depend on whether radii vary.
+    The instance takes one :meth:`Rng.uniforms` batch: 2n values, or 3n
+    when the radii vary, which equals 2n values followed by n more.
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
     if not 0 < box <= _MAX_MAGNITUDE:
         raise BadParameter("box side must be positive, finite and at most 2^500")
     _check_radius_range(radius, radius_high)
-    rng = Rng(seed)
-    coords = [box * u for u in rng.uniforms(2 * n)]
     if radius_high is None or radius_high == radius:
+        coords = [box * u for u in Rng(seed).uniforms(2 * n)]
         radii = [radius] * n
     else:
+        draws = Rng(seed).uniforms(3 * n)
+        coords = [box * u for u in draws[: 2 * n]]
         span = radius_high - radius
-        radii = [radius + span * u for u in rng.uniforms(n)]
+        radii = [radius + span * u for u in draws[2 * n :]]
     return GeometricInstance(tuple(zip(coords[0::2], coords[1::2], radii)))
 
 

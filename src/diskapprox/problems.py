@@ -29,12 +29,14 @@ class Problem:
     ``heuristic(G, inst, variant, options, meta)`` returns a VertexSet (a
     Coloring if ``coloring``) and may note how it ran in ``meta``;
     ``oracle(G)`` returns (optimum, witness) under ``exact.DEFAULT_LIMITS``;
+    ``cap`` names the ``exact.OracleLimits`` field that bounds the oracle's n;
     ``check(G, solution)`` validates a vertex list or a color list;
     ``bounds`` maps each variant with a guarantee to its ratio.
     """
 
     heuristic: Callable
     oracle: Callable
+    cap: str
     check: Callable
     bounds: dict[str, float]
     maximize: bool = False
@@ -81,12 +83,14 @@ PROBLEMS: dict[str, Problem] = {
     "vc": Problem(
         heuristic=lambda G, inst, variant, *_: covering.vertex_cover(G, 4 if variant == "unit" else 6),
         oracle=lambda G: exact.exact_vc(G),
+        cap="max_vertex_cover",
         check=lambda G, vertices: checks.is_vertex_cover(G, vertices),
         bounds={"unit": 1.5, "circle": 5.0 / 3.0},
     ),
     "color": Problem(
         heuristic=lambda G, *_: covering.color_offline(G),
         oracle=lambda G: exact.exact_chromatic(G),
+        cap="max_chromatic",
         check=lambda G, colors: checks.is_proper_coloring(G, colors),
         bounds={"unit": 3.0, "circle": 6.0},
         coloring=True,
@@ -94,6 +98,7 @@ PROBLEMS: dict[str, Problem] = {
     "online-color": Problem(
         heuristic=_online_color,
         oracle=lambda G: exact.exact_chromatic(G),
+        cap="max_chromatic",
         check=lambda G, colors: checks.is_proper_coloring(G, colors),
         bounds={"unit": 6.0},
         coloring=True,
@@ -101,6 +106,7 @@ PROBLEMS: dict[str, Problem] = {
     "mis": Problem(
         heuristic=_independent_set,
         oracle=lambda G: exact.exact_mis(G),
+        cap="max_independent_set",
         check=lambda G, vertices: checks.is_independent_set(G, vertices),
         bounds={"unit": 3.0, "circle": 5.0},
         maximize=True,
@@ -108,24 +114,28 @@ PROBLEMS: dict[str, Problem] = {
     "ds": Problem(
         heuristic=lambda G, *_: domination.dominating_set(G),
         oracle=lambda G: exact.exact_domination(G, "plain"),
+        cap="max_domination",
         check=lambda G, vertices: checks.is_dominating_set(G, vertices),
         bounds={"unit": 5.0},
     ),
     "ids": Problem(
         heuristic=lambda G, *_: domination.dominating_set(G),
         oracle=lambda G: exact.exact_domination(G, "independent"),
+        cap="max_domination",
         check=lambda G, vertices: checks.is_independent_dominating_set(G, vertices),
         bounds={"unit": 5.0},
     ),
     "tds": Problem(
         heuristic=lambda G, *_: domination.total_dominating_set(G),
         oracle=lambda G: exact.exact_domination(G, "total"),
+        cap="max_domination",
         check=lambda G, vertices: checks.is_total_dominating_set(G, vertices),
         bounds={"unit": 10.0},
     ),
     "cds": Problem(
         heuristic=_connected_dominating_set,
         oracle=lambda G: exact.exact_domination(G, "connected"),
+        cap="max_connected_domination",
         check=lambda G, vertices: checks.is_connected_dominating_set(G, vertices),
         bounds={"unit": 10.0},
     ),

@@ -14,7 +14,11 @@ big-int operation over every lane instead of one bytecode loop per draw.
 Each lane is masked to 64 bits before every multiply, so bits a shift
 pulled in from the next lane never enter a product, and the lanes are
 read back as little-endian bytes, so the batch gives the same floats on
-every platform as the same number of single draws.
+every platform as the same number of single draws.  The lane constants for
+a batch depend only on its size; those of sizes up to ``_LANE_MEMO_MAX``,
+which covers every draw of an oracle-sized instance, are built on first use
+and kept, and larger batches build theirs per call so a huge draw pins no
+memory.
 """
 
 from __future__ import annotations
@@ -28,6 +32,21 @@ _INCREMENT = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK53 = (1 << 53) - 1
+
+_LANE_MEMO_MAX = 96
+_lane_memo: dict[int, tuple[int, int, int, int]] = {}
+
+
+def _lane_constants(count: int) -> tuple[int, int, int, int]:
+    """For ``count`` 128-bit lanes: 1 in every lane, the 64-bit mask in every
+    lane, k * increment in lane k - 1, and the 53-bit mask in every lane."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    steps = array("Q", bytes(16 * count))
+    steps[0::2] = array("Q", range(1, count + 1))
+    if sys.byteorder == "big":
+        steps.byteswap()
+    increments = _INCREMENT * int.from_bytes(steps, "little")
+    return ones, MASK64 * ones, increments, _MASK53 * ones
 
 
 def mix64(value: int) -> int:
@@ -74,20 +93,25 @@ class Rng:
         bits would enter the product.  The lanes are decoded from explicit
         little-endian bytes, swapped to the host's order, so the floats are
         the same on every platform.
+
+        The four lane constants depend only on ``count``.  Building them costs
+        about as much as the hashing, so those of a count up to
+        ``_LANE_MEMO_MAX`` are kept after first use (at most 96 entries,
+        about 300 KB with all filled); a larger count builds its own per call.
         """
         if count <= 0:
             return []
-        ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")  # 1 in every lane
-        lanes = MASK64 * ones
-        steps = array("Q", bytes(16 * count))
-        steps[0::2] = array("Q", range(1, count + 1))
-        if sys.byteorder == "big":
-            steps.byteswap()
+        constants = _lane_memo.get(count)
+        if constants is None:
+            constants = _lane_constants(count)
+            if count <= _LANE_MEMO_MAX:
+                _lane_memo[count] = constants
+        ones, lanes, increments, mask53 = constants
         # per lane, state + k * increment < 2^64 * (count + 1): no carry out
-        z = (self._state * ones + _INCREMENT * int.from_bytes(steps, "little")) & lanes
+        z = (self._state * ones + increments) & lanes
         z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
         z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
-        z = ((z ^ (z >> 31)) >> 11) & (_MASK53 * ones)
+        z = ((z ^ (z >> 31)) >> 11) & mask53
         words = array("Q", z.to_bytes(16 * count, "little"))
         if sys.byteorder == "big":
             words.byteswap()

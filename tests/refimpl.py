@@ -12,7 +12,8 @@ from itertools import combinations, product
 
 from diskapprox import checks, geometry
 from diskapprox.covering import ArrivalSequence, color_online_firstfit
-from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded
+from diskapprox.domination import _has_independent_subset
+from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NoEligibleVertex
 from diskapprox.geometry import instance_to_graph, random_instance
 from diskapprox.graphs import (
     Graph,
@@ -329,6 +330,33 @@ def sweep_mis(inst) -> tuple[int, ...]:
             chosen.append(v)
             alive -= neighbors[v] | {v}
     return tuple(sorted(chosen))
+
+
+def rescan_independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
+    """``independent_set_graph`` as a re-scan: before every pick, test the
+    survivors in id order and take the first eligible one."""
+    if bound < 1:
+        raise BadParameter("bound must be at least 1")
+    alive: set[int] = set(range(G.n))
+    chosen: list[int] = []
+    while alive:
+        pick = None
+        for v in sorted(alive):
+            neighborhood = [u for u in G.adj[v] if u in alive]
+            if len(neighborhood) <= bound or not _has_independent_subset(
+                G, neighborhood, bound + 1
+            ):
+                pick = v
+                break
+        if pick is None:
+            raise NoEligibleVertex(
+                f"no vertex has neighborhood independence number <= {bound}",
+                VertexSet.of(alive, G.n),
+            )
+        chosen.append(pick)
+        alive.discard(pick)
+        alive.difference_update(G.adj[pick])
+    return VertexSet.of(chosen, G.n)
 
 
 def all_labeled_graphs(n: int):

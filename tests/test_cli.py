@@ -474,6 +474,24 @@ class TestBench:
             bench.run_bench(instances, n_low, n_high, problems, seed=1)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n, problems, message", [
+        (300, "vc", "n=300 exceeds the vertex-cover cap 24"),
+        (100, "vc", "n=100 exceeds the vertex-cover cap 24"),
+        (17, "mis,cds", "n=17 exceeds the domination cap 16"),
+        (19, "ds", "n=19 exceeds the domination cap 18"),
+        (17, "color", "n=17 exceeds the chromatic cap 16"),
+    ])
+    def test_oracle_cap_is_checked_before_the_draw(self, capsys, monkeypatch, n, problems, message):
+        def no_draw(*args):
+            raise AssertionError("drew an instance the oracle refuses")
+
+        monkeypatch.setattr(bench, "random_connected_instance", no_draw)
+        code, out, err = run(
+            capsys, "bench", "--instances", "1", "--n-range", f"{n}:{n}",
+            "--problems", problems, "--seed", "1",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_circle_variant_rejects_domination(self, capsys):
         code, _, err = run(
             capsys, "bench", "--instances", "1", "--n-range", "6:6",

@@ -26,8 +26,8 @@ from diskapprox.geometry import (
 )
 from diskapprox.graphs import build_graph, greedy_maximal_independent_set
 from diskapprox.problems import PROBLEMS
-from diskapprox.rng import derive_seed
-from refimpl import sweep_mis
+from diskapprox.rng import Rng, derive_seed
+from refimpl import disk_graph, random_graph, rescan_independent_set_graph, sweep_mis
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -112,11 +112,51 @@ class TestIndependentSetGraph:
         with pytest.raises(NoEligibleVertex) as info:
             independent_set_graph(K44, 3)
         assert info.value.witness.members == tuple(range(8))
+        assert outcome(independent_set_graph, K44, 3) == outcome(
+            rescan_independent_set_graph, K44, 3
+        )
 
     def test_k44_passes_with_a_looser_bound(self):
         K44 = build_graph(8, [(u, 4 + v) for u in range(4) for v in range(4)])
         chosen = independent_set_graph(K44, 5)
         assert checks.is_independent_set(K44, chosen)
+
+    def test_a_waiting_vertex_is_picked_once_a_neighbor_dies(self):
+        # the path 3-1-0-2-4 with bound 1: 0, 1 and 2 each see two
+        # non-adjacent neighbors and wait; 3 is picked and deletes 1, which
+        # re-queues 0, now eligible and the lowest survivor
+        G = build_graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
+        assert independent_set_graph(G, 1).members == (0, 3, 4)
+        assert rescan_independent_set_graph(G, 1).members == (0, 3, 4)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_UNIT))
+    def test_matches_the_rescan_on_structured_instances(self, name):
+        G = instance_to_graph(GeometricInstance(STRUCTURED_UNIT[name][0]))
+        for bound in (1, 2, 3, 5):
+            assert outcome(independent_set_graph, G, bound) == outcome(
+                rescan_independent_set_graph, G, bound
+            )
+
+    def test_matches_the_rescan_on_disk_instances(self):
+        for index, n in enumerate((12, 24, 60, 150, 300)):
+            for radius, radius_high in ((1.0, None), (0.5, 2.0)):
+                G = disk_graph(n, radius, radius_high, derive_seed(0xD2, index))
+                for bound in (2, 3, 5):
+                    assert outcome(independent_set_graph, G, bound) == outcome(
+                        rescan_independent_set_graph, G, bound
+                    )
+
+    def test_matches_the_rescan_on_random_graphs(self):
+        rng = Rng(0xD3)
+        raised = 0
+        for _ in range(300):
+            n = 1 + rng.randrange(14)
+            G = random_graph(n, 0.1 + 0.8 * rng.uniform(), rng)
+            for bound in (1, 2, 3):
+                expected = outcome(rescan_independent_set_graph, G, bound)
+                assert outcome(independent_set_graph, G, bound) == expected
+                raised += expected[0] == "witness"
+        assert raised > 50  # the witness path is exercised, not only picks
 
     def test_one_third_guarantee_on_unit_instances(self):
         for index in range(50):
@@ -126,6 +166,14 @@ class TestIndependentSetGraph:
             assert checks.is_independent_set(G, chosen)
             optimum, _ = exact_mis(G)
             assert 3 * len(chosen) >= optimum
+
+
+def outcome(solver, G, bound):
+    """The members ``solver`` picks, or the witness and message it raises."""
+    try:
+        return "members", solver(G, bound).members
+    except NoEligibleVertex as exc:
+        return "witness", exc.witness.members, str(exc)
 
 
 def sweep(inst):

@@ -17,6 +17,7 @@ from diskapprox.exact import (
     OracleLimits,
     _domination_lower_bound,
     _neighbor_masks,
+    check_size,
     exact_chromatic,
     exact_clique,
     exact_domination,
@@ -25,6 +26,7 @@ from diskapprox.exact import (
 )
 from diskapprox.geometry import random_connected_instance
 from diskapprox.graphs import VertexSet, build_graph, is_connected
+from diskapprox.problems import PROBLEMS
 from diskapprox.rng import Rng, derive_seed
 from refimpl import (
     all_labeled_graphs,
@@ -116,6 +118,19 @@ class TestGuards:
             exact_domination(build_graph(19, []), "plain")
         with pytest.raises(TooLarge):
             exact_chromatic(build_graph(17, []))
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_problem_cap_is_the_oracles_own(self, name):
+        # the cap a problem names is where its oracle starts to refuse, in
+        # the words check_size uses
+        problem = PROBLEMS[name]
+        cap = getattr(DEFAULT_LIMITS, problem.cap)
+        check_size(cap, problem.cap)
+        with pytest.raises(TooLarge) as oracle_refusal:
+            problem.oracle(build_graph(cap + 1, []))
+        with pytest.raises(TooLarge) as check_refusal:
+            check_size(cap + 1, problem.cap)
+        assert str(oracle_refusal.value) == str(check_refusal.value)
 
     def test_unknown_variant(self):
         with pytest.raises(BadParameter):

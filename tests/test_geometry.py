@@ -21,7 +21,7 @@ from diskapprox.geometry import (
     sweep_order,
 )
 from diskapprox.graphs import Graph, build_graph, is_connected
-from diskapprox.rng import _INCREMENT, MASK64, Rng, derive_seed
+from diskapprox.rng import _INCREMENT, MASK64, Rng, _lane_memo, derive_seed
 from refimpl import (
     all_pairs,
     brute_mis,
@@ -459,8 +459,9 @@ class TestRandomInstance:
 
     @pytest.mark.parametrize("radius, radius_high", [(1.0, None), (0.5, 2.0), (1.5, 1.5)])
     def test_matches_per_draw_reference(self, radius, radius_high):
-        for seed in range(20):
-            n = 1 + seed * 3
+        # with varying radii, n = 32 draws 96 values, the largest memoized
+        # batch, and n = 33 draws past it
+        for seed, n in enumerate([*range(1, 60, 3), 32, 33]):
             expected = per_draw_disks(n, 7.0, radius, seed, radius_high)
             assert random_instance(n, 7.0, radius, seed, radius_high).disks == expected
 
@@ -474,6 +475,20 @@ class TestRandomInstance:
             assert values == [single.uniform() for _ in range(count)]
             assert batch._state == single._state
             assert batch.next_u64() == single.next_u64()
+
+    def test_uniforms_with_memoized_lane_constants(self):
+        # each count twice: the first call builds its constants, the second
+        # reuses them; 97 lies past the memo and builds them on every call
+        _lane_memo.clear()
+        for count in [*range(1, 101), 95, 96, 97]:
+            for _ in range(2):
+                seed = derive_seed(0xC0DE, count)
+                batch, single = Rng(seed), Rng(seed)
+                assert batch.uniforms(count) == scalar_uniforms(seed, count)
+                for _ in range(count):
+                    single.next_u64()
+                assert batch._state == single._state
+        assert set(_lane_memo) <= set(range(1, 97))
 
     def test_tuned_box_is_stable_across_calls(self):
         for args in ((30, 1.0, None, 4.0), (17, 0.5, 2.0, 6.0), (1, 1.0, None, 4.0)):

@@ -109,6 +109,26 @@ class TestMaxMatching:
             assert len(max_matching(adj, right_n)) == exact_mis(line_graph)[0]
 
 
+class TestRightIdRange:
+    """Rows holding a right id outside [0, right_n) are refused by both calls."""
+
+    @pytest.mark.parametrize("rows, message", [
+        (((0, 5),), "left row 0 holds right id 5, outside [0, 3)"),
+        (((-1,),), "left row 0 holds right id -1, outside [0, 3)"),
+        (((0, 1), (), (2, 7, 0)), "left row 2 holds right id 7, outside [0, 3)"),
+        (((1, 2), (0, -2, 1)), "left row 1 holds right id -2, outside [0, 3)"),
+    ], ids=["past-the-end", "negative", "unsorted-row", "unsorted-negative"])
+    def test_both_calls_name_the_row(self, rows, message):
+        for call in (lambda: max_matching(rows, 3), lambda: konig_cover(rows, 3, ())):
+            with pytest.raises(BadParameter) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_ids_at_the_ends_of_the_range_pass(self):
+        assert max_matching(((0, 2), (2,)), 3) == ((0, 0), (1, 2))
+        assert max_matching(((), ()), 0) == ()
+
+
 class TestKonigCover:
     def test_perfect_matching_on_k22(self):
         B = k22()
