@@ -26,6 +26,7 @@ from .formats import (
 from .geometry import (
     GeometricInstance,
     instance_to_graph,
+    pairwise_disjoint,
     polygon_independence_bound,
     random_connected_instance,
     random_instance,
@@ -117,36 +118,54 @@ def _cmd_solution(args) -> int:
     return 0
 
 
-def _validate_solution(G, doc) -> tuple[bool, str]:
-    """Check a document from parse_solution against G; (ok, reason)."""
+def _holds(problem, instance, solution) -> bool:
+    """Does ``solution`` pass ``problem.check`` on the graph of ``instance``?
+
+    On a geometric instance, a problem with ``edge_free`` pairs only the
+    disks of each set it names (see :func:`geometry.pairwise_disjoint`), and
+    the whole instance is paired only for the domination family.
+    """
+    if isinstance(instance, Graph):
+        return problem.check(instance, solution)
+    if problem.edge_free is None:
+        return problem.check(instance_to_graph(instance), solution)
+    return all(
+        pairwise_disjoint(instance, ids) for ids in problem.edge_free(instance.n, solution)
+    )
+
+
+def _validate_solution(instance, doc) -> tuple[bool, str]:
+    """Check a document from parse_solution against an instance (disks or a
+    Graph); (ok, reason)."""
     name = doc["problem"]
     problem = PROBLEMS.get(name)
     if problem is None:
         return False, f"unknown problem {name!r}"
+    n = instance.n
     if problem.coloring:
         colors = doc.get("colors", [])
-        if not problem.check(G, colors):
+        if len(colors) != n or min(colors, default=1) < 1 or not _holds(problem, instance, colors):
             return False, "coloring is not proper"
         if doc["value"] != max(colors, default=0):
             return False, "value does not match the number of colors"
     else:
         vertices = doc.get("vertices", [])
-        if not all(0 <= v < G.n for v in vertices):
-            return False, f"vertex id outside [0, {G.n})"
+        if not all(0 <= v < n for v in vertices):
+            return False, f"vertex id outside [0, {n})"
         if len(set(vertices)) != len(vertices):
             return False, "repeated vertex id"
         if doc["value"] != len(vertices):
             return False, "value does not match the vertex count"
-        if not problem.check(G, vertices):
+        if not _holds(problem, instance, vertices):
             return False, f"not a valid {name} solution"
     return True, "ok"
 
 
 def _cmd_verify(args) -> int:
-    _, G = _load(args.instance)
+    instance = read_instance(args.instance)
     with open(args.solution, "r", encoding="utf-8") as handle:
         solution = parse_solution(handle.read())
-    ok, reason = _validate_solution(G, solution)
+    ok, reason = _validate_solution(instance, solution)
     print("valid" if ok else f"invalid: {reason}")
     return 0 if ok else 1
 

@@ -16,27 +16,64 @@ from .errors import BadParameter, IsolatedVertex, NoEligibleVertex, NotConnected
 from .graphs import Graph, VertexSet, bfs_levels, greedy_maximal_independent_set
 
 
-def _has_independent_subset(G: Graph, candidates: Iterable[int], size: int) -> bool:
-    """Is there a set of ``size`` pairwise non-adjacent vertices among ``candidates``?"""
-    pool = list(candidates)
-    pool_set = set(pool)
-    internal = {v: pool_set.intersection(G.adj[v]) for v in pool}
-    pool.sort(key=lambda v: (len(internal[v]), v))  # sparse candidates first: succeeds sooner
+def _has_independent_subset(adj, pool: list[int], size: int) -> bool:
+    """Does ``pool``, ascending ids, hold ``size`` (at least 1) pairwise
+    non-adjacent vertices?
 
-    def extend(start: int, chosen: int, blocked: frozenset[int]) -> bool:
-        for idx in range(start, len(pool)):
-            if chosen + (len(pool) - idx) < size:
-                return False
-            v = pool[idx]
-            if v in blocked:
-                continue
-            if chosen + 1 == size:
-                return True
-            if extend(idx + 1, chosen + 1, blocked | internal[v]):
-                return True
-        return False
+    Two greedy passes decide most search nodes.  A greedy clique cover of the
+    pool (see :func:`_cover_exceeds`) with at most ``size - 1`` cliques
+    answers no, since an independent set meets each clique at most once.  A
+    greedy independent set, taking each vertex not adjacent to an earlier
+    pick, that reaches ``size`` answers yes.  Otherwise the node branches on
+    its lowest vertex: taken, a recursive call seeks ``size - 1`` in the
+    pool less that vertex's closed neighborhood; left out, the loop goes on
+    with the pool less that vertex.  Recursion is at most ``size`` deep, and
+    the search visits O(|pool|^size) nodes in the worst case, each making
+    one cover and one greedy pass.
+    """
+    while _cover_exceeds(adj, pool, size - 1):
+        blocked: set[int] = set()
+        found = 0
+        for v in pool:
+            if v not in blocked:
+                found += 1
+                if found == size:
+                    return True
+                blocked.update(adj[v])
+        rest = pool[1:]
+        first = set(adj[pool[0]])
+        if _has_independent_subset(adj, [u for u in rest if u not in first], size - 1):
+            return True
+        pool = rest
+    return False
 
-    return extend(0, 0, frozenset())
+
+def _cover_exceeds(adj, pool: list[int], limit: int) -> bool:
+    """Does the greedy clique cover of ``pool`` (ascending ids) need more than
+    ``limit`` cliques?
+
+    Each clique starts at the lowest uncovered vertex and grows by the lowest
+    uncovered one adjacent to all its members, as the cut of
+    ``exact._mis_search`` grows its cover: one pass over the pool per clique,
+    stopping at clique ``limit + 1``.
+    """
+    uncovered = set(pool)
+    cliques = 0
+    for index, v in enumerate(pool):
+        if v not in uncovered:
+            continue
+        if cliques == limit:
+            return True
+        cliques += 1
+        uncovered.discard(v)
+        common = uncovered.intersection(adj[v])
+        for u in pool[index + 1:]:
+            if not common:
+                break
+            if u in common:
+                uncovered.discard(u)
+                common.intersection_update(adj[u])
+    return False
 
 
 def independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
@@ -71,7 +108,9 @@ def independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
         if v not in alive:
             continue
         neighborhood = alive.intersection(adj[v])
-        if len(neighborhood) > bound and _has_independent_subset(G, neighborhood, bound + 1):
+        if len(neighborhood) > bound and _has_independent_subset(
+            adj, sorted(neighborhood), bound + 1
+        ):
             waiting.add(v)
             continue
         chosen.append(v)

@@ -260,6 +260,21 @@ def instance_to_graph(inst: GeometricInstance) -> Graph:
     return Graph(inst.n, _adjacency(inst.disks, low, high))
 
 
+def pairwise_disjoint(inst: GeometricInstance, ids) -> bool:
+    """True when no two of the disks ``ids`` (distinct, in range) intersect.
+
+    Pairs only those disks, with :func:`_adjacency`.  Its pair test is
+    symmetric in the two disks (``xi - xj`` is the exact negation of
+    ``xj - xi`` and ``ri + rj`` commutes), and the all-pairs and grid paths
+    each find every pair the test accepts, so the answer is that of the
+    subgraph ``instance_to_graph(inst)`` induces on ``ids``.  The instance's
+    radius bounds still bound the subset's radii.
+    """
+    low, high = inst.radius_range
+    disks = inst.disks
+    return not any(_adjacency([disks[i] for i in ids], low, high))
+
+
 def random_instance(
     n: int,
     box: float,

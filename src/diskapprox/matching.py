@@ -62,6 +62,11 @@ def max_matching(
     [0, right_n) raises BadParameter.
     """
     _check_right_ids(adjacency, right_n)
+    return _max_matching(adjacency, right_n)
+
+
+def _max_matching(adjacency, right_n: int) -> tuple[tuple[int, int], ...]:
+    """:func:`max_matching` of an adjacency whose right ids are in range."""
     left_n = len(adjacency)
     match_left = [-1] * left_n
     match_right = [-1] * right_n
@@ -145,6 +150,11 @@ def konig_cover(
     raises BadParameter.
     """
     _check_right_ids(adjacency, right_n)
+    return _konig_cover(adjacency, right_n, matching)
+
+
+def _konig_cover(adjacency, right_n: int, matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`konig_cover` of an adjacency whose right ids are in range."""
     matching = tuple(matching)
     left_n = len(adjacency)
     match_left: dict[int, int] = {}
@@ -196,9 +206,10 @@ def nt_decompose(G: Graph) -> NtDecomposition:
     Each edge (u, v) becomes (u_left, v_right) and (v_left, u_right), so the
     double's left adjacency is ``G.adj`` itself; a vertex scores half per copy
     inside the Konig cover, and the vertices with score 1, 1/2 and 0 form
-    ``forced``, ``half`` and ``excluded``.
+    ``forced``, ``half`` and ``excluded``.  A :class:`Graph`'s rows hold ids
+    in [0, n) already, so the range check of the public functions is skipped.
     """
-    cover_left, cover_right = konig_cover(G.adj, G.n, max_matching(G.adj, G.n))
+    cover_left, cover_right = _konig_cover(G.adj, G.n, _max_matching(G.adj, G.n))
     copies = [0] * G.n
     for l in cover_left:
         copies[l] += 1

@@ -9,7 +9,7 @@ caller that swaps module attributes (a tracer, a mock) sees every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from . import checks, covering, domination, exact, geometry, graphs
 
@@ -31,7 +31,12 @@ class Problem:
     ``oracle(G)`` returns (optimum, witness) under ``exact.DEFAULT_LIMITS``;
     ``cap`` names the ``exact.OracleLimits`` field that bounds the oracle's n;
     ``check(G, solution)`` validates a vertex list or a color list;
-    ``bounds`` maps each variant with a guarantee to its ratio.
+    ``bounds`` maps each variant with a guarantee to its ratio;
+    ``edge_free(n, solution)``, for a solution whose ids are in range and
+    distinct (a color list: n positive colors), names the vertex sets that
+    must induce no edge, and the solution passes ``check`` exactly when none
+    does; it is None where ``check`` asks more than that (the domination
+    family).
     """
 
     heuristic: Callable
@@ -39,6 +44,7 @@ class Problem:
     cap: str
     check: Callable
     bounds: dict[str, float]
+    edge_free: Optional[Callable] = None
     maximize: bool = False
     coloring: bool = False
 
@@ -73,6 +79,21 @@ def _independent_set(G, inst, variant, options, meta):
     return domination.independent_set_graph(G, 3 if variant == "unit" else 5)
 
 
+def _uncovered(n, vertices):
+    """The vertices a cover leaves out: every edge has an end in the cover
+    exactly when they induce no edge."""
+    chosen = set(vertices)
+    return ([v for v in range(n) if v not in chosen],)
+
+
+def _color_classes(n, colors):
+    """One vertex list per color: a coloring is proper exactly when no class holds an edge."""
+    classes: dict[int, list[int]] = {}
+    for v, color in enumerate(colors):
+        classes.setdefault(color, []).append(v)
+    return classes.values()
+
+
 def _connected_dominating_set(G, inst, variant, options, meta):
     meta["root"] = options.root
     chosen, meta["trace"] = domination.connected_dominating_set(G, options.root)
@@ -86,6 +107,7 @@ PROBLEMS: dict[str, Problem] = {
         cap="max_vertex_cover",
         check=lambda G, vertices: checks.is_vertex_cover(G, vertices),
         bounds={"unit": 1.5, "circle": 5.0 / 3.0},
+        edge_free=_uncovered,
     ),
     "color": Problem(
         heuristic=lambda G, *_: covering.color_offline(G),
@@ -93,6 +115,7 @@ PROBLEMS: dict[str, Problem] = {
         cap="max_chromatic",
         check=lambda G, colors: checks.is_proper_coloring(G, colors),
         bounds={"unit": 3.0, "circle": 6.0},
+        edge_free=_color_classes,
         coloring=True,
     ),
     "online-color": Problem(
@@ -101,6 +124,7 @@ PROBLEMS: dict[str, Problem] = {
         cap="max_chromatic",
         check=lambda G, colors: checks.is_proper_coloring(G, colors),
         bounds={"unit": 6.0},
+        edge_free=_color_classes,
         coloring=True,
     ),
     "mis": Problem(
@@ -109,6 +133,7 @@ PROBLEMS: dict[str, Problem] = {
         cap="max_independent_set",
         check=lambda G, vertices: checks.is_independent_set(G, vertices),
         bounds={"unit": 3.0, "circle": 5.0},
+        edge_free=lambda n, vertices: (vertices,),
         maximize=True,
     ),
     "ds": Problem(

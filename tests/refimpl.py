@@ -12,7 +12,6 @@ from itertools import combinations, product
 
 from diskapprox import checks, geometry
 from diskapprox.covering import ArrivalSequence, color_online_firstfit
-from diskapprox.domination import _has_independent_subset
 from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NoEligibleVertex
 from diskapprox.geometry import instance_to_graph, random_instance
 from diskapprox.graphs import (
@@ -332,9 +331,32 @@ def sweep_mis(inst) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
+def has_independent_subset(G: Graph, candidates, size: int) -> bool:
+    """Is there a set of ``size`` pairwise non-adjacent vertices among
+    ``candidates``?  Plain backtracking, cut only when too few candidates
+    remain: exponential in ``size`` on a neighborhood of near-cliques."""
+    pool = sorted(candidates)
+
+    def extend(start: int, chosen: int, blocked: frozenset) -> bool:
+        for idx in range(start, len(pool)):
+            if chosen + (len(pool) - idx) < size:
+                return False
+            v = pool[idx]
+            if v in blocked:
+                continue
+            if chosen + 1 == size:
+                return True
+            if extend(idx + 1, chosen + 1, blocked | frozenset(G.adj[v])):
+                return True
+        return False
+
+    return extend(0, 0, frozenset())
+
+
 def rescan_independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
     """``independent_set_graph`` as a re-scan: before every pick, test the
-    survivors in id order and take the first eligible one."""
+    survivors in id order with :func:`has_independent_subset` and take the
+    first eligible one."""
     if bound < 1:
         raise BadParameter("bound must be at least 1")
     alive: set[int] = set(range(G.n))
@@ -343,7 +365,7 @@ def rescan_independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
         pick = None
         for v in sorted(alive):
             neighborhood = [u for u in G.adj[v] if u in alive]
-            if len(neighborhood) <= bound or not _has_independent_subset(
+            if len(neighborhood) <= bound or not has_independent_subset(
                 G, neighborhood, bound + 1
             ):
                 pick = v

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import diskapprox
-from diskapprox import bench, checks, geometry
+from diskapprox import bench, checks, cli, geometry
 from diskapprox.cli import main
 from diskapprox.covering import ArrivalSequence, color_online_firstfit
 from diskapprox.domination import connected_dominating_set
@@ -16,6 +16,8 @@ from diskapprox.errors import BadParameter
 from diskapprox.formats import read_instance, write_instance
 from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
 from diskapprox.graphs import build_graph, is_connected
+from diskapprox.problems import PROBLEMS
+from diskapprox.rng import Rng
 
 
 def run(capsys, *argv):
@@ -400,6 +402,141 @@ class TestVerify:
         forged.write_text(text)
         code, out, err = run(capsys, "verify", connected_instance, str(forged))
         assert code == 1 and (out + err).startswith(verdict)
+
+
+def _near_tangent_fuzz(seed, pairs=40):
+    """Pairs of disks with radii in [0.5, 2] placed at tangency by a rotation,
+    so rounding decides each pair's edge."""
+    rng = Rng(seed)
+    disks = []
+    for _ in range(pairs):
+        x, y = 60.0 * rng.uniform() - 30.0, 60.0 * rng.uniform() - 30.0
+        r, s = 0.5 + 1.5 * rng.uniform(), 0.5 + 1.5 * rng.uniform()
+        angle = 2.0 * math.pi * rng.uniform()
+        disks += [(x, y, r), (x + (r + s) * math.cos(angle), y + (r + s) * math.sin(angle), s)]
+    return tuple(disks)
+
+
+def _with_a_radius_16_disk():
+    disks = random_instance(150, 30.0, 0.5, 77, 2.0).disks
+    return disks + ((15.0, 15.0, 16.0),)
+
+
+# Shapes where pairing a subset could differ from the full graph: tangent
+# chains, coincident centers, one radius-16 disk, _bucket's rounding pair and
+# near-tangent pairs.  The small ones pair every set by testing all pairs; on
+# the 80- to 300-disk ones some sets exceed _ALL_PAIRS_MAX and take the grid.
+VERIFY_INSTANCES = {
+    "tangent-chain-24": tuple((2.0 * i, 0.0, 1.0) for i in range(24)),
+    "tangent-chain-100": tuple((2.0 * i, 0.0, 1.0) for i in range(100)),
+    "coincident-centers": ((0.0, 0.0, 1.0),) * 14 + ((1.5, 0.0, 1.0),) * 12 + ((5.0, 0.0, 1.0),) * 10,
+    "radius-16": _with_a_radius_16_disk(),
+    "bucket-pair": ((-1e-20, 0.0, 1.0), (2.0, 0.0, 1.0)),
+    "near-tangent-fuzz": _near_tangent_fuzz(0x7A),
+    "unit-300": random_instance(300, 25.0, 1.0, 5).disks,
+}
+
+
+def _documents(problem, G, doc):
+    """``doc``, a valid solve document, and documents each breaking it one way."""
+    n = G.n
+    if "colors" in doc:
+        colors = doc["colors"]
+        lists = [colors]
+        for v in [v for v in range(n) if G.adj[v]][:4]:
+            forged = list(colors)
+            forged[v] = colors[G.adj[v][0]]  # v and a neighbor share a class
+            lists.append(forged)
+        lists += [colors[:-1], [0] + colors[1:]]  # a wrong length, a color 0
+        docs = [{"problem": problem, "value": max(c, default=0), "colors": c} for c in lists]
+        return docs + [{"problem": problem, "value": doc["value"] + 1, "colors": colors}]
+    vertices = doc["vertices"]
+    if problem == "vc":
+        # dropping a cover vertex leaves its edges into the complement uncovered
+        sets = [vertices, list(range(n))] + [[u for u in vertices if u != v] for v in vertices[:4]]
+    else:
+        # a maximal independent set meets every other vertex's neighborhood
+        outside = sorted(set(range(n)).difference(vertices))
+        sets = [vertices, []] + [sorted(vertices + [v]) for v in outside[:4]]
+    docs = [{"problem": problem, "value": len(s), "vertices": s} for s in sets]
+    return docs + [
+        {"problem": problem, "value": len(vertices) + 1, "vertices": vertices + [n]},
+        {"problem": problem, "value": len(vertices) + 1, "vertices": vertices + vertices[:1]},
+        {"problem": problem, "value": len(vertices) + 1, "vertices": vertices},
+    ]
+
+
+class TestVerifyPairsASubset:
+    """verify of vc, mis and the colorings on disks pairs only the sets whose
+    edges decide the verdict, and gives the verdict of the full graph."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_INSTANCES))
+    def test_verdicts_equal_the_full_graph_checks(self, capsys, monkeypatch, tmp_path, name):
+        path = tmp_path / "inst.udg"
+        write_instance(GeometricInstance(VERIFY_INSTANCES[name]), path)
+        G = instance_to_graph(read_instance(path))
+        sizes = []
+        adjacency = geometry._adjacency
+
+        def counted(disks, *rest):
+            sizes.append(len(disks))
+            return adjacency(disks, *rest)
+
+        monkeypatch.setattr(geometry, "_adjacency", counted)
+        forged_edges = 0
+        paired = []
+        for problem in ("vc", "mis", "color", "online-color"):
+            code, out, _ = run(capsys, "solve", str(path), "--problem", problem)
+            assert code == 0, problem
+            sizes.clear()
+            for doc in _documents(problem, G, json.loads(out)):
+                # the verdict of the full graph: abstract files still run checks
+                expected_ok, reason = cli._validate_solution(G, doc)
+                forged_edges += not expected_ok and reason.startswith(("not a valid", "coloring"))
+                solution = tmp_path / "solution.json"
+                solution.write_text(json.dumps(doc))
+                verdict = "valid\n" if expected_ok else f"invalid: {reason}\n"
+                assert run(capsys, "verify", str(path), str(solution)) == (
+                    0 if expected_ok else 1, verdict, ""
+                ), (problem, doc)
+            paired += sizes
+        assert forged_edges > 0 and min(paired) <= geometry._ALL_PAIRS_MAX
+        if G.n >= 80:  # the grid scan pairs some set here
+            assert max(paired) > geometry._ALL_PAIRS_MAX
+
+    @pytest.mark.parametrize("problem", ["vc", "mis", "color", "online-color", "ds", "cds"])
+    def test_pairs_only_what_the_predicate_reads(self, capsys, monkeypatch, tmp_path, problem):
+        path = tmp_path / "unit.udg"
+        inst = GeometricInstance(VERIFY_INSTANCES["tangent-chain-100"])
+        write_instance(inst, path)
+        code, out, _ = run(capsys, "solve", str(path), "--problem", problem)
+        doc = json.loads(out)
+        solution = tmp_path / "solution.json"
+        solution.write_text(out)
+        calls = []
+        adjacency = geometry._adjacency
+
+        def counted(disks, *rest):
+            calls.append(len(disks))
+            return adjacency(disks, *rest)
+
+        monkeypatch.setattr(geometry, "_adjacency", counted)
+        if PROBLEMS[problem].edge_free is not None:
+            def refuse(*_):
+                raise AssertionError("the whole instance was paired")
+
+            monkeypatch.setattr(cli, "instance_to_graph", refuse)
+            monkeypatch.setattr(geometry, "instance_to_graph", refuse)
+        assert run(capsys, "verify", str(path), str(solution)) == (0, "valid\n", "")
+        if problem == "vc":
+            expected = [inst.n - len(doc["vertices"])]
+        elif problem == "mis":
+            expected = [len(doc["vertices"])]
+        elif "colors" in doc:
+            expected = [doc["colors"].count(c) for c in dict.fromkeys(doc["colors"])]
+        else:
+            expected = [inst.n]
+        assert calls == expected
 
 
 class TestBench:

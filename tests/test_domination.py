@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from diskapprox import checks
+from diskapprox import checks, domination
+from diskapprox.cli import main
 from diskapprox.domination import (
     connected_dominating_set,
     dominating_set,
@@ -27,7 +28,14 @@ from diskapprox.geometry import (
 from diskapprox.graphs import build_graph, greedy_maximal_independent_set
 from diskapprox.problems import PROBLEMS
 from diskapprox.rng import Rng, derive_seed
-from refimpl import disk_graph, random_graph, rescan_independent_set_graph, sweep_mis
+from diskapprox.formats import write_instance
+from refimpl import (
+    disk_graph,
+    has_independent_subset,
+    random_graph,
+    rescan_independent_set_graph,
+    sweep_mis,
+)
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -166,6 +174,97 @@ class TestIndependentSetGraph:
             assert checks.is_independent_set(G, chosen)
             optimum, _ = exact_mis(G)
             assert 3 * len(chosen) >= optimum
+
+
+def clusters(g, k=5):
+    """Disk 0, radius 0.999 at the origin, meeting k pairwise disjoint
+    clusters of g nearly coincident disks (radii 1 + 1e-6 j) whose centers
+    lie 1.99 from it: disk 0's neighborhood has independence number k."""
+    disks = [(0.0, 0.0, 0.999)]
+    for c in range(k):
+        cx, cy = 1.99 * math.cos(2 * math.pi * c / k), 1.99 * math.sin(2 * math.pi * c / k)
+        disks += [(cx + 1e-7 * j, cy, 1.0 + 1e-6 * j) for j in range(g)]
+    return GeometricInstance(tuple(disks))
+
+
+def clique_ring(g, k, joined):
+    """Vertex 0 adjacent to k cliques of g vertices; clique c is also fully
+    joined to clique c + 1 (mod k) when ``joined``."""
+    cliques = [range(1 + c * g, 1 + (c + 1) * g) for c in range(k)]
+    edges = [(0, v) for clique in cliques for v in clique]
+    for c, clique in enumerate(cliques):
+        edges += [(u, v) for u in clique for v in clique if u < v]
+        if joined:
+            edges += [(u, v) for u in clique for v in cliques[(c + 1) % k]]
+    return build_graph(1 + k * g, edges)
+
+
+def count_search_nodes(monkeypatch):
+    """Count eligibility search nodes: each makes one clique-cover pass."""
+    nodes = []
+    cover = domination._cover_exceeds
+
+    def counted(*args):
+        nodes.append(len(args[1]))
+        return cover(*args)
+
+    monkeypatch.setattr(domination, "_cover_exceeds", counted)
+    return nodes
+
+
+class TestBoundedEligibility:
+    """The eligibility test's greedy cover and independent-set exits."""
+
+    def test_agrees_with_the_plain_search_on_random_pools(self):
+        rng = Rng(0xD4)
+        for _ in range(400):
+            n = 2 + rng.randrange(14)
+            G = random_graph(n, rng.uniform(), rng)
+            pool = [v for v in range(n) if rng.uniform() < 0.8]
+            for size in range(1, 7):
+                assert domination._has_independent_subset(G.adj, pool, size) == (
+                    has_independent_subset(G, pool, size)
+                ), (G.adj, pool, size)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 5])
+    def test_matches_the_rescan_on_cluster_instances(self, g):
+        G = instance_to_graph(clusters(g))
+        assert all(len(G.adj[v]) >= g for v in range(G.n))
+        for bound in (3, 4, 5):
+            assert outcome(independent_set_graph, G, bound) == outcome(
+                rescan_independent_set_graph, G, bound
+            )
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 8])
+    def test_matches_the_rescan_on_three_abstract_clusters(self, g):
+        for joined in (False, True):
+            G = clique_ring(g, 3, joined)
+            for bound in (2, 3):
+                assert outcome(independent_set_graph, G, bound) == outcome(
+                    rescan_independent_set_graph, G, bound
+                )
+
+    def test_two_hundred_disk_clusters_take_one_search_node(self, monkeypatch, tmp_path, capsys):
+        # disk 0 is tested first: five cliques cover its 1000 neighbors, so
+        # it is eligible without a search; picking it deletes every disk
+        path = tmp_path / "clusters.udg"
+        write_instance(clusters(200), path)
+        nodes = count_search_nodes(monkeypatch)
+        assert main(["solve", str(path), "--problem", "mis"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["meta"]["method"] == "eligibility-search" and doc["vertices"] == [0]
+        assert nodes == [1000]
+
+    def test_search_nodes_grow_linearly_on_a_ring_of_five_cliques(self, monkeypatch):
+        # vertex 0 sees a blown-up 5-cycle: independence number 2, a greedy
+        # cover of 3 cliques, and a greedy independent set of 2, so bound 2
+        # needs the search; each left-out vertex costs one node
+        for g in (3, 30):
+            nodes = count_search_nodes(monkeypatch)
+            assert independent_set_graph(clique_ring(g, 5, True), 2).members == (0,)
+            assert len(nodes) == 2 * g + 1
+        G = clique_ring(3, 5, True)
+        assert outcome(independent_set_graph, G, 2) == outcome(rescan_independent_set_graph, G, 2)
 
 
 def outcome(solver, G, bound):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from diskapprox import checks, covering
+from diskapprox import checks, covering, matching
 from diskapprox.errors import BadParameter, IdOutOfRange, NotMaximumMatching
 from diskapprox.exact import exact_vc
 from diskapprox.geometry import instance_to_graph, random_instance
@@ -127,6 +127,19 @@ class TestRightIdRange:
     def test_ids_at_the_ends_of_the_range_pass(self):
         assert max_matching(((0, 2), (2,)), 3) == ((0, 0), (1, 2))
         assert max_matching(((), ()), 0) == ()
+
+    def test_nt_decompose_skips_the_check_and_keeps_its_classes(self, monkeypatch):
+        # a Graph's rows are in range already; the public calls still check
+        graphs = [random_graph(12, 0.3, Rng(seed)) for seed in range(20)]
+        expected = [nt_decompose(G) for G in graphs]
+
+        def refuse(*_):
+            raise AssertionError("range check ran")
+
+        monkeypatch.setattr(matching, "_check_right_ids", refuse)
+        assert [nt_decompose(G) for G in graphs] == expected
+        with pytest.raises(AssertionError):
+            max_matching(graphs[0].adj, graphs[0].n)
 
 
 class TestKonigCover:

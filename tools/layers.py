@@ -1,0 +1,186 @@
+"""Layer-by-layer timings of diskapprox, appended to a ``BENCH_layers.json`` file.
+
+    python3 tools/layers.py --label "abc1234" --out BENCH_layers.json
+    python3 tools/layers.py --sizes 100 -k 1 --out /tmp/layers.json
+
+Run from any directory; the package is imported from this checkout's
+``src/``.  For unit radii and for radii uniform in [0.5, 2], at each size n,
+it draws ``random_instance`` at mean degree 6, keeps the giant component
+(so every heuristic, ``tds`` and ``cds`` included, has an input) and times
+each layer ``k`` times:
+
+* ``random_instance`` (the raw draw of n disks) and ``parse_instance`` of the
+  component's file text;
+* ``instance_to_graph`` and ``nt_decompose`` on the whole graph;
+* every heuristic of the problem table, named ``heuristic.<problem>``; the
+  ``mis`` layer adds its method, ``sweep`` on unit disks and
+  ``eligibility-search`` on the other radii;
+* the verify core of ``vc``, ``mis``, ``color`` and ``online-color``:
+  ``verify_full.<problem>`` pairs the whole instance and runs the
+  problem's ``checks`` predicate, ``verify_subset.<problem>`` runs what
+  ``verify`` runs on a geometric file, pairing only the sets the problem's
+  ``edge_free`` names (absent where the problem table has no ``edge_free``).
+
+Each layer records, per size, the median of the ``k`` times in seconds and
+in reference units: the time over the median of the last samples of
+``perfbench/workloads.Reference``, sampled before every timed call, so CPU
+speed drift on a shared machine mostly cancels.  A log-log least-squares
+slope over the sizes goes with each layer.  The run (label, machine, Python
+version, sizes, k, layers) is appended to the ``runs`` list of ``--out``,
+which is created when missing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+MEAN_DEGREE = 6.0
+RADII = {"unit": (1.0, None), "mixed": (0.5, 2.0)}
+VERIFIED = ("vc", "mis", "color", "online-color")
+SIZES = (1000, 10_000, 100_000)
+
+
+def _inputs(kind: str, n: int):
+    """(draw, instance, its text, its graph) for ``kind`` radii at size ``n``."""
+    from diskapprox import bench, formats, geometry, graphs
+    from diskapprox.rng import derive_seed
+
+    radius, radius_high = RADII[kind]
+    box = bench.tuned_box(n, radius, radius_high, MEAN_DEGREE)
+    seed = derive_seed(SEED, n)
+
+    def draw():
+        return geometry.random_instance(n, box, radius, seed, radius_high)
+
+    raw = draw()
+    giant = max(graphs.components(geometry.instance_to_graph(raw)), key=len)
+    inst = geometry.GeometricInstance(tuple(raw.disks[i] for i in giant))
+    return draw, inst, formats.render_instance(inst), geometry.instance_to_graph(inst)
+
+
+def layers(kind: str, n: int):
+    """(name, vertices, zero-argument callable) for every layer at one size."""
+    from diskapprox import cli, formats, geometry, matching
+    from diskapprox.covering import ArrivalSequence
+    from diskapprox.problems import PROBLEMS, Options
+
+    draw, inst, text, G = _inputs(kind, n)
+    variant = "unit" if kind == "unit" else "circle"
+    options = Options(lambda count: ArrivalSequence.of(range(count)))
+    out = [
+        ("random_instance", n, draw),
+        ("parse_instance", inst.n, lambda: formats.parse_instance(text)),
+        ("instance_to_graph", inst.n, lambda: geometry.instance_to_graph(inst)),
+        ("nt_decompose", inst.n, lambda: matching.nt_decompose(G)),
+    ]
+    for name, problem in PROBLEMS.items():
+        meta: dict = {}
+        answer = problem.heuristic(G, inst, variant, options, meta)
+        label = f"heuristic.{name}" + (f".{meta['method']}" if "method" in meta else "")
+        out.append((label, inst.n, lambda p=problem: p.heuristic(G, inst, variant, options, {})))
+        if name not in VERIFIED:
+            continue
+        solution = answer.colors if problem.coloring else answer.members
+        out.append((
+            f"verify_full.{name}", inst.n,
+            lambda p=problem, s=solution: p.check(geometry.instance_to_graph(inst), s),
+        ))
+        if getattr(problem, "edge_free", None) is not None:
+            out.append((
+                f"verify_subset.{name}", inst.n,
+                lambda p=problem, s=solution: cli._holds(p, inst, s),
+            ))
+    return out
+
+
+def slope(ns, times) -> float | None:
+    """Least-squares slope of log(time) against log(n); None below two sizes."""
+    if len(ns) < 2:
+        return None
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(max(t, 1e-9)) for t in times]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    den = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den if den else None
+
+
+def measure(sizes, k: int) -> dict:
+    """Per ``<kind>/<layer>``: n, median seconds, median ref units and slope."""
+    from workloads import Reference
+
+    reference = Reference()
+    for _ in range(Reference.WINDOW):
+        reference.sample()
+    table: dict[str, dict] = {}
+    for kind in RADII:
+        for n in sizes:
+            for name, vertices, fn in layers(kind, n):
+                seconds, refs = [], []
+                for _ in range(k):
+                    gc.collect()
+                    reference.sample()
+                    started = time.perf_counter()
+                    fn()
+                    elapsed = time.perf_counter() - started
+                    seconds.append(elapsed)
+                    refs.append(elapsed / reference.unit())
+                row = table.setdefault(f"{kind}/{name}", {"n": [], "s": [], "ref": []})
+                row["n"].append(vertices)
+                row["s"].append(round(statistics.median(seconds), 6))
+                row["ref"].append(round(statistics.median(refs), 4))
+    for row in table.values():
+        row["slope"] = slope(row["n"], row["s"])
+        if row["slope"] is not None:
+            row["slope"] = round(row["slope"], 3)
+    return table
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", default=",".join(map(str, SIZES)),
+                        help="comma-separated disk counts (default 1000,10000,100000)")
+    parser.add_argument("-k", type=int, default=3, help="timed runs per layer and size")
+    parser.add_argument("--label", default="", help="names the run, e.g. a commit")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
+    args = parser.parse_args(argv)
+    sizes = [int(tok) for tok in args.sizes.split(",")]
+    if args.k < 1 or not sizes or min(sizes) < 2:
+        parser.error("-k must be at least 1 and every size at least 2")
+    for path in (ROOT / "src", ROOT / "perfbench"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+
+    run = {
+        "label": args.label,
+        "machine": {
+            "platform": platform.platform(),
+            "processor": platform.processor() or platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "python": platform.python_version(),
+        "seed": SEED,
+        "mean_degree": MEAN_DEGREE,
+        "sizes": sizes,
+        "k": args.k,
+        "layers": measure(sizes, args.k),
+    }
+    out = Path(args.out)
+    document = json.loads(out.read_text()) if out.exists() else {"runs": []}
+    document["runs"].append(run)
+    out.write_text(json.dumps(document, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
