@@ -108,6 +108,11 @@ def _mis_search(G: Graph, budget: _NodeBudget) -> tuple[int, int]:
     adjacent to all its members.  The incumbent changes only on a strict
     gain, so the cuts drop no node that could change the result: the
     returned witness is the one the search finds without them.
+
+    Both cuts run before the degree scan, so a cut node picks no branch
+    vertex.  Where the survivors have degree at most 1 the search ends in
+    an exact greedy instead of branching; a cover cut there drops nothing
+    either, since the greedy's count is at most the cover's.
     """
     masks = _neighbor_masks(G)
     best_size = -1
@@ -120,6 +125,19 @@ def _mis_search(G: Graph, budget: _NodeBudget) -> tuple[int, int]:
             return
         if alive == 0:
             best_size, best_mask = count, chosen
+            return
+        room = best_size - count  # cliques the cover may use and still be cut
+        rest = alive
+        while rest and room >= 0:
+            low = rest & -rest
+            rest ^= low
+            grow = rest & masks[low.bit_length() - 1]
+            while grow:
+                low = grow & -grow
+                rest ^= low
+                grow &= masks[low.bit_length() - 1]
+            room -= 1
+        if room >= 0:
             return
         # branch on the highest-degree survivor (lowest id on ties)
         pick = -1
@@ -144,19 +162,6 @@ def _mis_search(G: Graph, budget: _NodeBudget) -> tuple[int, int]:
                 rest &= ~(masks[v] | low)
             if take_count > best_size:
                 best_size, best_mask = take_count, take_mask
-            return
-        room = best_size - count  # cliques the cover may use and still be cut
-        rest = alive
-        while rest and room >= 0:
-            low = rest & -rest
-            rest ^= low
-            grow = rest & masks[low.bit_length() - 1]
-            while grow:
-                low = grow & -grow
-                rest ^= low
-                grow &= masks[low.bit_length() - 1]
-            room -= 1
-        if room >= 0:
             return
         bit = 1 << pick
         search(alive & ~(masks[pick] | bit), chosen | bit, count + 1)
@@ -212,37 +217,60 @@ def _try_k_coloring(G: Graph, k: int, seed_clique: tuple[int, ...], budget: _Nod
     """Complete backtracking search for a proper k-coloring, or None.
 
     The seed clique is pre-colored 1..len(clique); new colors may only be
-    introduced in order, which prunes color permutations.
+    introduced in order, which prunes color permutations.  Each node colors
+    the uncolored vertex of greatest (saturation, degree, -id), DSATUR's
+    order (Brélaz 1979), where saturation counts the distinct colors among
+    its neighbors.  The saturations are kept up to date, not recounted:
+    ``seen[v][c]`` counts v's neighbors of color c and changes only when a
+    neighbor is colored or uncolored.  The pick key is one int per vertex,
+    ``saturation * n + rank`` with ``rank`` the position of (degree, -id)
+    in sorted order, less ``(k + 1) * n`` while the vertex is colored, so
+    the largest key is the uncolored vertex the tuple order picks.
     """
-    colors = [0] * G.n
-    for index, v in enumerate(seed_clique):
-        colors[v] = index + 1
+    n = G.n
+    adj = G.adj
+    colors = [0] * n
+    seen = [[0] * (k + 1) for _ in range(n)]
+    key = [0] * n
+    for rank, v in enumerate(sorted(range(n), key=lambda v: (len(adj[v]), -v))):
+        key[v] = rank
+    off = (k + 1) * n  # above any saturation * n + rank
+
+    def place(v: int, c: int) -> None:
+        colors[v] = c
+        key[v] -= off
+        for u in adj[v]:
+            row = seen[u]
+            if not row[c]:
+                key[u] += n
+            row[c] += 1
+
+    def lift(v: int, c: int) -> None:
+        colors[v] = 0
+        key[v] += off
+        for u in adj[v]:
+            row = seen[u]
+            row[c] -= 1
+            if not row[c]:
+                key[u] -= n
 
     def backtrack(colored: int, used: int) -> bool:
         budget.check()
-        if colored == G.n:
+        if colored == n:
             return True
-        # most saturated uncolored vertex; ties by degree, then lowest id
-        pick = -1
-        pick_key = (-1, -1, 0)
-        for v in range(G.n):
-            if colors[v]:
-                continue
-            saturation = len({colors[u] for u in G.adj[v] if colors[u]})
-            key = (saturation, len(G.adj[v]), -v)
-            if key > pick_key:
-                pick_key = key
-                pick = v
-        forbidden = {colors[u] for u in G.adj[pick]}
+        pick = key.index(max(key))
+        forbidden = seen[pick]
         for c in range(1, min(k, used + 1) + 1):
-            if c in forbidden:
+            if forbidden[c]:
                 continue
-            colors[pick] = c
+            place(pick, c)
             if backtrack(colored + 1, max(used, c)):
                 return True
-            colors[pick] = 0
+            lift(pick, c)
         return False
 
+    for index, v in enumerate(seed_clique):
+        place(v, index + 1)
     if backtrack(len(seed_clique), len(seed_clique)):
         return colors
     return None
@@ -297,12 +325,17 @@ def _domination_lower_bound(G: Graph, variant: str, reach: list[int]) -> int:
     * ceil(n / max reach size): one member dominates at most Delta + 1
       vertices (Delta for ``total``, where the isolated-vertex guard makes
       Delta >= 1);
-    * for ``connected``, ecc(x) - 1 for x the highest id on the last
-      :func:`bfs_levels` level from 0; ecc(x), the number of levels from x
-      minus one, equals dist(x, w) for some w.  For any u and w, a
-      connected dominating set holds a member within one step of each,
-      and a path inside the set between those two members of at least
-      dist(u, w) - 2 edges, so it has at least dist(u, w) - 1 vertices.
+    * for ``connected``, a Steiner bound on three vertices x, y, z:
+      ceil(S / 2) + 1 with S the sum of max(0, d - 2) over their three
+      pairwise distances d.  x is the highest id on the last
+      :func:`bfs_levels` level from 0, y the highest id on the last level
+      from x, and z any vertex of largest max(0, dist(x, z) - 2) +
+      max(0, dist(y, z) - 2).  A connected dominating set holds members
+      a, b, c within one step of x, y, z, and a spanning tree of the set
+      joins them by a subtree of (d_T(a, b) + d_T(b, c) + d_T(a, c)) / 2
+      edges, each d_T at least the matching dist - 2 in G; the set has one
+      vertex more than its tree has edges.  With z = x the term is
+      dist(x, y) - 1, the eccentricity bound, so it never falls below it.
 
     ``independent`` uses the plain terms, since i(G) >= gamma(G).
     """
@@ -315,9 +348,22 @@ def _domination_lower_bound(G: Graph, variant: str, reach: list[int]) -> int:
             packing += 1
     bound = max(packing, -(-G.n // max(sizes)))
     if variant == "connected":
-        far = bfs_levels(G, 0)[0][-1][-1]
-        bound = max(bound, len(bfs_levels(G, far)[0]) - 2)
+        x = bfs_levels(G, 0)[0][-1][-1]
+        from_x = _distances(G, x)
+        y = max(range(G.n), key=lambda v: (from_x[v], v))
+        from_y = _distances(G, y)
+        third = max(max(0, a - 2) + max(0, b - 2) for a, b in zip(from_x, from_y))
+        bound = max(bound, -(-(max(0, from_x[y] - 2) + third) // 2) + 1)
     return bound
+
+
+def _distances(G: Graph, root: int) -> list[int]:
+    """Hop distance from ``root`` to every vertex of the connected graph G."""
+    dist = [0] * G.n
+    for d, level in enumerate(bfs_levels(G, root)[0]):
+        for v in level:
+            dist[v] = d
+    return dist
 
 
 def exact_domination(
@@ -326,7 +372,11 @@ def exact_domination(
     """Minimum dominating set of the requested variant with a witness.
 
     For each size from the certified lower bound of
-    :func:`_domination_lower_bound` up, a depth-first search picks members
+    :func:`_domination_lower_bound` up (for ``connected`` it includes a
+    Steiner bound: three far-apart vertices x, y, z each have a member
+    within one step, and a spanning tree of the set joins those members by
+    at least half the sum of max(0, d - 2) over the pairwise distances d
+    of x, y, z), a depth-first search picks members
     in increasing id order over bitmask neighborhoods, so it visits the
     subsets of that size in lexicographic order.  It cuts a branch only
     when no subset below it can be accepted:

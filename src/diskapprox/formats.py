@@ -235,9 +235,11 @@ def parse_solution(text: str) -> dict:
         raise BadParameter("solution 'problem' must be a string")
     if not _is_int(doc["value"]):
         raise BadParameter("solution 'value' must be an integer")
+    # json.loads makes no subclass of int but bool, so one pass over the
+    # exact types tests every element as _is_int would
     for field in ("vertices", "colors"):
         if field in doc and not (
-            isinstance(doc[field], list) and all(map(_is_int, doc[field]))
+            isinstance(doc[field], list) and set(map(type, doc[field])) <= {int}
         ):
             raise BadParameter(f"solution {field!r} must be a list of integers")
     return doc

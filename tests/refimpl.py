@@ -17,6 +17,7 @@ from diskapprox.geometry import instance_to_graph, random_instance
 from diskapprox.graphs import (
     Graph,
     VertexSet,
+    bfs_levels,
     build_graph,
     induced_subgraph,
     is_connected,
@@ -34,15 +35,20 @@ def brute_mis(G: Graph) -> int:
     return max(len(s) for s in all_subsets(G.n) if checks.is_independent_set(G, s))
 
 
-def uncut_mis_search(G: Graph) -> tuple[int, int]:
-    """The library's MIS branch and bound without its clique-cover cut:
-    the same branching order, so the same (size, bitmask) it must return."""
+def scan_first_mis_search(G: Graph, cover_cut: bool = True) -> tuple[int, int, int]:
+    """The library's MIS branch and bound with its clique-cover cut after
+    the degree scan, as it ran before the cut moved ahead of it: returns
+    (size, bitmask, search nodes).  The library must match all three.
+    Without ``cover_cut`` it is the search with no cover cut at all: the
+    same branching order, so the same (size, bitmask)."""
     masks = [sum(1 << u for u in nbrs) for nbrs in G.adj]
     best_size = -1
     best_mask = 0
+    nodes = 0
 
     def search(alive: int, chosen: int, count: int) -> None:
-        nonlocal best_size, best_mask
+        nonlocal best_size, best_mask, nodes
+        nodes += 1
         if count + alive.bit_count() <= best_size:
             return
         if alive == 0:
@@ -72,12 +78,81 @@ def uncut_mis_search(G: Graph) -> tuple[int, int]:
             if take_count > best_size:
                 best_size, best_mask = take_count, take_mask
             return
+        if cover_cut:
+            room = best_size - count
+            rest = alive
+            while rest and room >= 0:
+                low = rest & -rest
+                rest ^= low
+                grow = rest & masks[low.bit_length() - 1]
+                while grow:
+                    low = grow & -grow
+                    rest ^= low
+                    grow &= masks[low.bit_length() - 1]
+                room -= 1
+            if room >= 0:
+                return
         bit = 1 << pick
         search(alive & ~(masks[pick] | bit), chosen | bit, count + 1)
         search(alive & ~bit, chosen, count)
 
     search((1 << G.n) - 1, 0, 0)
-    return best_size, best_mask
+    return best_size, best_mask, nodes
+
+
+def recount_k_coloring(G: Graph, k: int, seed_clique, budget):
+    """The library's k-coloring search as it ran when each node recounted
+    every uncolored vertex's saturation: the same picks, so the same
+    coloring (or None) and the same ``budget.nodes``."""
+    colors = [0] * G.n
+    for index, v in enumerate(seed_clique):
+        colors[v] = index + 1
+
+    def backtrack(colored: int, used: int) -> bool:
+        budget.check()
+        if colored == G.n:
+            return True
+        # most saturated uncolored vertex; ties by degree, then lowest id
+        pick = -1
+        pick_key = (-1, -1, 0)
+        for v in range(G.n):
+            if colors[v]:
+                continue
+            saturation = len({colors[u] for u in G.adj[v] if colors[u]})
+            key = (saturation, len(G.adj[v]), -v)
+            if key > pick_key:
+                pick_key = key
+                pick = v
+        forbidden = {colors[u] for u in G.adj[pick]}
+        for c in range(1, min(k, used + 1) + 1):
+            if c in forbidden:
+                continue
+            colors[pick] = c
+            if backtrack(colored + 1, max(used, c)):
+                return True
+            colors[pick] = 0
+        return False
+
+    if backtrack(len(seed_clique), len(seed_clique)):
+        return colors
+    return None
+
+
+def eccentricity_connected_bound(G: Graph) -> int:
+    """The library's connected-domination lower bound as it was before the
+    Steiner term: the largest of the closed-neighborhood packing, ceil(n /
+    (Delta + 1)) and ecc(x) - 1 for x the highest id on the last BFS level
+    from 0.  The Steiner term's bound is never below it."""
+    reach = [sum(1 << u for u in G.adj[v]) | (1 << v) for v in range(G.n)]
+    sizes = [r.bit_count() for r in reach]
+    packed = 0
+    packing = 0
+    for v in sorted(range(G.n), key=lambda v: (sizes[v], v)):
+        if not reach[v] & packed:
+            packed |= reach[v]
+            packing += 1
+    far = bfs_levels(G, 0)[0][-1][-1]
+    return max(packing, -(-G.n // max(sizes)), len(bfs_levels(G, far)[0]) - 2)
 
 
 def brute_vc(G: Graph) -> int:

@@ -16,7 +16,10 @@ from diskapprox.exact import (
     DOMINATION_VARIANTS,
     OracleLimits,
     _domination_lower_bound,
+    _mis_search,
     _neighbor_masks,
+    _NodeBudget,
+    _try_k_coloring,
     check_size,
     exact_chromatic,
     exact_clique,
@@ -24,6 +27,8 @@ from diskapprox.exact import (
     exact_mis,
     exact_vc,
 )
+from diskapprox import exact
+from diskapprox.covering import Coloring, _first_fit
 from diskapprox.geometry import random_connected_instance
 from diskapprox.graphs import VertexSet, build_graph, is_connected
 from diskapprox.problems import PROBLEMS
@@ -36,9 +41,11 @@ from refimpl import (
     brute_mis,
     brute_vc,
     complement,
+    eccentricity_connected_bound,
     first_dominating_set,
     random_graph,
-    uncut_mis_search,
+    recount_k_coloring,
+    scan_first_mis_search,
 )
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -67,6 +74,16 @@ def disjoint_union(*graphs):
         edges += [(u + offset, v + offset) for u, v in G.edges]
         offset += G.n
     return build_graph(offset, edges)
+
+
+def spider_graph(legs, length):
+    """A center, 0, with ``legs`` paths of ``length`` vertices hanging off it."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges += [(v, v + 1) for v in range(first, first + length - 1)]
+    return build_graph(1 + legs * length, edges)
 
 
 class TestExamples:
@@ -330,14 +347,19 @@ class TestDominationSearch:
     def test_each_term_reaches_the_optimum(self):
         # packing: the four leaves of a spider with legs of length 2 have
         # disjoint closed neighborhoods, while ceil(9 / 5) = 2
-        spider = build_graph(9, [(0, 1), (0, 3), (0, 5), (0, 7), (1, 2), (3, 4), (5, 6), (7, 8)])
+        spider = spider_graph(4, 2)
         assert lower_bound(spider, "plain") == exact_domination(spider, "plain")[0] == 4
         # degree: the id-order packing of C16 stops at 5, ceil(16 / 3) = 6
         C16 = cycle(16)
         assert lower_bound(C16, "plain") == exact_domination(C16, "plain")[0] == 6
-        # eccentricity: P16 has diameter 15
+        # Steiner term with z on an end: P16 has diameter 15
         P16 = path(16)
         assert lower_bound(P16, "connected") == exact_domination(P16, "connected")[0] == 14
+        # Steiner term on three leaves: every internal vertex of a tree is
+        # needed, 1 + 3 * 3 = 10, where the eccentricity term gives 8 - 1
+        spider = spider_graph(3, 4)
+        assert eccentricity_connected_bound(spider) == 7
+        assert lower_bound(spider, "connected") == exact_domination(spider, "connected")[0] == 10
 
     def test_reference_reaches_every_cap(self):
         cases = _domination_reference()
@@ -382,7 +404,91 @@ def _mis_graphs():
 class TestMisWitness:
     def test_matches_the_uncut_search(self):
         for G in _mis_graphs():
-            size, mask = uncut_mis_search(G)
+            size, mask, _ = scan_first_mis_search(G, cover_cut=False)
             chosen = {v for v in range(G.n) if (mask >> v) & 1}
             assert exact_mis(G) == (size, VertexSet.of(chosen, G.n)), G.adj
             assert exact_vc(G) == (G.n - size, VertexSet.of(set(range(G.n)) - chosen, G.n)), G.adj
+
+    def test_cut_before_the_scan_visits_the_same_nodes(self):
+        for G in _mis_graphs():
+            size, mask, nodes = scan_first_mis_search(G)
+            budget = _NodeBudget(DEFAULT_LIMITS.max_nodes)
+            assert _mis_search(G, budget) == (size, mask), G.adj
+            assert budget.nodes == nodes, G.adj
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_graphs():
+    """Labeled graphs up to n = 5, paths, cycles and crowns up to 16
+    vertices, and 300 unit and 300 [0.5, 2] connected disk graphs at
+    n = 8..16."""
+    graphs = [G for n in range(6) for G in all_labeled_graphs(n)]
+    for n in range(1, 17):
+        graphs.append(path(n))
+        if n >= 3:
+            graphs.append(cycle(n))
+        if n % 2 == 0 and n >= 4:
+            graphs.append(crown(n // 2))
+    for index in range(600):
+        n = 8 + index % 9
+        radius_high = None if index % 2 else 2.0
+        radius = 1.0 if radius_high is None else 0.5
+        box = tuned_box(n, radius, radius_high, 3.0 + index % 3)
+        graphs.append(
+            random_connected_instance(n, box, radius, derive_seed(0xC01, index), radius_high)[1]
+        )
+    return tuple(graphs)
+
+
+class TestColoringSearch:
+    def test_matches_the_recounting_search(self):
+        for G in _oracle_graphs():
+            if G.n == 0:
+                continue
+            clique = exact_clique(G)[1].members
+            for k in range(len(clique), _first_fit(G, range(G.n)).num_colors + 1):
+                ours, theirs = _NodeBudget(DEFAULT_LIMITS.max_nodes), _NodeBudget(DEFAULT_LIMITS.max_nodes)
+                colors = _try_k_coloring(G, k, clique, ours)
+                assert colors == recount_k_coloring(G, k, clique, theirs), (G.adj, k)
+                assert ours.nodes == theirs.nodes, (G.adj, k)
+                if colors is not None:
+                    assert exact_chromatic(G) == (k, Coloring.of(colors)), G.adj
+                    break
+
+
+def _counted(monkeypatch, search):
+    """(result, search nodes) of ``search()`` under a counting node budget."""
+    budgets = []
+
+    class CountingBudget(_NodeBudget):
+        __slots__ = ()
+
+        def __init__(self, cap):
+            super().__init__(cap)
+            budgets.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_NodeBudget", CountingBudget)
+        result = search()
+    return result, sum(budget.nodes for budget in budgets)
+
+
+class TestSteinerBound:
+    def test_never_below_the_eccentricity_bound_nor_above_the_optimum(self, monkeypatch):
+        fixed = [path(16), spider_graph(4, 2), spider_graph(3, 4), cycle(16)]
+        fixed += [grid(rows, cols) for rows in range(2, 5) for cols in range(rows, 16 // rows + 1)]
+        connected = [G for G in _oracle_graphs() if G.n and is_connected(G)]
+        assert sum(G.n >= 8 for G in connected) >= 400
+        for G in fixed + connected:
+            bound = lower_bound(G, "connected")
+            old = eccentricity_connected_bound(G)
+            new, nodes = _counted(monkeypatch, lambda: exact_domination(G, "connected"))
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "_domination_lower_bound", lambda G, v, r: old)
+                before, old_nodes = _counted(monkeypatch, lambda: exact_domination(G, "connected"))
+            assert old <= bound <= new[0], G.adj
+            assert new == before and nodes <= old_nodes, G.adj
+
+    def test_c16_keeps_its_bound(self):
+        # test_node_cap_is_enforced counts the nodes from size 7 up
+        assert lower_bound(cycle(16), "connected") == eccentricity_connected_bound(cycle(16)) == 7

@@ -248,6 +248,8 @@ class TestSolutionDocuments:
         '{"problem": "mis", "value": false}',
         '{"problem": "mis", "value": 1, "vertices": "0"}',
         '{"problem": "mis", "value": 1, "vertices": [false]}',
+        '{"problem": "mis", "value": 1, "vertices": [0, true]}',
+        '{"problem": "mis", "value": 1, "vertices": [0, 1.0]}',
         '{"problem": "color", "value": 1, "colors": [null]}',
     ])
     def test_rejects_mistyped_fields(self, text):

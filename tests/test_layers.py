@@ -5,6 +5,10 @@ import json
 import sys
 from pathlib import Path
 
+from diskapprox import exact
+from diskapprox.exact import DEFAULT_LIMITS, exact_domination
+from diskapprox.graphs import build_graph
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layers.py"
 
 
@@ -34,12 +38,41 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
         expected |= {f"heuristic.{p}" for p in ("vc", "color", "online-color", "ds", "ids", "tds", "cds")}
         expected |= {f"verify_{path}.{p}" for path in ("full", "subset")
                      for p in ("vc", "mis", "color", "online-color")}
+        expected |= {f"oracle.{name}" for name, _, _ in tool.ORACLES}
         assert {name.split("/", 1)[1] for name in names if name.startswith(kind + "/")} == expected
-    for row in run["layers"].values():
-        assert set(row) == {"n", "s", "ref", "slope"}
+    caps = {f"oracle.{name}": getattr(DEFAULT_LIMITS, cap) for name, cap, _ in tool.ORACLES}
+    for name, row in run["layers"].items():
+        layer = name.split("/", 1)[1]
         assert len(row["n"]) == len(row["s"]) == len(row["ref"]) == 1
-        assert 2 <= row["n"][0] <= 100 and row["s"][0] >= 0 and row["ref"][0] >= 0
+        assert row["s"][0] >= 0 and row["ref"][0] >= 0
         assert row["slope"] is None  # one size fits no slope
+        if layer in caps:
+            # the oracles run at their own caps, whatever --sizes says
+            assert set(row) == {"n", "s", "ref", "nodes", "slope"}
+            assert row["n"] == [caps[layer]] and row["nodes"][0] >= 1
+        else:
+            assert set(row) == {"n", "s", "ref", "slope"}
+            assert 2 <= row["n"][0] <= 100
+
+
+def test_search_nodes_counts_every_budget():
+    tool = load_tool()
+    plain = exact._NodeBudget
+    # connected domination on C16 searches sizes 7 to 14 in 23,490 nodes
+    assert tool.search_nodes(lambda: exact_domination(cycle(16), "connected")) == 23_490
+    # the chromatic oracle's clique search and its coloring search (k = 2,
+    # then 3 on C5) each open a budget
+    C5 = cycle(5)
+    clique_nodes = tool.search_nodes(lambda: exact.exact_clique(C5))
+    budget = exact._NodeBudget(DEFAULT_LIMITS.max_nodes)
+    clique = exact.exact_clique(C5)[1].members
+    assert [exact._try_k_coloring(C5, k, clique, budget) is None for k in (2, 3)] == [True, False]
+    assert tool.search_nodes(lambda: exact.exact_chromatic(C5)) == clique_nodes + budget.nodes
+    assert exact._NodeBudget is plain
+
+
+def cycle(n):
+    return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def test_slope_of_a_power_law():

@@ -22,12 +22,24 @@ each layer ``k`` times:
   ``edge_free`` names (absent where the problem table has no ``edge_free``).
 
 Each layer records, per size, the median of the ``k`` times in seconds and
-in reference units: the time over the median of the last samples of
-``perfbench/workloads.Reference``, sampled before every timed call, so CPU
-speed drift on a shared machine mostly cancels.  A log-log least-squares
-slope over the sizes goes with each layer.  The run (label, machine, Python
-version, sizes, k, layers) is appended to the ``runs`` list of ``--out``,
-which is created when missing.
+in reference units: the time over the median of ``Reference.WINDOW``
+samples of ``perfbench/workloads.Reference``, so CPU speed drift on a
+shared machine mostly cancels.  Each size takes its samples after
+``gc.collect()`` and before its inputs are built: a sample taken while a
+large graph is live runs slower (about 3.3 ms beside a 10^5-disk graph,
+2.0 ms beside 10^3-disk inputs), which would shrink the unit at large n.  A log-log
+least-squares slope over the sizes goes with each layer.
+
+The oracle layers, ``oracle.<solver>``, run at the oracle's own default
+size cap, whatever ``--sizes`` says: ``exact_vc`` at n = 24,
+``exact_chromatic`` at 16, ``exact_domination`` plain and total at 18 and
+connected at 16.  Each runs over the same ``ORACLE_DRAWS`` connected draws
+at mean degree 4 (as perfbench's oracle-ratio rows) and records seconds per
+call and ``nodes``, the search nodes per call, read from a counting
+subclass of the oracles' node budget.
+
+The run (label, machine, Python version, sizes, k, layers) is appended to
+the ``runs`` list of ``--out``, which is created when missing.
 """
 
 from __future__ import annotations
@@ -49,6 +61,16 @@ MEAN_DEGREE = 6.0
 RADII = {"unit": (1.0, None), "mixed": (0.5, 2.0)}
 VERIFIED = ("vc", "mis", "color", "online-color")
 SIZES = (1000, 10_000, 100_000)
+ORACLE_DRAWS = 20
+ORACLE_MEAN_DEGREE = 4.0
+# (layer, size cap of OracleLimits it runs at, domination variant or None)
+ORACLES = (
+    ("exact_vc", "max_vertex_cover", None),
+    ("exact_chromatic", "max_chromatic", None),
+    ("exact_domination.plain", "max_domination", "plain"),
+    ("exact_domination.total", "max_domination", "total"),
+    ("exact_domination.connected", "max_connected_domination", "connected"),
+)
 
 
 def _inputs(kind: str, n: int):
@@ -104,6 +126,48 @@ def layers(kind: str, n: int):
     return out
 
 
+def oracle_layers(kind: str):
+    """(``oracle.<solver>``, n, callable over ``ORACLE_DRAWS`` graphs) per oracle."""
+    from diskapprox import bench, exact, geometry
+    from diskapprox.rng import derive_seed
+
+    radius, radius_high = RADII[kind]
+    out = []
+    for name, cap, variant in ORACLES:
+        n = getattr(exact.DEFAULT_LIMITS, cap)
+        box = bench.tuned_box(n, radius, radius_high, ORACLE_MEAN_DEGREE)
+        graphs = [
+            geometry.random_connected_instance(n, box, radius, derive_seed(SEED, draw), radius_high)[1]
+            for draw in range(ORACLE_DRAWS)
+        ]
+        solver = getattr(exact, name.split(".")[0])
+        args = (variant,) if variant else ()
+        out.append((f"oracle.{name}", n, lambda s=solver, a=args, gs=graphs: [s(G, *a) for G in gs]))
+    return out
+
+
+def search_nodes(fn) -> int:
+    """Search nodes ``fn()`` visits in the oracles, read from a counting ``_NodeBudget``."""
+    from diskapprox import exact
+
+    budgets = []
+
+    class CountingBudget(exact._NodeBudget):
+        __slots__ = ()
+
+        def __init__(self, cap: int):
+            super().__init__(cap)
+            budgets.append(self)
+
+    plain = exact._NodeBudget
+    exact._NodeBudget = CountingBudget
+    try:
+        fn()
+    finally:
+        exact._NodeBudget = plain
+    return sum(budget.nodes for budget in budgets)
+
+
 def slope(ns, times) -> float | None:
     """Least-squares slope of log(time) against log(n); None below two sizes."""
     if len(ns) < 2:
@@ -116,34 +180,47 @@ def slope(ns, times) -> float | None:
 
 
 def measure(sizes, k: int) -> dict:
-    """Per ``<kind>/<layer>``: n, median seconds, median ref units and slope."""
+    """Per ``<kind>/<layer>``: n, median seconds, median ref units and slope,
+    and for an oracle layer its search nodes per call."""
     from workloads import Reference
 
     reference = Reference()
-    for _ in range(Reference.WINDOW):
-        reference.sample()
     table: dict[str, dict] = {}
     for kind in RADII:
         for n in sizes:
-            for name, vertices, fn in layers(kind, n):
-                seconds, refs = [], []
-                for _ in range(k):
-                    gc.collect()
-                    reference.sample()
-                    started = time.perf_counter()
-                    fn()
-                    elapsed = time.perf_counter() - started
-                    seconds.append(elapsed)
-                    refs.append(elapsed / reference.unit())
-                row = table.setdefault(f"{kind}/{name}", {"n": [], "s": [], "ref": []})
-                row["n"].append(vertices)
-                row["s"].append(round(statistics.median(seconds), 6))
-                row["ref"].append(round(statistics.median(refs), 4))
+            time_layers(table, kind, lambda: layers(kind, n), 1, k, reference)
+        time_layers(table, kind, lambda: oracle_layers(kind), ORACLE_DRAWS, k, reference)
     for row in table.values():
         row["slope"] = slope(row["n"], row["s"])
         if row["slope"] is not None:
             row["slope"] = round(row["slope"], 3)
     return table
+
+
+def time_layers(table: dict, kind: str, build, calls: int, k: int, reference) -> None:
+    """Sample the reference, then build the layers and time each ``k`` times.
+
+    The inputs live only in this call, so the next group's reference
+    samples run beside none of them.  Each layer's callable makes ``calls``
+    calls; an oracle layer (``calls`` > 1) also records its search nodes.
+    """
+    gc.collect()
+    for _ in range(reference.WINDOW):
+        reference.sample()
+    unit = reference.unit()
+    for name, vertices, fn in build():
+        seconds = []
+        for _ in range(k):
+            gc.collect()
+            started = time.perf_counter()
+            fn()
+            seconds.append((time.perf_counter() - started) / calls)
+        row = table.setdefault(f"{kind}/{name}", {"n": [], "s": [], "ref": []})
+        row["n"].append(vertices)
+        row["s"].append(round(statistics.median(seconds), 6))
+        row["ref"].append(round(statistics.median(seconds) / unit, 4))
+        if calls > 1:
+            row["nodes"] = [round(search_nodes(fn) / calls, 1)]
 
 
 def main(argv=None) -> int:
