@@ -8,7 +8,7 @@ as intersecting and no square root enters any comparison.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -51,8 +51,8 @@ class GeometricInstance:
 # Coordinates within 2^500 of 0 and radii in [2^-500, 2^500] keep the
 # pairing arithmetic finite and normal: a squared distance or squared reach
 # is at most 2^1003, a squared reach at least 2^-998 (a squared distance
-# that underflows is then far below it), and a cell index |x| / cell at
-# most 2^999.
+# that underflows is then far below it), and a strip index (|y| + w) /
+# height below 2^1001.
 _MAX_MAGNITUDE = 2.0 ** 500
 _MIN_RADIUS = 2.0 ** -500
 
@@ -75,13 +75,16 @@ def _disk_fault(x: float, y: float, r: float) -> Optional[str]:
 
 def _check_radii(disks) -> tuple[float, float]:
     """Reject disks :func:`_disk_fault` rejects; return the (min, max) radius."""
+    # The chained range test of _disk_fault, inline; only the disk that
+    # fails it (NaN fails every comparison) is asked for its message.
+    big = _MAX_MAGNITUDE
+    small = _MIN_RADIUS
     low = math.inf
     high = 0.0
     for x, y, r in disks:
-        fault = _disk_fault(x, y, r)
-        if fault:
+        if not (-big <= x <= big and -big <= y <= big and small <= r <= big):
             error = NonPositiveRadius if r <= 0 else BadParameter
-            raise error(f"disk ({x}, {y}, {r}): {fault}")
+            raise error(f"disk ({x}, {y}, {r}): {_disk_fault(x, y, r)}")
         if r < low:
             low = r
         if r > high:
@@ -97,16 +100,17 @@ def _check_radius_range(radius: float, radius_high: Optional[float]) -> None:
 
 
 def _radius_levels(disks) -> list[tuple[float, list[int]]]:
-    """Disk ids split into levels of increasing radius, each with its cell side.
+    """Disk ids split into levels of increasing radius, each with its largest reach.
 
     Each level takes the remaining disks of radius at most twice their lower
     median, so it holds at least half of them and there are at most
     log2(n) + 1 levels; every radius of a later level exceeds every radius
-    of an earlier one.  A level's cell side is twice its largest radius.
+    of an earlier one.  A level's largest reach is twice its largest radius.
     """
     n = len(disks)
-    order = sorted(range(n), key=lambda i: disks[i][2])
-    radii = [disks[i][2] for i in order]
+    radii = [disk[2] for disk in disks]
+    order = sorted(range(n), key=radii.__getitem__)
+    radii = [radii[i] for i in order]
     levels = []
     start = 0
     while start < n:
@@ -117,32 +121,44 @@ def _radius_levels(disks) -> list[tuple[float, list[int]]]:
     return levels
 
 
-def _bucket(entries, cell: float) -> dict[tuple[int, int], list[tuple]]:
-    """``entries``, (id, x, y, ...) tuples, keyed by the grid cell of (x, y)."""
-    # Cells are 2^-20 wider than the largest reach: the squared test rounds
-    # dx = xi - xj, so it accepts centers a few ulps more than one reach
-    # apart, e.g. (-1e-20, 0, 1) and (2, 0, 1), which cells of side exactly
-    # 2 put two cells apart.
-    cell *= 1.0 + 2.0 ** -20
+# Strips are 2^-20 taller than a level's largest reach, and a disk's window
+# 2^-20 wider than its largest reach.  The squared test rounds dx = xi - xj,
+# so it accepts centers a few ulps more than one reach apart, e.g.
+# (-1e-20, 0, 1) and (2, 0, 1); with the margin every accepted pair lies in
+# one strip or two adjacent ones, and inside each disk's window.
+_MARGIN = 1.0 + 2.0 ** -20
+_NO_STRIP: tuple[list, list] = ([], [])
+
+
+def _strips(entries, height: float) -> tuple[list[int], list[tuple[list, list]]]:
+    """``entries``, (x, y, id, ...) tuples, cut into horizontal strips.
+
+    Returns the indices floor(y / height) of the nonempty strips in
+    ascending order and, for each, (xs, members): its entries sorted by x,
+    then y, then id, and their x coordinates for :func:`bisect`.
+    """
     floor = math.floor
-    buckets: dict[tuple[int, int], list[tuple]] = {}
+    buckets: dict[int, list[tuple]] = {}
     get = buckets.get
     for entry in entries:
-        key = (floor(entry[1] / cell), floor(entry[2] / cell))
+        key = floor(entry[1] / height)
         members = get(key)
         if members is None:
             buckets[key] = [entry]
         else:
             members.append(entry)
-    return buckets
+    keys = sorted(buckets)
+    strips = []
+    for key in keys:
+        members = buckets[key]
+        members.sort()
+        strips.append(([entry[0] for entry in members], members))
+    return keys, strips
 
 
-_BLOCK = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
-
-
-# Above this many disks the grid scan is cheaper than testing every pair:
-# the measured crossover lies between 32 and 48 disks, for unit and
-# [0.5, 2] radii at mean degree 4 and 6.
+# Above this many disks the strip sweep is cheaper than testing every pair:
+# at mean degree 4 and 6 the measured crossover lies between 24 and 32
+# disks for unit radii and between 32 and 40 for radii in [0.5, 2].
 _ALL_PAIRS_MAX = 32
 
 
@@ -152,10 +168,10 @@ def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
     At most ``_ALL_PAIRS_MAX`` disks test every pair, with the same test as
     :func:`_grid_adjacency`, which pairs larger inputs.  The pairs come in
     lexicographic order, so each row fills in ascending order.  The pair test
-    ``dx * dx + dy * dy <= reach * reach`` has four copies: this loop,
-    :func:`_pair_equal_radii`, :func:`_pair_levels` and the sampler's
-    connectivity search :func:`_reaches_every_disk`; a change to it changes
-    all four.
+    ``dx * dx + dy * dy <= reach * reach`` has five copies: this loop,
+    :func:`_pair_equal_radii`, :func:`_pair_within` and :func:`_pair_across`
+    (the strip sweep), and the sampler's connectivity search
+    :func:`_reaches_every_disk`; a change to it changes all five.
     """
     if len(disks) > _ALL_PAIRS_MAX:
         return _grid_adjacency(disks, low, high)
@@ -171,27 +187,27 @@ def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
 
 
 def _grid_adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor tuple of every disk, found by a grid scan.
+    """Sorted neighbor tuple of every disk, found by a strip sweep.
 
     Disks are split into radius levels (see :func:`_radius_levels`); unit
     disks, or any radii within a factor of two, make a single level.  Each
-    level buckets its centers into cells just over 2 * its largest radius, so
-    a pair within the level sits in the same or an adjacent cell.  Each cell
-    tests its members against one pool: its members followed by the entries
-    of a half-neighborhood of four offsets, member a (1-based) testing
-    ``pool[a:]``, which visits each unordered cell pair once.  A pair across
-    levels is found from the smaller disk: its radius is below the larger
-    one's, which is at most half the larger level's cell, so the larger
-    center lies in the 3x3 block of that level's cells around the smaller
-    center.  The smaller disks of a level are bucketed on each later level's
-    grid, where a cell's pool is that block and every member tests all of
-    it, so a large disk never walks the fine grid.  When every radius is
-    equal (``low == high``), the single level runs the same scan in
-    :func:`_pair_equal_radii`.
+    level is cut into horizontal strips of height just over 2 * its largest
+    radius, its entries sorted by x within a strip (see :func:`_strips`), so
+    a pair within the level sits in one strip or two adjacent ones.  A disk
+    of radius r tests, by :func:`bisect` windows of half-width just over
+    r + the level's largest radius, the entries after it in its own strip
+    and those around its x in the next strip up (:func:`_pair_within`, or
+    :func:`_pair_equal_radii` when every radius is equal, ``low == high``).
+    A pair across levels is found by the disks of one level querying the
+    other level's strips in their band and window (:func:`_pair_across`);
+    which side queries is picked per level pair by :func:`_large_queries`.
 
-    The scan finds each unordered intersecting pair exactly once, so a hit
-    is appended to both endpoints' rows with no dedup, and each row is
-    sorted once at the end.
+    The pair test has five copies, which a change to it changes alike: the
+    all-pairs loop of :func:`_adjacency`, :func:`_pair_equal_radii`,
+    :func:`_pair_within`, :func:`_pair_across` and
+    :func:`_reaches_every_disk`.  The sweep finds each unordered
+    intersecting pair exactly once, so a hit is appended to both endpoints'
+    rows with no dedup, and each row is sorted once at the end.
     """
     rows: list[list[int]] = [[] for _ in disks]
     if low == high:
@@ -206,20 +222,24 @@ def _grid_adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ..
 def _pair_equal_radii(disks, radius: float, rows: list[list[int]]) -> None:
     """Append every intersecting pair of disks that all have ``radius`` to ``rows``.
 
-    Entries drop the radius, and every pair is tested against one constant
-    ``(radius + radius) ** 2``, the same float the general test's
-    ``reach * reach`` gives, so the rows are those of :func:`_pair_levels`.
+    The sweep of :func:`_pair_within` on one level whose every window has
+    the strip height as its half-width.  Entries drop the radius, and every
+    pair is tested against one constant ``(radius + radius) ** 2``, the same
+    float the general test's ``reach * reach`` gives, so the rows are those
+    of :func:`_pair_levels`.
     """
-    buckets = _bucket([(i, x, y) for i, (x, y, _) in enumerate(disks)], 2.0 * radius)
     reach = radius + radius
     limit = reach * reach
-    get = buckets.get
-    for (cx, cy), members in buckets.items():
-        pool = [*members, *get((cx + 1, cy), ()), *get((cx - 1, cy + 1), ()),
-                *get((cx, cy + 1), ()), *get((cx + 1, cy + 1), ())]
-        for a, (i, xi, yi) in enumerate(members, 1):
+    width = reach * _MARGIN
+    keys, strips = _strips([(x, y, i) for i, (x, y, _) in enumerate(disks)], width)
+    last = len(keys) - 1
+    for t, (xs, members) in enumerate(strips):
+        up_xs, up = strips[t + 1] if t < last and keys[t + 1] == keys[t] + 1 else _NO_STRIP
+        for a, (xi, yi, i) in enumerate(members, 1):
             row = rows[i]
-            for j, xj, yj in pool[a:]:
+            right = xi + width
+            for xj, yj, j in (members[a:bisect_right(xs, right, a)]
+                              + up[bisect_left(up_xs, xi - width):bisect_right(up_xs, right)]):
                 dx = xi - xj
                 dy = yi - yj
                 if dx * dx + dy * dy <= limit:
@@ -227,31 +247,97 @@ def _pair_equal_radii(disks, radius: float, rows: list[list[int]]) -> None:
                     rows[j].append(i)
 
 
+def _levels(disks) -> list[tuple]:
+    """The radius levels of ``disks`` (see :func:`_radius_levels`), cut into strips.
+
+    Each is (its largest radius, its strip height, its entries (x, y, id, r)
+    in level order, then the strip indices and strips of :func:`_strips`).
+    """
+    levels = []
+    for reach, ids in _radius_levels(disks):
+        entries = [(x, y, i, r) for i in ids for x, y, r in (disks[i],)]
+        height = reach * _MARGIN
+        levels.append((0.5 * reach, height, entries, *_strips(entries, height)))
+    return levels
+
+
 def _pair_levels(disks, rows: list[list[int]]) -> None:
-    """Append every intersecting pair to ``rows`` by the radius-level scan."""
-    grids = []
-    for cell, ids in _radius_levels(disks):
-        entries = [(i,) + disks[i] for i in ids]
-        grids.append((cell, entries, _bucket(entries, cell)))
-    for level, (_, entries, own) in enumerate(grids):
-        for cell, _, targets in grids[level:]:
-            same = targets is own
-            get = targets.get
-            for (cx, cy), members in (own if same else _bucket(entries, cell)).items():
-                if same:
-                    pool = [*members, *get((cx + 1, cy), ()), *get((cx - 1, cy + 1), ()),
-                            *get((cx, cy + 1), ()), *get((cx + 1, cy + 1), ())]
-                else:
-                    pool = [e for ox, oy in _BLOCK for e in get((cx + ox, cy + oy), ())]
-                for a, (i, xi, yi, ri) in enumerate(members, 1):
-                    row = rows[i]
-                    for j, xj, yj, rj in pool[a:] if same else pool:
-                        dx = xi - xj
-                        dy = yi - yj
-                        reach = ri + rj
-                        if dx * dx + dy * dy <= reach * reach:
-                            row.append(j)
-                            rows[j].append(i)
+    """Append every intersecting pair to ``rows`` by the radius-level sweep."""
+    levels = _levels(disks)
+    for index, small in enumerate(levels):
+        _pair_within(small, rows)
+        for large in levels[index + 1:]:
+            if _large_queries(small, large):
+                _pair_across(large[2], small, rows)
+            else:
+                _pair_across(small[2], large, rows)
+
+
+def _pair_within(level, rows: list[list[int]]) -> None:
+    """Append the intersecting pairs inside one radius ``level`` to ``rows``.
+
+    A disk of radius r takes the half-width w = (r + the level's largest
+    radius) * (1 + 2^-20), which bounds the x offset of any pair the test
+    accepts, and tests the entries after it in its strip with x at most
+    x + w, then the entries of the next strip up with x in [x - w, x + w].
+    """
+    radius, _, _, keys, strips = level
+    margin = _MARGIN
+    last = len(keys) - 1
+    for t, (xs, members) in enumerate(strips):
+        up_xs, up = strips[t + 1] if t < last and keys[t + 1] == keys[t] + 1 else _NO_STRIP
+        for a, (xi, yi, i, ri) in enumerate(members, 1):
+            width = (ri + radius) * margin
+            right = xi + width
+            row = rows[i]
+            for xj, yj, j, rj in (members[a:bisect_right(xs, right, a)]
+                                  + up[bisect_left(up_xs, xi - width):bisect_right(up_xs, right)]):
+                dx = xi - xj
+                dy = yi - yj
+                reach = ri + rj
+                if dx * dx + dy * dy <= reach * reach:
+                    row.append(j)
+                    rows[j].append(i)
+
+
+def _pair_across(entries, level, rows: list[list[int]]) -> None:
+    """Append the intersecting pairs of ``entries`` and another ``level`` to ``rows``.
+
+    An entry of radius r takes the half-width w = (r + the level's largest
+    radius) * (1 + 2^-20) and tests the level's strips that the band
+    [y - w, y + w] meets, each over the window [x - w, x + w].
+    """
+    radius, height, _, keys, strips = level
+    margin = _MARGIN
+    floor = math.floor
+    for xi, yi, i, ri in entries:
+        width = (ri + radius) * margin
+        left = xi - width
+        right = xi + width
+        row = rows[i]
+        for xs, members in strips[bisect_left(keys, floor((yi - width) / height)):
+                                  bisect_right(keys, floor((yi + width) / height))]:
+            for xj, yj, j, rj in members[bisect_left(xs, left):bisect_right(xs, right)]:
+                dx = xi - xj
+                dy = yi - yj
+                reach = ri + rj
+                if dx * dx + dy * dy <= reach * reach:
+                    row.append(j)
+                    rows[j].append(i)
+
+
+def _large_queries(small, large) -> bool:
+    """True when the ``large`` level's disks query the ``small`` level's strips.
+
+    Either side may query.  A disk visits the nonempty strips its band
+    meets: a large disk at most about 2 * w / height + 1 of the small
+    level's, w the widest half-width, and never more than the level has; a
+    small disk, whose half-width is below the large level's strip height,
+    at most 3.  The side with fewer strip visits by these bounds queries;
+    ties go to the large disks.
+    """
+    band = 2.0 * (small[0] + large[0]) * _MARGIN / small[1] + 1.0
+    return len(large[2]) * min(len(small[3]), band) <= len(small[2]) * min(len(large[3]), 3)
 
 
 def instance_to_graph(inst: GeometricInstance) -> Graph:

@@ -423,9 +423,10 @@ def _with_a_radius_16_disk():
 
 
 # Shapes where pairing a subset could differ from the full graph: tangent
-# chains, coincident centers, one radius-16 disk, _bucket's rounding pair and
-# near-tangent pairs.  The small ones pair every set by testing all pairs; on
-# the 80- to 300-disk ones some sets exceed _ALL_PAIRS_MAX and take the grid.
+# chains, coincident centers, one radius-16 disk, the rounding pair
+# (-1e-20, 0, 1), (2, 0, 1) and near-tangent pairs.  The small ones pair every
+# set by testing all pairs; on the 80- to 300-disk ones some sets exceed
+# _ALL_PAIRS_MAX and take the strip sweep.
 VERIFY_INSTANCES = {
     "tangent-chain-24": tuple((2.0 * i, 0.0, 1.0) for i in range(24)),
     "tangent-chain-100": tuple((2.0 * i, 0.0, 1.0) for i in range(100)),

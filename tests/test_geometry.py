@@ -307,6 +307,107 @@ class TestRadiusLevels:
         assert best_of_three(mixed) <= 5.0 * best_of_three(small)
 
 
+def through_both_kernels(triples):
+    """The graph of ``triples``, all of one radius r, checked through both kernels.
+
+    The triples alone take the equal-radius kernel.  With one far disk of
+    radius r / 2 added they take the general loop on one level whose largest
+    radius, and so strip height, is the same.  Both must match the O(n^2)
+    definition; the far disk has no neighbor.
+    """
+    r = triples[0][2]
+    equal = disks(*triples)
+    general = disks(*triples, (1e6, -1e6, 0.5 * r))
+    assert equal.unit and not general.unit and level_count(general) == 1
+    for inst in (equal, general):
+        assert_matches_all_pairs(inst, min_levels=1)
+    assert instance_to_graph(general).adj[-1] == ()
+    return instance_to_graph(equal)
+
+
+class TestStripSweep:
+    """Strips of one level, and the side that queries across two levels."""
+
+    height = 2.0 * geometry._MARGIN  # of unit disks' strips
+
+    def test_centers_on_a_strip_boundary(self):
+        # centers on y = k * h and one ulp either side, each with a partner
+        # tangent, a few ulps off tangent, one strip height away or diagonal
+        h = self.height
+        triples = []
+        x = 0.0
+        for k in (-3, -1, 0, 1, 2, 7):
+            ys = (down(k * h), k * h, up(k * h))
+            # at k = 0, -5e-324 / h underflows to -0.0, in strip 0
+            assert [math.floor(y / h) for y in ys] == [k - 1 if k else 0, k, k]
+            for y in ys:
+                for dy in (2.0, up(2.0), down(2.0), -2.0, down(-2.0), h, -h, 1.2, -1.2):
+                    dx = math.sqrt(max(4.0 - dy * dy, 0.0))
+                    triples += [(x, y, 1.0), (x + dx, y + dy, 1.0)]
+                    x += 10.0
+        G = through_both_kernels(triples)
+        strip = [math.floor(y / h) for _, y, _ in triples]
+        crossing = [strip[u] != strip[v] for u, v in G.edges]
+        assert any(crossing) and not all(crossing)
+
+    def test_horizontal_and_vertical_tangent_chains(self):
+        # exactly tangent unit disks: along x all in one strip; along y the
+        # first two share strip 0 and every later strip holds one disk
+        h = self.height
+        chain = tuple((k, k + 1) for k in range(39))
+        horizontal = [(2.0 * k - 37.0, 0.5, 1.0) for k in range(40)]
+        vertical = [(0.5, 2.0 * k, 1.0) for k in range(40)]
+        for layout, sizes in ((horizontal, [40]), (vertical, [2] + [1] * 38)):
+            keys, strips = geometry._strips([(x, y, i) for i, (x, y, _) in enumerate(layout)], h)
+            assert [len(members) for _, members in strips] == sizes
+            assert keys == list(range(keys[0], keys[0] + len(sizes)))
+            assert through_both_kernels(layout).edges == chain
+
+    def test_rounding_pair_turned_a_right_angle(self):
+        # -1e-20 - 2 rounds to -2, so the test joins centers 2 + 1e-20 apart;
+        # strips of height exactly 2 would put them two strips apart
+        for pair in ([(0.0, -1e-20, 1.0), (0.0, 2.0, 1.0)], [(0.0, 2.0, 1.0), (0.0, -1e-20, 1.0)]):
+            assert [math.floor(y / 2.0) for _, y, _ in pair[::-1]] in ([1, -1], [-1, 1])
+            assert through_both_kernels(pair).edges == ((0, 1),)
+
+    def test_equal_x_inside_a_strip(self):
+        # a column of 18 centers (3 coincident) inside one strip, and a
+        # column 2 to its right whose disks touch the one at their height
+        column = [(3.0, 0.1 * k, 1.0) for k in range(15)] + [(3.0, 0.5, 1.0)] * 3
+        right = [(5.0, 0.1 * k, 1.0) for k in range(0, 15, 2)]
+        G = through_both_kernels(column + right)
+        assert G.m == 18 * 17 // 2 + 8 * 7 // 2 + 8
+        assert all(G.has_edge(k, 18 + k // 2) for k in range(0, 15, 2))
+
+    def test_three_large_disks_query_the_small_level(self):
+        # a large disk's band meets about 10 small strips, a small disk's
+        # window up to 3 large ones: 3 * 10 visits against 1000 * 3
+        box = tuned_box(1000, 0.5, 2.0, 6.0)
+        small = random_instance(1000, box, 0.5, 0x5171, radius_high=2.0)
+        inst = disks(*small.disks, (0.25 * box, 0.5 * box, 16.0), (0.5 * box, 0.3 * box, 16.0),
+                     (0.75 * box, 0.7 * box, 16.0))
+        levels = geometry._levels(inst.disks)
+        assert [len(entries) for _, _, entries, _, _ in levels] == [1000, 3]
+        assert geometry._large_queries(*levels)
+        assert_matches_all_pairs(inst)
+        assert any(instance_to_graph(inst).adj[-1])
+
+    def test_small_disks_query_a_thin_tall_level(self):
+        # 300 tiny disks in a column, one per strip: a large disk's band
+        # meets all 300, so 250 large disks would make 75,000 strip visits
+        # against at most 900 from the small side
+        rng = Rng(0x7A11)
+        tiny = [(0.05 * rng.uniform(), float(k), 0.01) for k in range(300)]
+        large = [(600.0 * rng.uniform() - 300.0, 300.0 * rng.uniform(), 100.0) for _ in range(250)]
+        inst = disks(*tiny, *large)
+        levels = geometry._levels(inst.disks)
+        assert [len(entries) for _, _, entries, _, _ in levels] == [300, 250]
+        assert len(levels[0][3]) == 300
+        assert not geometry._large_queries(*levels)
+        assert_matches_all_pairs(inst)
+        assert 0 < sum(map(len, instance_to_graph(inst).adj[:300]))
+
+
 class TestStructuredInstances:
     """Large instances whose structure fixes the edge set."""
 
@@ -534,7 +635,8 @@ class TestRandomInstance:
         assert sampled == len(calls) - sampled > 10
 
     def test_reach_search_on_structured_draws(self):
-        # the float test joins _bucket's pair, 2 + 1e-20 apart, so the search must too
+        # the float test joins (-1e-20, 0, 1) and (2, 0, 1), 2 + 1e-20 apart,
+        # so the search must too
         cases = [((0.0, 0.0, 1.0),), ((-1e-20, 0.0, 1.0), (2.0, 0.0, 1.0))]
         for k in range(-4, 5):
             r = 2.0 ** k

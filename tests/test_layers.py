@@ -5,7 +5,7 @@ import json
 import sys
 from pathlib import Path
 
-from diskapprox import exact
+from diskapprox import exact, geometry
 from diskapprox.exact import DEFAULT_LIMITS, exact_domination
 from diskapprox.graphs import build_graph
 
@@ -32,13 +32,15 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
     assert run["sizes"] == [100] and run["k"] == 1
     assert set(run["machine"]) == {"platform", "processor", "cpus"}
     names = set(run["layers"])
-    for kind, mis in (("unit", "sweep"), ("mixed", "eligibility-search")):
+    assert {name.split("/", 1)[0] for name in names} == set(tool.KINDS) == {"unit", "mixed", "scale"}
+    for kind, mis in (("unit", "sweep"), ("mixed", "eligibility-search"), ("scale", "eligibility-search")):
         expected = {"random_instance", "parse_instance", "instance_to_graph", "nt_decompose",
                     f"heuristic.mis.{mis}"}
         expected |= {f"heuristic.{p}" for p in ("vc", "color", "online-color", "ds", "ids", "tds", "cds")}
         expected |= {f"verify_{path}.{p}" for path in ("full", "subset")
                      for p in ("vc", "mis", "color", "online-color")}
-        expected |= {f"oracle.{name}" for name, _, _ in tool.ORACLES}
+        if kind != "scale":  # the oracles' small draws would be all radius-16 disk
+            expected |= {f"oracle.{name}" for name, _, _ in tool.ORACLES}
         assert {name.split("/", 1)[1] for name in names if name.startswith(kind + "/")} == expected
     caps = {f"oracle.{name}": getattr(DEFAULT_LIMITS, cap) for name, cap, _ in tool.ORACLES}
     for name, row in run["layers"].items():
@@ -52,7 +54,19 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
             assert row["n"] == [caps[layer]] and row["nodes"][0] >= 1
         else:
             assert set(row) == {"n", "s", "ref", "slope"}
-            assert 2 <= row["n"][0] <= 100
+            assert 2 <= row["n"][0] <= (101 if name.startswith("scale/") else 100)
+
+
+def test_scale_kind_pairs_across_radius_levels():
+    # one radius-16 disk per 1000 disks, at least one: the instance's radii
+    # make two levels, so pairing crosses them
+    tool = load_tool()
+    for n, big in ((100, 1), (2600, 3)):
+        _, inst, _, _ = tool._inputs("scale", n)
+        radii = [r for _, _, r in inst.disks]
+        assert radii.count(tool.BIG_RADIUS) == big
+        assert max(r for r in radii if r != tool.BIG_RADIUS) <= 2.0
+        assert len(geometry._radius_levels(inst.disks)) == 2
 
 
 def test_search_nodes_counts_every_budget():

@@ -4,13 +4,15 @@
     python3 tools/layers.py --sizes 100 -k 1 --out /tmp/layers.json
 
 Run from any directory; the package is imported from this checkout's
-``src/``.  For unit radii and for radii uniform in [0.5, 2], at each size n,
-it draws ``random_instance`` at mean degree 6, keeps the giant component
-(so every heuristic, ``tds`` and ``cds`` included, has an input) and times
-each layer ``k`` times:
+``src/``.  For three kinds of radii, ``unit``, ``mixed`` (uniform in
+[0.5, 2]) and ``scale`` (``mixed`` plus one radius-16 disk per 1000 disks,
+as perfbench's mixed-scale workload, so pairing crosses radius levels), at
+each size n it draws ``random_instance`` at mean degree 6, keeps the giant
+component (so every heuristic, ``tds`` and ``cds`` included, has an input)
+and times each layer ``k`` times:
 
-* ``random_instance`` (the raw draw of n disks) and ``parse_instance`` of the
-  component's file text;
+* ``random_instance`` (the raw draw of n disks, without the radius-16 ones)
+  and ``parse_instance`` of the component's file text;
 * ``instance_to_graph`` and ``nt_decompose`` on the whole graph;
 * every heuristic of the problem table, named ``heuristic.<problem>``; the
   ``mis`` layer adds its method, ``sweep`` on unit disks and
@@ -22,15 +24,17 @@ each layer ``k`` times:
   ``edge_free`` names (absent where the problem table has no ``edge_free``).
 
 Each layer records, per size, the median of the ``k`` times in seconds and
-in reference units: the time over the median of ``Reference.WINDOW``
-samples of ``perfbench/workloads.Reference``, so CPU speed drift on a
-shared machine mostly cancels.  Each size takes its samples after
-``gc.collect()`` and before its inputs are built: a sample taken while a
-large graph is live runs slower (about 3.3 ms beside a 10^5-disk graph,
-2.0 ms beside 10^3-disk inputs), which would shrink the unit at large n.  A log-log
-least-squares slope over the sizes goes with each layer.
+in reference units: the time over the median of the last
+``Reference.WINDOW`` samples of ``perfbench/workloads.Reference``.  The
+layer takes them next to its own runs, one before each run and one after
+the last, so CPU speed drift on a shared machine mostly cancels, also over
+a size group that lasts a minute.  The samples run beside the size's live
+inputs: on a 2-vCPU VM, samples beside 10^5-disk inputs and beside none
+differed by less than the drift between rounds, which spanned 1.8 to
+3.1 ms.  A log-log least-squares slope over the sizes goes with each layer.
 
-The oracle layers, ``oracle.<solver>``, run at the oracle's own default
+The oracle layers, ``oracle.<solver>``, of the ``unit`` and ``mixed``
+kinds run at the oracle's own default
 size cap, whatever ``--sizes`` says: ``exact_vc`` at n = 24,
 ``exact_chromatic`` at 16, ``exact_domination`` plain and total at 18 and
 connected at 16.  Each runs over the same ``ORACLE_DRAWS`` connected draws
@@ -58,7 +62,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 MEAN_DEGREE = 6.0
-RADII = {"unit": (1.0, None), "mixed": (0.5, 2.0)}
+# kind: (radius, radius_high, disks per added radius-16 disk or 0 for none)
+KINDS = {"unit": (1.0, None, 0), "mixed": (0.5, 2.0, 0), "scale": (0.5, 2.0, 1000)}
+BIG_RADIUS = 16.0
+ORACLE_KINDS = ("unit", "mixed")
 VERIFIED = ("vc", "mis", "color", "online-color")
 SIZES = (1000, 10_000, 100_000)
 ORACLE_DRAWS = 20
@@ -76,18 +83,23 @@ ORACLES = (
 def _inputs(kind: str, n: int):
     """(draw, instance, its text, its graph) for ``kind`` radii at size ``n``."""
     from diskapprox import bench, formats, geometry, graphs
-    from diskapprox.rng import derive_seed
+    from diskapprox.rng import Rng, derive_seed
 
-    radius, radius_high = RADII[kind]
+    radius, radius_high, big_per = KINDS[kind]
     box = bench.tuned_box(n, radius, radius_high, MEAN_DEGREE)
     seed = derive_seed(SEED, n)
 
     def draw():
         return geometry.random_instance(n, box, radius, seed, radius_high)
 
-    raw = draw()
+    disks = draw().disks
+    if big_per:
+        extra = Rng(derive_seed(seed, 1 << 40))
+        disks += tuple((box * extra.uniform(), box * extra.uniform(), BIG_RADIUS)
+                       for _ in range(max(1, round(n / big_per))))
+    raw = geometry.GeometricInstance(disks)
     giant = max(graphs.components(geometry.instance_to_graph(raw)), key=len)
-    inst = geometry.GeometricInstance(tuple(raw.disks[i] for i in giant))
+    inst = geometry.GeometricInstance(tuple(disks[i] for i in giant))
     return draw, inst, formats.render_instance(inst), geometry.instance_to_graph(inst)
 
 
@@ -131,7 +143,7 @@ def oracle_layers(kind: str):
     from diskapprox import bench, exact, geometry
     from diskapprox.rng import derive_seed
 
-    radius, radius_high = RADII[kind]
+    radius, radius_high, _ = KINDS[kind]
     out = []
     for name, cap, variant in ORACLES:
         n = getattr(exact.DEFAULT_LIMITS, cap)
@@ -186,10 +198,11 @@ def measure(sizes, k: int) -> dict:
 
     reference = Reference()
     table: dict[str, dict] = {}
-    for kind in RADII:
+    for kind in KINDS:
         for n in sizes:
             time_layers(table, kind, lambda: layers(kind, n), 1, k, reference)
-        time_layers(table, kind, lambda: oracle_layers(kind), ORACLE_DRAWS, k, reference)
+        if kind in ORACLE_KINDS:
+            time_layers(table, kind, lambda: oracle_layers(kind), ORACLE_DRAWS, k, reference)
     for row in table.values():
         row["slope"] = slope(row["n"], row["s"])
         if row["slope"] is not None:
@@ -198,23 +211,21 @@ def measure(sizes, k: int) -> dict:
 
 
 def time_layers(table: dict, kind: str, build, calls: int, k: int, reference) -> None:
-    """Sample the reference, then build the layers and time each ``k`` times.
+    """Build the layers and time each ``k`` times between reference samples.
 
-    The inputs live only in this call, so the next group's reference
-    samples run beside none of them.  Each layer's callable makes ``calls``
-    calls; an oracle layer (``calls`` > 1) also records its search nodes.
+    Each layer's callable makes ``calls`` calls; an oracle layer
+    (``calls`` > 1) also records its search nodes.
     """
-    gc.collect()
-    for _ in range(reference.WINDOW):
-        reference.sample()
-    unit = reference.unit()
     for name, vertices, fn in build():
+        reference.sample()
         seconds = []
         for _ in range(k):
             gc.collect()
             started = time.perf_counter()
             fn()
             seconds.append((time.perf_counter() - started) / calls)
+            reference.sample()
+        unit = reference.unit()
         row = table.setdefault(f"{kind}/{name}", {"n": [], "s": [], "ref": []})
         row["n"].append(vertices)
         row["s"].append(round(statistics.median(seconds), 6))
