@@ -99,28 +99,6 @@ def _check_radius_range(radius: float, radius_high: Optional[float]) -> None:
         raise BadParameter("radius_high must be finite, at least radius and at most 2^500")
 
 
-def _radius_levels(disks) -> list[tuple[float, list[int]]]:
-    """Disk ids split into levels of increasing radius, each with its largest reach.
-
-    Each level takes the remaining disks of radius at most twice their lower
-    median, so it holds at least half of them and there are at most
-    log2(n) + 1 levels; every radius of a later level exceeds every radius
-    of an earlier one.  A level's largest reach is twice its largest radius.
-    """
-    n = len(disks)
-    radii = [disk[2] for disk in disks]
-    order = sorted(range(n), key=radii.__getitem__)
-    radii = [radii[i] for i in order]
-    levels = []
-    start = 0
-    while start < n:
-        cutoff = 2.0 * radii[start + (n - start - 1) // 2]
-        end = bisect_right(radii, cutoff, start)
-        levels.append((2.0 * radii[end - 1], order[start:end]))
-        start = end
-    return levels
-
-
 # Strips are 2^-20 taller than a level's largest reach, and a disk's window
 # 2^-20 wider than its largest reach.  The squared test rounds dx = xi - xj,
 # so it accepts centers a few ulps more than one reach apart, e.g.
@@ -130,12 +108,14 @@ _MARGIN = 1.0 + 2.0 ** -20
 _NO_STRIP: tuple[list, list] = ([], [])
 
 
-def _strips(entries, height: float) -> tuple[list[int], list[tuple[list, list]]]:
+def _strips(entries, height: float) -> tuple[list[int], list[tuple]]:
     """``entries``, (x, y, id, ...) tuples, cut into horizontal strips.
 
     Returns the indices floor(y / height) of the nonempty strips in
-    ascending order and, for each, (xs, members): its entries sorted by x,
-    then y, then id, and their x coordinates for :func:`bisect`.
+    ascending order and, for each, (strip, above).  A strip is (xs, members):
+    its entries sorted by x, then y, then id, and their x coordinates for
+    :func:`bisect`; ``above`` is the strip of the next index, or
+    ``_NO_STRIP`` when that one is empty.
     """
     floor = math.floor
     buckets: dict[int, list[tuple]] = {}
@@ -149,10 +129,14 @@ def _strips(entries, height: float) -> tuple[list[int], list[tuple[list, list]]]
             members.append(entry)
     keys = sorted(buckets)
     strips = []
-    for key in keys:
+    above_key = above = None
+    for key in reversed(keys):
         members = buckets[key]
         members.sort()
-        strips.append(([entry[0] for entry in members], members))
+        strip = ([entry[0] for entry in members], members)
+        strips.append((strip, above if above_key == key + 1 else _NO_STRIP))
+        above_key, above = key, strip
+    strips.reverse()
     return keys, strips
 
 
@@ -162,11 +146,11 @@ def _strips(entries, height: float) -> tuple[list[int], list[tuple[list, list]]]
 _ALL_PAIRS_MAX = 32
 
 
-def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor tuple of every disk; ``low``/``high`` bound the radii.
+def _adjacency(disks, unit: bool) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuple of every disk; ``unit`` when all radii are equal.
 
     At most ``_ALL_PAIRS_MAX`` disks test every pair, with the same test as
-    :func:`_grid_adjacency`, which pairs larger inputs.  The pairs come in
+    :func:`_sweep_adjacency`, which pairs larger inputs.  The pairs come in
     lexicographic order, so each row fills in ascending order.  The pair test
     ``dx * dx + dy * dy <= reach * reach`` has five copies: this loop,
     :func:`_pair_equal_radii`, :func:`_pair_within` and :func:`_pair_across`
@@ -174,7 +158,7 @@ def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
     :func:`_reaches_every_disk`; a change to it changes all five.
     """
     if len(disks) > _ALL_PAIRS_MAX:
-        return _grid_adjacency(disks, low, high)
+        return _sweep_adjacency(disks, unit)
     rows: list[list[int]] = [[] for _ in disks]
     for (i, (xi, yi, ri)), (j, (xj, yj, rj)) in combinations(enumerate(disks), 2):
         dx = xi - xj
@@ -186,55 +170,53 @@ def _adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _grid_adjacency(disks, low: float, high: float) -> tuple[tuple[int, ...], ...]:
+def _sweep_adjacency(disks, unit: bool) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbor tuple of every disk, found by a strip sweep.
 
-    Disks are split into radius levels (see :func:`_radius_levels`); unit
-    disks, or any radii within a factor of two, make a single level.  Each
-    level is cut into horizontal strips of height just over 2 * its largest
-    radius, its entries sorted by x within a strip (see :func:`_strips`), so
-    a pair within the level sits in one strip or two adjacent ones.  A disk
-    of radius r tests, by :func:`bisect` windows of half-width just over
-    r + the level's largest radius, the entries after it in its own strip
-    and those around its x in the next strip up (:func:`_pair_within`, or
-    :func:`_pair_equal_radii` when every radius is equal, ``low == high``).
-    A pair across levels is found by the disks of one level querying the
-    other level's strips in their band and window (:func:`_pair_across`);
-    which side queries is picked per level pair by :func:`_large_queries`.
-
-    The pair test has five copies, which a change to it changes alike: the
-    all-pairs loop of :func:`_adjacency`, :func:`_pair_equal_radii`,
-    :func:`_pair_within`, :func:`_pair_across` and
-    :func:`_reaches_every_disk`.  The sweep finds each unordered
-    intersecting pair exactly once, so a hit is appended to both endpoints'
-    rows with no dedup, and each row is sorted once at the end.
+    Disks are split into radius levels, each cut into strips (see
+    :func:`_levels`), so a pair within a level sits in one strip or two
+    adjacent ones; :func:`_pair_within` finds those pairs, or
+    :func:`_pair_equal_radii` when ``unit``, every radius equal.  A pair
+    across levels is found by the disks of one level querying the other
+    level's strips (:func:`_pair_across`), the side picked per level pair by
+    :func:`_large_queries`.  Each unordered intersecting pair is found
+    exactly once, so a hit is appended to both endpoints' rows with no
+    dedup, and each row is sorted once at the end.
     """
     rows: list[list[int]] = [[] for _ in disks]
-    if low == high:
-        _pair_equal_radii(disks, high, rows)
+    if unit and disks:
+        _pair_equal_radii(disks, rows)
     else:
-        _pair_levels(disks, rows)
+        levels = _levels(disks)
+        for index, small in enumerate(levels):
+            _pair_within(small, rows)
+            for large in levels[index + 1:]:
+                if _large_queries(small, large):
+                    _pair_across(large[2], small, rows)
+                else:
+                    _pair_across(small[2], large, rows)
+        # Freed before the rows are sorted and copied; kept to return, 3% slower.
+        levels = small = large = None
     for row in rows:
         row.sort()
     return tuple(map(tuple, rows))
 
 
-def _pair_equal_radii(disks, radius: float, rows: list[list[int]]) -> None:
-    """Append every intersecting pair of disks that all have ``radius`` to ``rows``.
+def _pair_equal_radii(disks, rows: list[list[int]]) -> None:
+    """Append every intersecting pair of ``disks``, all of one radius, to ``rows``.
 
     The sweep of :func:`_pair_within` on one level whose every window has
     the strip height as its half-width.  Entries drop the radius, and every
     pair is tested against one constant ``(radius + radius) ** 2``, the same
     float the general test's ``reach * reach`` gives, so the rows are those
-    of :func:`_pair_levels`.
+    of the general sweep.
     """
+    radius = disks[0][2]
     reach = radius + radius
     limit = reach * reach
     width = reach * _MARGIN
-    keys, strips = _strips([(x, y, i) for i, (x, y, _) in enumerate(disks)], width)
-    last = len(keys) - 1
-    for t, (xs, members) in enumerate(strips):
-        up_xs, up = strips[t + 1] if t < last and keys[t + 1] == keys[t] + 1 else _NO_STRIP
+    _, strips = _strips([(x, y, i) for i, (x, y, _) in enumerate(disks)], width)
+    for (xs, members), (up_xs, up) in strips:
         for a, (xi, yi, i) in enumerate(members, 1):
             row = rows[i]
             right = xi + width
@@ -248,29 +230,30 @@ def _pair_equal_radii(disks, radius: float, rows: list[list[int]]) -> None:
 
 
 def _levels(disks) -> list[tuple]:
-    """The radius levels of ``disks`` (see :func:`_radius_levels`), cut into strips.
+    """Disks split into levels of increasing radius, each cut into strips.
 
-    Each is (its largest radius, its strip height, its entries (x, y, id, r)
-    in level order, then the strip indices and strips of :func:`_strips`).
+    Each level takes the remaining disks of radius at most twice their lower
+    median, so it holds at least half of them and there are at most
+    log2(n) + 1 levels; every radius of a later level exceeds every radius
+    of an earlier one.  A level is (its largest radius, its strip height
+    2 * that radius * (1 + 2^-20), its entries (x, y, id, r) in radius
+    order, then the strip indices and strips of :func:`_strips`).
     """
+    n = len(disks)
+    radii = [disk[2] for disk in disks]
+    order = sorted(range(n), key=radii.__getitem__)
+    radii = [radii[i] for i in order]
     levels = []
-    for reach, ids in _radius_levels(disks):
-        entries = [(x, y, i, r) for i in ids for x, y, r in (disks[i],)]
-        height = reach * _MARGIN
-        levels.append((0.5 * reach, height, entries, *_strips(entries, height)))
+    start = 0
+    while start < n:
+        cutoff = 2.0 * radii[start + (n - start - 1) // 2]
+        end = bisect_right(radii, cutoff, start)
+        radius = radii[end - 1]
+        height = 2.0 * radius * _MARGIN
+        entries = [(x, y, i, r) for i in order[start:end] for x, y, r in (disks[i],)]
+        levels.append((radius, height, entries, *_strips(entries, height)))
+        start = end
     return levels
-
-
-def _pair_levels(disks, rows: list[list[int]]) -> None:
-    """Append every intersecting pair to ``rows`` by the radius-level sweep."""
-    levels = _levels(disks)
-    for index, small in enumerate(levels):
-        _pair_within(small, rows)
-        for large in levels[index + 1:]:
-            if _large_queries(small, large):
-                _pair_across(large[2], small, rows)
-            else:
-                _pair_across(small[2], large, rows)
 
 
 def _pair_within(level, rows: list[list[int]]) -> None:
@@ -279,13 +262,11 @@ def _pair_within(level, rows: list[list[int]]) -> None:
     A disk of radius r takes the half-width w = (r + the level's largest
     radius) * (1 + 2^-20), which bounds the x offset of any pair the test
     accepts, and tests the entries after it in its strip with x at most
-    x + w, then the entries of the next strip up with x in [x - w, x + w].
+    x + w, then the entries of the strip above with x in [x - w, x + w].
     """
-    radius, _, _, keys, strips = level
+    radius, _, _, _, strips = level
     margin = _MARGIN
-    last = len(keys) - 1
-    for t, (xs, members) in enumerate(strips):
-        up_xs, up = strips[t + 1] if t < last and keys[t + 1] == keys[t] + 1 else _NO_STRIP
+    for (xs, members), (up_xs, up) in strips:
         for a, (xi, yi, i, ri) in enumerate(members, 1):
             width = (ri + radius) * margin
             right = xi + width
@@ -315,8 +296,8 @@ def _pair_across(entries, level, rows: list[list[int]]) -> None:
         left = xi - width
         right = xi + width
         row = rows[i]
-        for xs, members in strips[bisect_left(keys, floor((yi - width) / height)):
-                                  bisect_right(keys, floor((yi + width) / height))]:
+        for (xs, members), _ in strips[bisect_left(keys, floor((yi - width) / height)):
+                                       bisect_right(keys, floor((yi + width) / height))]:
             for xj, yj, j, rj in members[bisect_left(xs, left):bisect_right(xs, right)]:
                 dx = xi - xj
                 dy = yi - yj
@@ -342,8 +323,7 @@ def _large_queries(small, large) -> bool:
 
 def instance_to_graph(inst: GeometricInstance) -> Graph:
     """Intersection graph of the instance: edge iff dist(centers)^2 <= (r_u + r_v)^2."""
-    low, high = inst.radius_range
-    return Graph(inst.n, _adjacency(inst.disks, low, high))
+    return Graph(inst.n, _adjacency(inst.disks, inst.unit))
 
 
 def pairwise_disjoint(inst: GeometricInstance, ids) -> bool:
@@ -351,14 +331,13 @@ def pairwise_disjoint(inst: GeometricInstance, ids) -> bool:
 
     Pairs only those disks, with :func:`_adjacency`.  Its pair test is
     symmetric in the two disks (``xi - xj`` is the exact negation of
-    ``xj - xi`` and ``ri + rj`` commutes), and the all-pairs and grid paths
-    each find every pair the test accepts, so the answer is that of the
-    subgraph ``instance_to_graph(inst)`` induces on ``ids``.  The instance's
-    radius bounds still bound the subset's radii.
+    ``xj - xi`` and ``ri + rj`` commutes), and the all-pairs path and both
+    sweep kernels each find every pair the test accepts, so the answer is
+    that of the subgraph ``instance_to_graph(inst)`` induces on ``ids``.  A
+    subset of a unit instance is unit, so ``inst.unit`` holds for it too.
     """
-    low, high = inst.radius_range
     disks = inst.disks
-    return not any(_adjacency([disks[i] for i in ids], low, high))
+    return not any(_adjacency([disks[i] for i in ids], inst.unit))
 
 
 def random_instance(
@@ -408,7 +387,7 @@ def random_connected_instance(
     sampling uniform over connected instances and reproducible.  A draw of
     at most ``_ALL_PAIRS_MAX`` disks is tested by :func:`_reaches_every_disk`
     on the disks themselves, and only an accepted draw is paired.  The
-    search is quadratic, so a larger draw, which the grid scan pairs, is
+    search is quadratic, so a larger draw, which the strip sweep pairs, is
     paired first and its graph tested.  Either way the result is the
     instance with ``instance_to_graph(instance)``, so callers need not pair
     the disks again.

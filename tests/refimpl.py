@@ -8,6 +8,7 @@ which must return exactly what those routines return.
 
 import heapq
 import math
+from bisect import bisect_right
 from itertools import combinations, product
 
 from diskapprox import checks, geometry
@@ -388,6 +389,44 @@ def all_pairs(inst):
             if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
                 expected.add((i, j))
     return expected
+
+
+def radius_levels(disks) -> list[tuple[float, list[int]]]:
+    """Disk ids split into levels of increasing radius, each with its largest reach.
+
+    The level cut as it stood before it moved into ``geometry._levels``:
+    each level takes the remaining disks of radius at most twice their lower
+    median, and its largest reach is twice its largest radius.
+    """
+    n = len(disks)
+    radii = [disk[2] for disk in disks]
+    order = sorted(range(n), key=radii.__getitem__)
+    radii = [radii[i] for i in order]
+    levels = []
+    start = 0
+    while start < n:
+        cutoff = 2.0 * radii[start + (n - start - 1) // 2]
+        end = bisect_right(radii, cutoff, start)
+        levels.append((2.0 * radii[end - 1], order[start:end]))
+        start = end
+    return levels
+
+
+def checked_levels(disks) -> list[tuple]:
+    """``geometry._levels(disks)``, asserted to cut the levels of :func:`radius_levels`.
+
+    Each level must hold the reference level's ids in the same order, have
+    its largest radius and, bit for bit, the strip height
+    ``2 * r_max * _MARGIN``.
+    """
+    levels = geometry._levels(disks)
+    reference = radius_levels(disks)
+    assert [[i for _, _, i, _ in entries] for _, _, entries, _, _ in levels] == [ids for _, ids in reference]
+    for (radius, height, entries, _, _), (reach, _) in zip(levels, reference):
+        r_max = max(r for _, _, _, r in entries)
+        assert radius == r_max == 0.5 * reach
+        assert height == 2 * r_max * geometry._MARGIN
+    return levels
 
 
 def sweep_mis(inst) -> tuple[int, ...]:

@@ -502,7 +502,7 @@ class TestVerifyPairsASubset:
                 ), (problem, doc)
             paired += sizes
         assert forged_edges > 0 and min(paired) <= geometry._ALL_PAIRS_MAX
-        if G.n >= 80:  # the grid scan pairs some set here
+        if G.n >= 80:  # the strip sweep pairs some set here
             assert max(paired) > geometry._ALL_PAIRS_MAX
 
     @pytest.mark.parametrize("problem", ["vc", "mis", "color", "online-color", "ds", "cds"])

@@ -9,10 +9,8 @@ from diskapprox.bench import tuned_box
 from diskapprox.errors import BadParameter, ModelMismatch, NonPositiveRadius
 from diskapprox.geometry import (
     GeometricInstance,
-    _check_radii,
-    _grid_adjacency,
-    _radius_levels,
     _reaches_every_disk,
+    _sweep_adjacency,
     instance_to_graph,
     polygon_independence_bound,
     random_connected_instance,
@@ -25,6 +23,7 @@ from diskapprox.rng import _INCREMENT, MASK64, Rng, _lane_memo, derive_seed
 from refimpl import (
     all_pairs,
     brute_mis,
+    checked_levels,
     per_draw_disks,
     reference_connected_instance,
     scalar_uniforms,
@@ -48,24 +47,30 @@ def disks(*triples):
 
 
 def level_count(inst):
-    return len(_radius_levels(inst.disks))
+    return len(checked_levels(inst.disks))
 
 
-def grid_graph(inst):
-    """The grid scan's graph, which ``instance_to_graph`` skips for small inputs."""
-    return Graph(inst.n, _grid_adjacency(inst.disks, *_check_radii(inst.disks)))
+def sweep_graph(inst):
+    """The strip sweep's graph, which ``instance_to_graph`` skips for small inputs."""
+    return Graph(inst.n, _sweep_adjacency(inst.disks, inst.unit))
 
 
 def edge_counts(inst):
-    """Edge counts from ``instance_to_graph`` and from the grid scan."""
-    return instance_to_graph(inst).m, grid_graph(inst).m
+    """Edge counts from ``instance_to_graph`` and from the strip sweep."""
+    return instance_to_graph(inst).m, sweep_graph(inst).m
 
 
 def assert_matches_all_pairs(inst, min_levels=2):
     assert level_count(inst) >= min_levels
     expected = build_graph(inst.n, all_pairs(inst))
     assert instance_to_graph(inst) == expected
-    assert grid_graph(inst) == expected
+    assert sweep_graph(inst) == expected
+
+
+def assert_both_kernels(inst):
+    """Disks all of one radius give the definition's rows through either sweep kernel."""
+    expected = build_graph(inst.n, all_pairs(inst)).adj
+    assert _sweep_adjacency(inst.disks, True) == _sweep_adjacency(inst.disks, False) == expected
 
 
 def neighborhood_independence(G, v):
@@ -102,7 +107,7 @@ class TestInstanceToGraph:
                 instance_to_graph(disks((0, 0, 1), bad))
 
     def test_grid_matches_all_pairs(self):
-        # the bucketed builder must agree with the O(n^2) definition
+        # the strip sweep must agree with the O(n^2) definition
         for index in range(30):
             inst = random_instance(40, 9.0, 1.0, derive_seed(99, index),
                                    radius_high=2.0 if index % 3 == 0 else None)
@@ -110,14 +115,14 @@ class TestInstanceToGraph:
 
     def test_rounded_difference_spanning_two_cells(self):
         # -1e-20 - 2 rounds to -2, so the squared test accepts centers a hair
-        # more than one reach apart; cells of side exactly 2 put them two apart
+        # more than one reach apart; strips of height exactly 2 put them two apart
         for inst in (disks((-1e-20, 0, 1), (2, 0, 1)), disks((0, -1e-20, 1), (0, 2, 1))):
             assert_matches_all_pairs(inst, min_levels=1)
             assert instance_to_graph(inst).m == 1
 
     def test_near_boundary_fuzz(self):
         # centers on and a few ulps off multiples of the radii, in both signs,
-        # near zero and far from it, so tangent pairs straddle cell boundaries
+        # near zero and far from it, so tangent pairs straddle strip boundaries
         rng = Rng(0xB0DA)
 
         def pick(options):
@@ -145,7 +150,7 @@ class TestInstanceToGraph:
     ], ids=["1.0-None", "0.5-2.0", "equal-2^-400", "equal-0.3", "equal-2^400"])
     def test_both_pairing_paths_at_every_size(self, radius, radius_high, sizes):
         # instance_to_graph tests all pairs up to _ALL_PAIRS_MAX disks and
-        # scans the grid above, with the equal-radius kernel when every radius
+        # sweeps strips above, with the equal-radius kernel when every radius
         # is equal; all must give the definition's sorted rows
         scale = radius if radius_high is None else 1.0
         for n in sizes:
@@ -153,15 +158,16 @@ class TestInstanceToGraph:
             base = random_instance(n + 1, box, radius, derive_seed(0x5123, n), radius_high)
             inst = GeometricInstance(base.disks[:n])
             expected = build_graph(n, all_pairs(inst))
-            for G in (instance_to_graph(inst), grid_graph(inst)):
+            for G in (instance_to_graph(inst), sweep_graph(inst)):
                 assert G == expected
                 assert all(list(row) == sorted(row) for row in G.adj)
 
     @pytest.mark.parametrize("radius", [2.0 ** -400, 0.3, 1.0, 2.0 ** 400],
                              ids=["2^-400", "0.3", "1", "2^400"])
     def test_equal_radius_kernel(self, radius):
-        # tangent chains and lattices, and coincident disks, all of one radius;
-        # changing one radius sends the same disks through the general loop
+        # tangent chains and lattices, and coincident disks, all of one radius,
+        # through both sweep kernels; changing one radius sends the same
+        # disks through the general loop
         d = 2.0 * radius
         layouts = [
             [(d * k, 0.0, radius) for k in range(40)],
@@ -174,6 +180,7 @@ class TestInstanceToGraph:
             inst = GeometricInstance(tuple(layout))
             assert inst.unit
             assert_matches_all_pairs(inst, min_levels=1)
+            assert_both_kernels(inst)
             x, y, r = layout[17]
             mixed = GeometricInstance(tuple(layout[:17] + [(x, y, 1.5 * r)] + layout[18:]))
             assert not mixed.unit
@@ -192,19 +199,18 @@ class TestInstanceToGraph:
 
 
 class TestRadiusLevels:
-    """Mixed radii: the multilevel grid against the O(n^2) definition."""
+    """Mixed radii: the multilevel strip sweep against the O(n^2) definition."""
 
     def test_levels_partition_by_radius(self):
         rng = Rng(3)
         inst = disks(*[(rng.uniform(), rng.uniform(), 2.0 ** (16 * rng.uniform() - 8))
                        for _ in range(300)])
-        levels = _radius_levels(inst.disks)
-        assert sorted(i for _, ids in levels for i in ids) == list(range(inst.n))
+        levels = [[i for _, _, i, _ in entries] for _, _, entries, _, _ in checked_levels(inst.disks)]
+        assert sorted(i for ids in levels for i in ids) == list(range(inst.n))
         remaining = inst.n
-        for (cell, ids), (_, later) in zip(levels, levels[1:] + [(0.0, [])]):
+        for ids, later in zip(levels, levels[1:] + [[]]):
             assert 2 * len(ids) >= remaining
             remaining -= len(ids)
-            assert cell == 2.0 * max(inst.disks[i][2] for i in ids)
             if later:
                 assert max(inst.disks[i][2] for i in ids) < min(inst.disks[i][2] for i in later)
         assert len(levels) <= math.log2(inst.n) + 1
@@ -285,14 +291,15 @@ class TestRadiusLevels:
                    (50.0, 0.0, 1.0), (3.0, 0.0, 2.0), (10.0, 3.0, 2.0), (7.0, 0.0, 2.0),
                    (20.0, 1.0 + edge, edge), (20.0 + 2 * edge, 1.0 + edge, edge)]
         inst = disks(*triples)
-        levels = _radius_levels(inst.disks)
-        assert [sorted(ids) for _, ids in levels] == [[0, 1, 2, 3, 4, 5, 6, 7], [8, 9]]
+        levels = checked_levels(inst.disks)
+        assert [sorted(i for _, _, i, _ in entries) for _, _, entries, _, _ in levels] == [
+            [0, 1, 2, 3, 4, 5, 6, 7], [8, 9]]
         assert set(instance_to_graph(inst).edges) >= {(0, 5), (1, 6), (5, 7), (2, 8), (8, 9)}
         assert_matches_all_pairs(inst)
 
     def test_one_large_disk_does_not_collapse_the_grid(self):
-        # the max-radius grid of old put all 8001 centers in one cell
-        # (about 140x the time of the 8000 small disks alone)
+        # strips cut for the largest radius alone would put all 8001 centers
+        # in one strip, with every disk's window spanning the box
         small = random_instance(8000, 300.0, 0.5, 0xB16)
         mixed = GeometricInstance(small.disks + ((150.0, 150.0, 300.0),))
 
@@ -310,10 +317,11 @@ class TestRadiusLevels:
 def through_both_kernels(triples):
     """The graph of ``triples``, all of one radius r, checked through both kernels.
 
-    The triples alone take the equal-radius kernel.  With one far disk of
-    radius r / 2 added they take the general loop on one level whose largest
-    radius, and so strip height, is the same.  Both must match the O(n^2)
-    definition; the far disk has no neighbor.
+    The triples alone take the equal-radius kernel, and are also swept
+    through the general loop as they are.  With one far disk of radius r / 2
+    added they take the general loop on one level whose largest radius, and
+    so strip height, is the same.  All must match the O(n^2) definition; the
+    far disk has no neighbor.
     """
     r = triples[0][2]
     equal = disks(*triples)
@@ -321,6 +329,7 @@ def through_both_kernels(triples):
     assert equal.unit and not general.unit and level_count(general) == 1
     for inst in (equal, general):
         assert_matches_all_pairs(inst, min_levels=1)
+    assert_both_kernels(equal)
     assert instance_to_graph(general).adj[-1] == ()
     return instance_to_graph(equal)
 
@@ -359,9 +368,18 @@ class TestStripSweep:
         vertical = [(0.5, 2.0 * k, 1.0) for k in range(40)]
         for layout, sizes in ((horizontal, [40]), (vertical, [2] + [1] * 38)):
             keys, strips = geometry._strips([(x, y, i) for i, (x, y, _) in enumerate(layout)], h)
-            assert [len(members) for _, members in strips] == sizes
+            assert [len(members) for (_, members), _ in strips] == sizes
             assert keys == list(range(keys[0], keys[0] + len(sizes)))
+            assert [above for _, above in strips] == [strip for strip, _ in strips[1:]] + [geometry._NO_STRIP]
             assert through_both_kernels(layout).edges == chain
+
+    def test_strip_above_is_empty_across_a_gap(self):
+        # strips -3, -2, 0 and 5: only strip -3 has a nonempty strip above
+        entries = [(0.0, -5.0, 0), (1.0, -3.0, 1), (0.0, -3.5, 2), (0.0, 0.5, 3), (0.0, 10.5, 4)]
+        keys, strips = geometry._strips(entries, 2.0)
+        assert keys == [-3, -2, 0, 5]
+        assert strips[0] == (([0.0], [entries[0]]), ([0.0, 1.0], [entries[2], entries[1]]))
+        assert [above for _, above in strips[1:]] == [geometry._NO_STRIP] * 3
 
     def test_rounding_pair_turned_a_right_angle(self):
         # -1e-20 - 2 rounds to -2, so the test joins centers 2 + 1e-20 apart;
@@ -386,7 +404,7 @@ class TestStripSweep:
         small = random_instance(1000, box, 0.5, 0x5171, radius_high=2.0)
         inst = disks(*small.disks, (0.25 * box, 0.5 * box, 16.0), (0.5 * box, 0.3 * box, 16.0),
                      (0.75 * box, 0.7 * box, 16.0))
-        levels = geometry._levels(inst.disks)
+        levels = checked_levels(inst.disks)
         assert [len(entries) for _, _, entries, _, _ in levels] == [1000, 3]
         assert geometry._large_queries(*levels)
         assert_matches_all_pairs(inst)
@@ -400,7 +418,7 @@ class TestStripSweep:
         tiny = [(0.05 * rng.uniform(), float(k), 0.01) for k in range(300)]
         large = [(600.0 * rng.uniform() - 300.0, 300.0 * rng.uniform(), 100.0) for _ in range(250)]
         inst = disks(*tiny, *large)
-        levels = geometry._levels(inst.disks)
+        levels = checked_levels(inst.disks)
         assert [len(entries) for _, _, entries, _, _ in levels] == [300, 250]
         assert len(levels[0][3]) == 300
         assert not geometry._large_queries(*levels)

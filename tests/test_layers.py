@@ -5,9 +5,10 @@ import json
 import sys
 from pathlib import Path
 
-from diskapprox import exact, geometry
+from diskapprox import exact
 from diskapprox.exact import DEFAULT_LIMITS, exact_domination
 from diskapprox.graphs import build_graph
+from refimpl import checked_levels
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layers.py"
 
@@ -66,7 +67,17 @@ def test_scale_kind_pairs_across_radius_levels():
         radii = [r for _, _, r in inst.disks]
         assert radii.count(tool.BIG_RADIUS) == big
         assert max(r for r in radii if r != tool.BIG_RADIUS) <= 2.0
-        assert len(geometry._radius_levels(inst.disks)) == 2
+        assert len(checked_levels(inst.disks)) == 2
+
+
+def test_mixed_and_scale_levels_match_the_reference():
+    # the seed-7 draws the tool times: one level for radii in [0.5, 2], two
+    # once radius-16 disks join; checked_levels holds them to the reference cut
+    tool = load_tool()
+    for n in (1000, 10_000):
+        for kind, count in (("mixed", 1), ("scale", 2)):
+            _, inst, _, _ = tool._inputs(kind, n)
+            assert len(checked_levels(inst.disks)) == count
 
 
 def test_search_nodes_counts_every_budget():

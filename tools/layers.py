@@ -17,11 +17,12 @@ and times each layer ``k`` times:
 * every heuristic of the problem table, named ``heuristic.<problem>``; the
   ``mis`` layer adds its method, ``sweep`` on unit disks and
   ``eligibility-search`` on the other radii;
-* the verify core of ``vc``, ``mis``, ``color`` and ``online-color``:
+* the verify core of each problem whose table entry has ``edge_free``
+  (``vc``, ``mis``, ``color`` and ``online-color``):
   ``verify_full.<problem>`` pairs the whole instance and runs the
   problem's ``checks`` predicate, ``verify_subset.<problem>`` runs what
-  ``verify`` runs on a geometric file, pairing only the sets the problem's
-  ``edge_free`` names (absent where the problem table has no ``edge_free``).
+  ``verify`` runs on a geometric file, pairing only the sets ``edge_free``
+  names.
 
 Each layer records, per size, the median of the ``k`` times in seconds and
 in reference units: the time over the median of the last
@@ -66,7 +67,6 @@ MEAN_DEGREE = 6.0
 KINDS = {"unit": (1.0, None, 0), "mixed": (0.5, 2.0, 0), "scale": (0.5, 2.0, 1000)}
 BIG_RADIUS = 16.0
 ORACLE_KINDS = ("unit", "mixed")
-VERIFIED = ("vc", "mis", "color", "online-color")
 SIZES = (1000, 10_000, 100_000)
 ORACLE_DRAWS = 20
 ORACLE_MEAN_DEGREE = 4.0
@@ -123,18 +123,14 @@ def layers(kind: str, n: int):
         answer = problem.heuristic(G, inst, variant, options, meta)
         label = f"heuristic.{name}" + (f".{meta['method']}" if "method" in meta else "")
         out.append((label, inst.n, lambda p=problem: p.heuristic(G, inst, variant, options, {})))
-        if name not in VERIFIED:
+        if problem.edge_free is None:
             continue
         solution = answer.colors if problem.coloring else answer.members
-        out.append((
-            f"verify_full.{name}", inst.n,
-            lambda p=problem, s=solution: p.check(geometry.instance_to_graph(inst), s),
-        ))
-        if getattr(problem, "edge_free", None) is not None:
-            out.append((
-                f"verify_subset.{name}", inst.n,
-                lambda p=problem, s=solution: cli._holds(p, inst, s),
-            ))
+        out += [
+            (f"verify_full.{name}", inst.n,
+             lambda p=problem, s=solution: p.check(geometry.instance_to_graph(inst), s)),
+            (f"verify_subset.{name}", inst.n, lambda p=problem, s=solution: cli._holds(p, inst, s)),
+        ]
     return out
 
 
