@@ -10,11 +10,11 @@ only on its input and its limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .covering import Coloring, _first_fit
-from .errors import BadParameter, IsolatedVertex, NotConnected, Timeout, TooLarge
-from .graphs import Graph, VertexSet, bfs_levels, is_connected
+from .errors import BadParameter, IsolatedVertex, Timeout, TooLarge
+from .graphs import Graph, VertexSet, bfs_levels
 
 DOMINATION_VARIANTS = ("plain", "independent", "total", "connected")
 
@@ -36,37 +36,20 @@ class OracleLimits:
     max_nodes: int = 2**22
 
     def __post_init__(self):
-        caps = (
-            self.max_independent_set,
-            self.max_vertex_cover,
-            self.max_clique,
-            self.max_chromatic,
-            self.max_domination,
-            self.max_connected_domination,
-            self.max_nodes,
-        )
-        if any(cap <= 0 for cap in caps):
+        if any(getattr(self, field.name) <= 0 for field in fields(self)):
             raise BadParameter("oracle limits must be positive")
 
 
 DEFAULT_LIMITS = OracleLimits()
 
-# what each size cap of OracleLimits bounds, as its TooLarge message names it
-_CAP_NAMES = {
-    "max_independent_set": "independent-set",
-    "max_vertex_cover": "vertex-cover",
-    "max_clique": "clique",
-    "max_chromatic": "chromatic",
-    "max_domination": "domination",
-    "max_connected_domination": "domination",
-}
-
 
 def check_size(n: int, cap: str, limits: OracleLimits = DEFAULT_LIMITS) -> None:
-    """Raise TooLarge when ``n`` exceeds the size cap ``limits.<cap>``."""
+    """Raise TooLarge when ``n`` exceeds the size cap ``limits.<cap>``, named by its
+    field: ``max_connected_domination`` reads "connected-domination cap"."""
     bound = getattr(limits, cap)
     if n > bound:
-        raise TooLarge(f"n={n} exceeds the {_CAP_NAMES[cap]} cap {bound}")
+        name = cap.removeprefix("max_").replace("_", "-")
+        raise TooLarge(f"n={n} exceeds the {name} cap {bound}")
 
 
 class _NodeBudget:
@@ -372,13 +355,11 @@ def exact_domination(
     """Minimum dominating set of the requested variant with a witness.
 
     For each size from the certified lower bound of
-    :func:`_domination_lower_bound` up (for ``connected`` it includes a
-    Steiner bound: three far-apart vertices x, y, z each have a member
-    within one step, and a spanning tree of the set joins those members by
-    at least half the sum of max(0, d - 2) over the pairwise distances d
-    of x, y, z), a depth-first search picks members
+    :func:`_domination_lower_bound` up, a depth-first search picks members
     in increasing id order over bitmask neighborhoods, so it visits the
-    subsets of that size in lexicographic order.  It cuts a branch only
+    subsets of that size in lexicographic order.  For ``connected``, that
+    bound's :func:`bfs_levels` walk raises NotConnected on a disconnected
+    graph before the first search node.  It cuts a branch only
     when no subset below it can be accepted:
 
     * suffix cover: with members still to pick from ids >= v, the union
@@ -402,8 +383,6 @@ def exact_domination(
         raise BadParameter(f"unknown domination variant {variant!r}")
     cap = "max_connected_domination" if variant == "connected" else "max_domination"
     check_size(G.n, cap, limits)
-    if variant == "connected" and not is_connected(G):
-        raise NotConnected("connected domination needs a connected graph")
     if variant == "total":
         for v in range(G.n):
             if not G.adj[v]:

@@ -211,40 +211,29 @@ def bfs_levels(G: Graph, root: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     return tuple(levels), tuple(parent)
 
 
-def is_connected(G: Graph) -> bool:
-    """True when ``G`` has at most one component (so the empty graph is connected)."""
-    if G.n == 0:
-        return True
-    adj = G.adj
-    seen = [False] * G.n
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        for u in adj[stack.pop()]:
+def _reach(adj, start: int, seen: list[bool]) -> list[int]:
+    """Mark and return the unseen vertices reachable from unseen ``start``.
+
+    ``reached`` is its own work list: the loop also visits what it appends.
+    """
+    seen[start] = True
+    reached = [start]
+    for v in reached:
+        for u in adj[v]:
             if not seen[u]:
                 seen[u] = True
-                reached += 1
-                stack.append(u)
-    return reached == G.n
+                reached.append(u)
+    return reached
+
+
+def is_connected(G: Graph) -> bool:
+    """True when ``G`` has at most one component (so the empty graph is connected)."""
+    return G.n == 0 or len(_reach(G.adj, 0, [False] * G.n)) == G.n
 
 
 def components(G: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted tuples, ordered by smallest member."""
     seen = [False] * G.n
-    out: list[tuple[int, ...]] = []
-    for start in range(G.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        member: list[int] = []
-        while stack:
-            v = stack.pop()
-            member.append(v)
-            for u in G.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(tuple(sorted(member)))
-    return tuple(out)
+    return tuple(
+        tuple(sorted(_reach(G.adj, start, seen))) for start in range(G.n) if not seen[start]
+    )

@@ -511,11 +511,30 @@ def random_graph(n: int, probability: float, rng: Rng) -> Graph:
     return build_graph(n, edges)
 
 
-def disk_graph(n: int, radius: float, radius_high, seed: int) -> Graph:
-    """The graph of ``random_instance`` at mean degree about 6 (box sized
-    for the mean radius)."""
+def union_find_components(G: Graph) -> tuple[tuple[int, ...], ...]:
+    """Components by union-find over the edge list, in the format of
+    ``graphs.components``: sorted tuples ordered by smallest member."""
+    root = list(range(G.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in G.edges:
+        root[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for v in range(G.n):  # ascending, so each group is sorted and groups go by smallest member
+        groups.setdefault(find(v), []).append(v)
+    return tuple(tuple(group) for group in groups.values())
+
+
+def disk_graph(n: int, radius: float, radius_high, seed: int, degree: float = 6.0) -> Graph:
+    """The graph of ``random_instance`` at mean degree about ``degree`` (box
+    sized for the mean radius)."""
     mean_radius = radius if radius_high is None else (radius + radius_high) / 2
-    box = math.sqrt(n * math.pi * (2 * mean_radius) ** 2 / 6.0)
+    box = math.sqrt(n * math.pi * (2 * mean_radius) ** 2 / degree)
     return instance_to_graph(random_instance(n, box, radius, seed, radius_high))
 
 

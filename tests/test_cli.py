@@ -349,6 +349,13 @@ class TestExact:
             solution.write_text(out)
             assert run(capsys, "verify", str(path), str(solution)) == (0, "valid\n", ""), problem
 
+    def test_refuses_past_the_connected_cap(self, capsys, tmp_path):
+        # the same words bench prints for its mis,cds row past the cap
+        path = tmp_path / "path17.udg"
+        path.write_text("udg 1 abstract\nn 17\n" + "".join(f"edge {v} {v + 1}\n" for v in range(16)))
+        code, out, err = run(capsys, "exact", str(path), "--problem", "cds")
+        assert (code, out, err) == (1, "", "error: n=17 exceeds the connected-domination cap 16\n")
+
 
 class TestVerify:
     def test_rejects_tampered_solution(self, capsys, tmp_path, geo_instance):
@@ -615,7 +622,7 @@ class TestBench:
     @pytest.mark.parametrize("n, problems, message", [
         (300, "vc", "n=300 exceeds the vertex-cover cap 24"),
         (100, "vc", "n=100 exceeds the vertex-cover cap 24"),
-        (17, "mis,cds", "n=17 exceeds the domination cap 16"),
+        (17, "mis,cds", "n=17 exceeds the connected-domination cap 16"),
         (19, "ds", "n=19 exceeds the domination cap 18"),
         (17, "color", "n=17 exceeds the chromatic cap 16"),
     ])

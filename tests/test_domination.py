@@ -415,6 +415,12 @@ class TestConnectedDominatingSet:
         with pytest.raises(NotConnected):
             connected_dominating_set(build_graph(0, []))
 
+    def test_check_rejects_a_set_that_misses_or_splits(self):
+        P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert not checks.is_connected_dominating_set(P4, [0, 1])  # misses 3
+        assert not checks.is_connected_dominating_set(P4, [0, 3])  # dominates, not connected
+        assert checks.is_connected_dominating_set(P4, [1, 2])
+
     def test_trace_serializes(self):
         _, trace = connected_dominating_set(c5())
         payload = json.loads(json.dumps(trace))

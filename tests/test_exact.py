@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import pytest
@@ -29,6 +30,7 @@ from diskapprox.exact import (
 )
 from diskapprox import exact
 from diskapprox.covering import Coloring, _first_fit
+from diskapprox.domination import connected_dominating_set
 from diskapprox.geometry import random_connected_instance
 from diskapprox.graphs import VertexSet, build_graph, is_connected
 from diskapprox.problems import PROBLEMS
@@ -157,6 +159,26 @@ class TestGuards:
         with pytest.raises(NotConnected):
             exact_domination(build_graph(4, [(0, 1), (2, 3)]), "connected")
 
+    @pytest.mark.parametrize("G", [
+        disjoint_union(path(3), path(2)),
+        disjoint_union(path(2), path(3)),
+    ], ids=["zero-in-larger", "zero-in-smaller"])
+    def test_connected_refusal_comes_before_the_search(self, monkeypatch, G):
+        # the lower bound's bfs_levels walk refuses, in the heuristic's words
+        def no_node(budget):
+            raise AssertionError("visited a search node")
+
+        monkeypatch.setattr(exact._NodeBudget, "check", no_node)
+        with pytest.raises(NotConnected) as oracle_refusal:
+            exact_domination(G, "connected")
+        with pytest.raises(NotConnected) as heuristic_refusal:
+            connected_dominating_set(G)
+        assert str(oracle_refusal.value) == str(heuristic_refusal.value)
+
+    def test_connected_variant_on_the_empty_graph(self):
+        size, witness = exact_domination(build_graph(0, []), "connected")
+        assert (size, witness.members) == (0, ())
+
     def test_total_variant_rejects_isolated_vertices(self):
         with pytest.raises(IsolatedVertex):
             exact_domination(build_graph(2, []), "total")
@@ -164,8 +186,11 @@ class TestGuards:
             exact_domination(disjoint_union(path(5), complete(4), path(1)), "total")
 
     def test_limits_must_be_positive(self):
-        with pytest.raises(BadParameter):
-            OracleLimits(max_nodes=0)
+        OracleLimits(**{field.name: 1 for field in dataclasses.fields(OracleLimits)})
+        for field in dataclasses.fields(OracleLimits):
+            for bad in (0, -1):
+                with pytest.raises(BadParameter):
+                    OracleLimits(**{field.name: bad})
 
     def test_node_cap_is_enforced(self):
         # connected domination on C16 searches sizes 7 (diameter 8, minus 1)

@@ -27,6 +27,7 @@ from refimpl import (
     find_triangle,
     heap_degeneracy_ordering,
     random_graph,
+    union_find_components,
 )
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -329,15 +330,20 @@ class TestConnectivity:
         assert sorted(v for part in parts for v in part) == list(range(6))
 
     def test_reach_walk_agrees_with_components(self):
+        # both share one walk, so each is checked against union-find instead
         path_then_isolated = build_graph(5, [(0, 1), (1, 2), (2, 3)])
         isolated_then_path = build_graph(5, [(1, 2), (2, 3), (3, 4)])
         fixed = [build_graph(0, []), build_graph(1, []), build_graph(2, []), path_then_isolated, isolated_then_path]
         rng = Rng(313)
         sampled = [random_graph(1 + i % 12, 0.5 * rng.uniform(), rng) for i in range(300)]
-        for G in fixed + sampled:
-            assert is_connected(G) == (len(components(G)) <= 1), G.adj
+        sparse = disk_graph(3000, 1.0, None, derive_seed(0x313, 1), degree=1.0)
+        for G in fixed + sampled + [sparse]:
+            reference = union_find_components(G)
+            assert components(G) == reference, G.adj
+            assert is_connected(G) == (len(reference) <= 1), G.adj
         assert [is_connected(G) for G in fixed] == [True, True, False, False, False]
         assert any(is_connected(G) for G in sampled) and not all(is_connected(G) for G in sampled)
+        assert len(union_find_components(sparse)) > 1000
 
 
 class TestLongChain:
