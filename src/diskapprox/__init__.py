@@ -6,7 +6,6 @@ from .covering import (
     Coloring,
     color_offline,
     color_online_firstfit,
-    color_triangle_free,
     coloring_lower_bound,
     vertex_cover,
 )

@@ -18,7 +18,7 @@ def is_vertex_cover(G: Graph, vertices: Iterable[int]) -> bool:
 
 def is_independent_set(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
-    return not any(u in chosen for v in range(G.n) if v in chosen for u in G.adj[v])
+    return all(chosen.isdisjoint(G.adj[v]) for v in chosen if 0 <= v < G.n)
 
 
 def is_clique(G: Graph, vertices: Iterable[int]) -> bool:
@@ -32,10 +32,7 @@ def is_clique(G: Graph, vertices: Iterable[int]) -> bool:
 
 def is_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
-    return all(
-        v in chosen or any(u in chosen for u in G.adj[v])
-        for v in range(G.n)
-    )
+    return all(v in chosen or not chosen.isdisjoint(G.adj[v]) for v in range(G.n))
 
 
 def is_independent_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
@@ -45,7 +42,7 @@ def is_independent_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
 
 def is_total_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:
     chosen = set(vertices)
-    return all(any(u in chosen for u in G.adj[v]) for v in range(G.n))
+    return not any(map(chosen.isdisjoint, G.adj))
 
 
 def is_connected_dominating_set(G: Graph, vertices: Iterable[int]) -> bool:

@@ -1,4 +1,4 @@
-"""Vertex cover and the three coloring procedures.
+"""Vertex cover and the two coloring procedures.
 
 The cover heuristic strips triangles whole, decomposes what is left, and
 drops the largest color class of the half-integral core.  For unit-disk
@@ -66,14 +66,17 @@ def _first_fit(G: Graph, order: Iterable[int]) -> Coloring:
     return Coloring.of(colors)
 
 
-def color_triangle_free(G: Graph, degree_bound: int = 3) -> Coloring:
-    """First-fit along the reverse peel of degeneracy_ordering(G, degree_bound).
+def color_offline(G: Graph, degree_bound: Optional[int] = None) -> Coloring:
+    """First-fit along the reverse minimum-degree removal order.
 
-    Uses at most degree_bound + 1 colors.  A stalled peel raises
-    MinDegreeExceeded whose witness, the vertices left, certifies the
-    input is outside the intended class.
+    Uses at most degeneracy + 1 colors, which is within 3x of optimal on
+    unit-disk graphs and 6x on arbitrary-radius disk graphs.  With
+    ``degree_bound`` set it uses at most degree_bound + 1, and a peel that
+    meets a minimum degree above the bound stops with MinDegreeExceeded,
+    whose witness, the vertices left, certifies the input is outside the
+    intended class.
     """
-    # each vertex sees at most degree_bound colored neighbors in this pass
+    # each vertex sees at most degeneracy colored neighbors in this pass
     order, _ = degeneracy_ordering(G, degree_bound)
     return _first_fit(G, reversed(order))
 
@@ -83,7 +86,8 @@ def vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
 
     Triangles are removed whole (lowest edge first, lowest apex), the
     triangle-free remainder is decomposed, its half-integral core is colored
-    with ``color_bound`` colors, and the largest color class is spared.
+    by ``color_offline(core, color_bound - 1)``, so with at most
+    ``color_bound`` colors, and the largest color class is spared.
     Within max(1.5, 2 * (1 - 1/color_bound)) of optimal whenever the core
     coloring succeeds: bound 4 for unit-disk inputs, 6 for arbitrary radii.
     """
@@ -116,7 +120,7 @@ def vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
     if len(decomposition.half) > 0:
         half_graph, half_ids = induced_subgraph(core, decomposition.half)
         try:
-            coloring = color_triangle_free(half_graph, color_bound - 1)
+            coloring = color_offline(half_graph, color_bound - 1)
         except MinDegreeExceeded as exc:
             original = [core_ids[half_ids[w]] for w in exc.witness]
             raise MinDegreeExceeded(str(exc), VertexSet.of(original, G.n)) from None
@@ -130,16 +134,6 @@ def vertex_cover(G: Graph, color_bound: int = 4) -> VertexSet:
             if c != spared
         )
     return VertexSet.of(cover, G.n)
-
-
-def color_offline(G: Graph) -> Coloring:
-    """First-fit along the reverse minimum-degree removal order.
-
-    Uses at most degeneracy + 1 colors, which is within 3x of optimal on
-    unit-disk graphs and 6x on arbitrary-radius disk graphs.
-    """
-    order, _ = degeneracy_ordering(G)
-    return _first_fit(G, reversed(order))
 
 
 def color_online_firstfit(G: Graph, sequence: ArrivalSequence) -> Coloring:

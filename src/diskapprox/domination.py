@@ -12,7 +12,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterable
 
-from .errors import BadParameter, IsolatedVertex, NoEligibleVertex, NotConnected
+from .errors import BadParameter, InducedStar, IsolatedVertex, NoEligibleVertex, NotConnected
 from .graphs import Graph, VertexSet, bfs_levels, greedy_maximal_independent_set
 
 
@@ -151,9 +151,37 @@ def total_dominating_set(G: Graph) -> VertexSet:
     for v in range(G.n):
         if not G.adj[v]:
             raise IsolatedVertex(v)
-    base = greedy_maximal_independent_set(G, range(G.n))
+    base = dominating_set(G)
     partners = {G.adj[v][0] for v in base}
     return VertexSet.of(set(base.members) | partners, G.n)
+
+
+def refuse_induced_star(G: Graph, independent: Iterable[int]) -> None:
+    """Raise InducedStar when some vertex has six neighbors in ``independent``.
+
+    With I the independent set a domination heuristic built and
+    c = max over v of |N[v] ∩ I|, every vertex dominates at most c members
+    of I, so the optimum is at least |I| / c.  A member's closed
+    neighborhood meets I in itself alone, so c >= 6 puts some v outside I
+    with six pairwise non-adjacent neighbors: an induced K_{1,6}, which no
+    unit disk graph contains.  The witness is v (lowest id among those
+    reaching c) and its six lowest-id neighbors in I.  One O(n + m) pass.
+    """
+    members = set(independent)
+    count = [0] * G.n
+    for u in members:
+        count[u] += 1
+        for w in G.adj[u]:
+            count[w] += 1
+    c = max(count, default=0)
+    if c >= 6:
+        v = count.index(c)
+        six = [u for u in G.adj[v] if u in members][:6]
+        raise InducedStar(
+            f"vertex {v} and its pairwise non-adjacent neighbors {', '.join(map(str, six))} "
+            "form an induced K_{1,6}, which no unit disk graph contains",
+            VertexSet.of([v, *six], G.n),
+        )
 
 
 def connected_dominating_set(G: Graph, root: int = 0) -> tuple[VertexSet, dict]:

@@ -53,6 +53,11 @@ class NoEligibleVertex(ClassCertificateError):
     """No remaining vertex has a small enough neighborhood independence number."""
 
 
+class InducedStar(ClassCertificateError):
+    """A vertex has six pairwise non-adjacent neighbors: an induced K_{1,6},
+    which no unit disk graph contains."""
+
+
 class IsolatedVertex(DiskApproxError):
     def __init__(self, vertex):
         super().__init__(f"vertex {vertex} is isolated")

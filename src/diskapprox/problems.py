@@ -94,9 +94,36 @@ def _color_classes(n, colors):
     return classes.values()
 
 
+def _refuse_induced_star(G, inst, variant, independent):
+    """On abstract input that claims the unit bound, refuse a graph in which
+    some vertex has six neighbors in ``independent()``, the heuristic's
+    greedy independent set (see ``domination.refuse_induced_star``).
+
+    Geometric input is exempt: its graph comes from disks, up to the
+    rounding of the pair test.
+    """
+    if inst is None and variant == "unit":
+        domination.refuse_induced_star(G, independent())
+
+
+def _dominating_set(G, inst, variant, options, meta):
+    chosen = domination.dominating_set(G)
+    _refuse_induced_star(G, inst, variant, lambda: chosen)
+    return chosen
+
+
+def _total_dominating_set(G, inst, variant, options, meta):
+    chosen = domination.total_dominating_set(G)
+    _refuse_induced_star(G, inst, variant, lambda: domination.dominating_set(G))
+    return chosen
+
+
 def _connected_dominating_set(G, inst, variant, options, meta):
     meta["root"] = options.root
     chosen, meta["trace"] = domination.connected_dominating_set(G, options.root)
+    _refuse_induced_star(
+        G, inst, variant, lambda: [v for level in meta["trace"]["independent"] for v in level]
+    )
     return chosen
 
 
@@ -137,21 +164,21 @@ PROBLEMS: dict[str, Problem] = {
         maximize=True,
     ),
     "ds": Problem(
-        heuristic=lambda G, *_: domination.dominating_set(G),
+        heuristic=_dominating_set,
         oracle=lambda G: exact.exact_domination(G, "plain"),
         cap="max_domination",
         check=lambda G, vertices: checks.is_dominating_set(G, vertices),
         bounds={"unit": 5.0},
     ),
     "ids": Problem(
-        heuristic=lambda G, *_: domination.dominating_set(G),
+        heuristic=_dominating_set,
         oracle=lambda G: exact.exact_domination(G, "independent"),
         cap="max_domination",
         check=lambda G, vertices: checks.is_independent_dominating_set(G, vertices),
         bounds={"unit": 5.0},
     ),
     "tds": Problem(
-        heuristic=lambda G, *_: domination.total_dominating_set(G),
+        heuristic=_total_dominating_set,
         oracle=lambda G: exact.exact_domination(G, "total"),
         cap="max_domination",
         check=lambda G, vertices: checks.is_total_dominating_set(G, vertices),

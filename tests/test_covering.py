@@ -8,7 +8,6 @@ from diskapprox.covering import (
     Coloring,
     color_offline,
     color_online_firstfit,
-    color_triangle_free,
     coloring_lower_bound,
     vertex_cover,
 )
@@ -65,19 +64,19 @@ class TestArrivalSequence:
 
 class TestColorTriangleFree:
     def test_c5_uses_three_colors(self):
-        coloring = color_triangle_free(c5(), 3)
+        coloring = color_offline(c5(), 3)
         assert checks.is_proper_coloring(c5(), coloring.colors)
         assert coloring.num_colors == 3
 
     def test_p4_uses_two(self):
         P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        coloring = color_triangle_free(P4, 3)
+        coloring = color_offline(P4, 3)
         assert checks.is_proper_coloring(P4, coloring.colors)
         assert coloring.num_colors == 2
 
     def test_k5_exceeds_degree_bound(self):
         with pytest.raises(MinDegreeExceeded) as info:
-            color_triangle_free(complete(5), 3)
+            color_offline(complete(5), 3)
         assert info.value.witness.members == (0, 1, 2, 3, 4)
 
     def test_respects_bound_on_unit_disk_remainders(self):
@@ -94,7 +93,7 @@ class TestColorTriangleFree:
         for _ in range(40):
             G = random_graph(10, 0.25, rng)
             try:
-                coloring = color_triangle_free(G, 3)
+                coloring = color_offline(G, 3)
             except MinDegreeExceeded:
                 continue
             assert checks.is_proper_coloring(G, coloring.colors)

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from diskapprox.domination import (
 )
 from diskapprox.errors import (
     BadParameter,
+    InducedStar,
     IsolatedVertex,
     NoEligibleVertex,
     NotConnected,
@@ -26,10 +28,11 @@ from diskapprox.geometry import (
     sweep_order,
 )
 from diskapprox.graphs import build_graph, greedy_maximal_independent_set
-from diskapprox.problems import PROBLEMS
+from diskapprox.problems import PROBLEMS, Options
 from diskapprox.rng import Rng, derive_seed
 from diskapprox.formats import write_instance
 from refimpl import (
+    all_subsets,
     disk_graph,
     has_independent_subset,
     random_graph,
@@ -454,3 +457,137 @@ class TestConnectedDominatingSet:
             chosen, trace = connected_dominating_set(G, root)
             assert checks.is_connected_dominating_set(G, chosen)
             assert trace["independent"][0] == [root]
+
+
+class TestSetChecks:
+    def test_match_their_definitions_and_ignore_ids_out_of_range(self):
+        # every subset of small random graphs, with and without the ids -1
+        # and n, which the checks ignore: no negative id reaches G.adj
+        rng = Rng(31)
+        for _ in range(12):
+            G = random_graph(6, 0.4, rng)
+            for subset in all_subsets(G.n):
+                inside = set(subset)
+                independent = not any(G.has_edge(u, v) for u, v in combinations(subset, 2))
+                dominating = all(v in inside or inside & set(G.adj[v]) for v in range(G.n))
+                total = all(inside & set(G.adj[v]) for v in range(G.n))
+                for chosen in (subset, subset + (-1, G.n)):
+                    assert checks.is_independent_set(G, chosen) == independent
+                    assert checks.is_dominating_set(G, chosen) == dominating
+                    assert checks.is_total_dominating_set(G, chosen) == total
+
+
+DOMINATION = ("ds", "ids", "tds", "cds")
+
+
+def star_center_last(leaves):
+    return build_graph(leaves + 1, [(v, leaves) for v in range(leaves)])
+
+
+def is_induced_star(G, vertices, leaves):
+    """Naive: some member is adjacent to every other member, and the others
+    are ``leaves`` pairwise non-adjacent vertices."""
+    vertices = list(vertices)
+    for center in vertices:
+        others = [u for u in vertices if u != center]
+        if all(G.has_edge(center, u) for u in others):
+            return len(others) == leaves and not any(
+                G.has_edge(a, b) for a, b in combinations(others, 2)
+            )
+    return False
+
+
+def run_domination(name, G, inst=None, variant="unit"):
+    options = Options(lambda n: None)
+    return PROBLEMS[name].heuristic(G, inst, variant, options, {})
+
+
+class TestInducedStarCertificate:
+    @pytest.mark.parametrize("name", DOMINATION)
+    @pytest.mark.parametrize("build", (star, star_center_last))
+    def test_five_leaves_pass_either_way(self, name, build):
+        G = build(5)
+        chosen = run_domination(name, G)
+        assert PROBLEMS[name].check(G, chosen)
+
+    @pytest.mark.parametrize("name", DOMINATION)
+    def test_six_leaves_center_first_is_optimal(self, name):
+        # the center is picked first, so it is the only vertex the greedy
+        # independent set holds
+        chosen = run_domination(name, star(6))
+        assert len(chosen) == (2 if name == "tds" else 1)
+
+    @pytest.mark.parametrize("name", DOMINATION)
+    def test_six_leaves_center_last_is_refused(self, name):
+        G = star_center_last(6)
+        with pytest.raises(InducedStar) as info:
+            run_domination(name, G)
+        assert info.value.witness.members == tuple(range(7))
+        assert is_induced_star(G, info.value.witness, 6)
+        assert str(info.value) == (
+            "vertex 6 and its pairwise non-adjacent neighbors 0, 1, 2, 3, 4, 5 "
+            "form an induced K_{1,6}, which no unit disk graph contains"
+        )
+
+    @pytest.mark.parametrize("name", DOMINATION)
+    def test_witness_skips_neighbors_outside_the_set(self, name):
+        # vertex 0 joins leaf 1 and center 7, so 0 enters the independent
+        # set and 1 does not: the witness is 7 with 0, 2, 3, 4, 5, 6
+        edges = [(0, 1), (0, 7)] + [(v, 7) for v in range(1, 7)]
+        G = build_graph(8, edges)
+        with pytest.raises(InducedStar) as info:
+            run_domination(name, G)
+        assert info.value.witness.members == (0, 2, 3, 4, 5, 6, 7)
+        assert is_induced_star(G, info.value.witness, 6)
+
+    @pytest.mark.parametrize("name", DOMINATION)
+    def test_a_star_joined_to_a_unit_instance(self, name):
+        # a connected unit instance, then six leaves and their center, which
+        # is joined to unit vertex 0; 0 comes first, so every heuristic's
+        # independent set holds 0 and all six leaves
+        unit = instance_to_graph(connected_unit_instance(0, n=20))
+        base, center = unit.n, unit.n + 6
+        edges = list(unit.edges) + [(0, center)] + [(base + k, center) for k in range(6)]
+        G = build_graph(base + 7, edges)
+        with pytest.raises(InducedStar) as info:
+            run_domination(name, G)
+        assert info.value.witness.members == (0, *range(base, base + 5), center)
+        assert is_induced_star(G, info.value.witness, 6)
+        # the unit instance alone passes
+        assert PROBLEMS[name].check(unit, run_domination(name, unit))
+
+    @pytest.mark.parametrize("name", DOMINATION)
+    def test_only_abstract_input_claiming_the_unit_bound_is_checked(self, name):
+        # no bound claimed: the circle variant has none for this family
+        G = star_center_last(10)
+        assert len(run_domination(name, G, variant="circle")) >= 10
+        # disks: ten of radius 0.5 around one of radius 10, ids before it
+        disks = tuple(
+            (10.0 * math.cos(k * math.pi / 5), 10.0 * math.sin(k * math.pi / 5), 0.5)
+            for k in range(10)
+        ) + ((0.0, 0.0, 10.0),)
+        inst = GeometricInstance(disks)
+        G = instance_to_graph(inst)
+        assert G == star_center_last(10)
+        for variant in ("unit", "circle"):
+            assert PROBLEMS[name].check(G, run_domination(name, G, inst, variant))
+
+    def test_count_reaches_six_only_outside_the_set(self):
+        # a member's closed neighborhood meets the set in itself alone: K_{1,6}
+        # with the center in the set passes even though it has six neighbors
+        domination.refuse_induced_star(star(6), [0])
+        with pytest.raises(InducedStar):
+            domination.refuse_induced_star(star(6), range(1, 7))
+        domination.refuse_induced_star(build_graph(0, []), [])
+
+    @pytest.mark.parametrize("name", DOMINATION)
+    def test_cli_exits_2_with_the_witness(self, name, tmp_path, capsys):
+        path = tmp_path / "star.udg"
+        path.write_text("udg 1 abstract\nn 7\n" + "".join(f"edge {v} 6\n" for v in range(6)))
+        assert main(["solve", str(path), "--problem", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vertex 6 and its pairwise non-adjacent neighbors 0, 1, 2, 3, 4, 5 "
+            "form an induced K_{1,6}, which no unit disk graph contains\n"
+        )

@@ -62,11 +62,13 @@ def test_scale_kind_pairs_across_radius_levels():
     # one radius-16 disk per 1000 disks, at least one: the instance's radii
     # make two levels, so pairing crosses them
     tool = load_tool()
+    big_radius = tool.KINDS["scale"]["big_radius"]
+    assert big_radius == 16.0
     for n, big in ((100, 1), (2600, 3)):
         _, inst, _, _ = tool._inputs("scale", n)
         radii = [r for _, _, r in inst.disks]
-        assert radii.count(tool.BIG_RADIUS) == big
-        assert max(r for r in radii if r != tool.BIG_RADIUS) <= 2.0
+        assert radii.count(big_radius) == big
+        assert max(r for r in radii if r != big_radius) <= 2.0
         assert len(checked_levels(inst.disks)) == 2
 
 

@@ -4,12 +4,13 @@
     python3 tools/layers.py --sizes 100 -k 1 --out /tmp/layers.json
 
 Run from any directory; the package is imported from this checkout's
-``src/``.  For three kinds of radii, ``unit``, ``mixed`` (uniform in
-[0.5, 2]) and ``scale`` (``mixed`` plus one radius-16 disk per 1000 disks,
-as perfbench's mixed-scale workload, so pairing crosses radius levels), at
-each size n it draws ``random_instance`` at mean degree 6, keeps the giant
-component (so every heuristic, ``tds`` and ``cds`` included, has an input)
-and times each layer ``k`` times:
+``src/``.  For three kinds of radii, ``unit`` (perfbench's unit-scale
+workload), ``mixed`` (uniform in [0.5, 2]) and ``scale`` (perfbench's
+mixed-scale workload: ``mixed`` plus one radius-16 disk per 1000 disks, so
+pairing crosses radius levels), at each size n it takes perfbench's scale
+instance, ``workloads._scale_instance``: ``random_instance`` at mean
+degree 6, reduced to its giant component (so every heuristic, ``tds`` and
+``cds`` included, has an input), and times each layer ``k`` times:
 
 * ``random_instance`` (the raw draw of n disks, without the radius-16 ones)
   and ``parse_instance`` of the component's file text;
@@ -23,6 +24,10 @@ and times each layer ``k`` times:
   problem's ``checks`` predicate, ``verify_subset.<problem>`` runs what
   ``verify`` runs on a geometric file, pairing only the sets ``edge_free``
   names.
+
+The runs are timed with the objects made before them frozen
+(``gc.freeze``), so the collection before each run scans only what the
+layers made; times taken before this was done are not comparable.
 
 Each layer records, per size, the median of the ``k`` times in seconds and
 in reference units: the time over the median of the last
@@ -61,11 +66,23 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+for path in (ROOT / "src", ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from diskapprox import bench, cli, exact, formats, geometry, matching  # noqa: E402
+from diskapprox.covering import ArrivalSequence  # noqa: E402
+from diskapprox.problems import PROBLEMS, Options  # noqa: E402
+from diskapprox.rng import derive_seed  # noqa: E402
+from workloads import CATALOG, MEAN_DEGREE, Reference, _scale_instance  # noqa: E402
+
 SEED = 7
-MEAN_DEGREE = 6.0
-# kind: (radius, radius_high, disks per added radius-16 disk or 0 for none)
-KINDS = {"unit": (1.0, None, 0), "mixed": (0.5, 2.0, 0), "scale": (0.5, 2.0, 1000)}
-BIG_RADIUS = 16.0
+# kind: the workload spec its instances are drawn from
+KINDS = {
+    "unit": CATALOG["unit-scale"],
+    "mixed": dict(CATALOG["mixed-scale"], big_per=0),
+    "scale": CATALOG["mixed-scale"],
+}
 ORACLE_KINDS = ("unit", "mixed")
 SIZES = (1000, 10_000, 100_000)
 ORACLE_DRAWS = 20
@@ -82,33 +99,20 @@ ORACLES = (
 
 def _inputs(kind: str, n: int):
     """(draw, instance, its text, its graph) for ``kind`` radii at size ``n``."""
-    from diskapprox import bench, formats, geometry, graphs
-    from diskapprox.rng import Rng, derive_seed
-
-    radius, radius_high, big_per = KINDS[kind]
+    spec = KINDS[kind]
+    radius, radius_high = spec["radius"], spec["radius_high"]
     box = bench.tuned_box(n, radius, radius_high, MEAN_DEGREE)
     seed = derive_seed(SEED, n)
 
     def draw():
         return geometry.random_instance(n, box, radius, seed, radius_high)
 
-    disks = draw().disks
-    if big_per:
-        extra = Rng(derive_seed(seed, 1 << 40))
-        disks += tuple((box * extra.uniform(), box * extra.uniform(), BIG_RADIUS)
-                       for _ in range(max(1, round(n / big_per))))
-    raw = geometry.GeometricInstance(disks)
-    giant = max(graphs.components(geometry.instance_to_graph(raw)), key=len)
-    inst = geometry.GeometricInstance(tuple(disks[i] for i in giant))
+    inst = _scale_instance(spec, n, seed)
     return draw, inst, formats.render_instance(inst), geometry.instance_to_graph(inst)
 
 
 def layers(kind: str, n: int):
     """(name, vertices, zero-argument callable) for every layer at one size."""
-    from diskapprox import cli, formats, geometry, matching
-    from diskapprox.covering import ArrivalSequence
-    from diskapprox.problems import PROBLEMS, Options
-
     draw, inst, text, G = _inputs(kind, n)
     variant = "unit" if kind == "unit" else "circle"
     options = Options(lambda count: ArrivalSequence.of(range(count)))
@@ -136,10 +140,7 @@ def layers(kind: str, n: int):
 
 def oracle_layers(kind: str):
     """(``oracle.<solver>``, n, callable over ``ORACLE_DRAWS`` graphs) per oracle."""
-    from diskapprox import bench, exact, geometry
-    from diskapprox.rng import derive_seed
-
-    radius, radius_high, _ = KINDS[kind]
+    radius, radius_high = KINDS[kind]["radius"], KINDS[kind]["radius_high"]
     out = []
     for name, cap, variant in ORACLES:
         n = getattr(exact.DEFAULT_LIMITS, cap)
@@ -156,8 +157,6 @@ def oracle_layers(kind: str):
 
 def search_nodes(fn) -> int:
     """Search nodes ``fn()`` visits in the oracles, read from a counting ``_NodeBudget``."""
-    from diskapprox import exact
-
     budgets = []
 
     class CountingBudget(exact._NodeBudget):
@@ -190,15 +189,17 @@ def slope(ns, times) -> float | None:
 def measure(sizes, k: int) -> dict:
     """Per ``<kind>/<layer>``: n, median seconds, median ref units and slope,
     and for an oracle layer its search nodes per call."""
-    from workloads import Reference
-
     reference = Reference()
     table: dict[str, dict] = {}
-    for kind in KINDS:
-        for n in sizes:
-            time_layers(table, kind, lambda: layers(kind, n), 1, k, reference)
-        if kind in ORACLE_KINDS:
-            time_layers(table, kind, lambda: oracle_layers(kind), ORACLE_DRAWS, k, reference)
+    gc.freeze()
+    try:
+        for kind in KINDS:
+            for n in sizes:
+                time_layers(table, kind, lambda: layers(kind, n), 1, k, reference)
+            if kind in ORACLE_KINDS:
+                time_layers(table, kind, lambda: oracle_layers(kind), ORACLE_DRAWS, k, reference)
+    finally:
+        gc.unfreeze()
     for row in table.values():
         row["slope"] = slope(row["n"], row["s"])
         if row["slope"] is not None:
@@ -241,9 +242,6 @@ def main(argv=None) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",")]
     if args.k < 1 or not sizes or min(sizes) < 2:
         parser.error("-k must be at least 1 and every size at least 2")
-    for path in (ROOT / "src", ROOT / "perfbench"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
 
     run = {
         "label": args.label,
