@@ -44,11 +44,6 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
-from .matching import (
-    NtDecomposition,
-    konig_cover,
-    max_matching,
-    nt_decompose,
-)
+from .matching import NtDecomposition, nt_decompose
 
 __version__ = "0.1.0"

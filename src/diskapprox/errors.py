@@ -29,10 +29,6 @@ class ModelMismatch(DiskApproxError):
     pass
 
 
-class NotMaximumMatching(DiskApproxError):
-    pass
-
-
 class ClassCertificateError(DiskApproxError):
     """The input lies outside the graph class a guarantee assumes.
 

@@ -1,14 +1,11 @@
-"""Bipartite maximum matching, the Konig cover construction, and the
-Nemhauser-Trotter style half-integral decomposition built from them."""
+"""The Nemhauser-Trotter style half-integral decomposition of a graph, read
+off one Hopcroft-Karp run on its bipartite double cover."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import BadParameter, NotMaximumMatching
 from .graphs import Graph, VertexSet
 
 
@@ -31,42 +28,15 @@ class NtDecomposition:
         return len(self.forced) + len(self.half) / 2.0
 
 
-def _check_right_ids(adjacency: tuple[tuple[int, ...], ...], right_n: int) -> None:
-    """Raise BadParameter naming the first left row that holds a right id
-    outside [0, right_n).
-
-    One set union over all rows, less the valid ids, so a row's order is not
-    relied on; the rows are searched only when something is left.  It costs
-    about 3.5 us at n = 24 and 2 ms at n = 10^4 with mean degree 6.
-    """
-    outside = set().union(*adjacency)
-    outside.difference_update(range(right_n))
-    if outside:
-        for l, row in enumerate(adjacency):
-            for r in row:
-                if not 0 <= r < right_n:
-                    raise BadParameter(
-                        f"left row {l} holds right id {r}, outside [0, {right_n})"
-                    )
-
-
-def max_matching(
-    adjacency: tuple[tuple[int, ...], ...], right_n: int
-) -> tuple[tuple[int, int], ...]:
+def _hopcroft_karp(adjacency, right_n: int) -> tuple[list[int], list[int]]:
     """Maximum-cardinality matching by layered augmentation (Hopcroft-Karp).
 
-    The bipartite graph is its left adjacency: row l holds the right
-    neighbors of left vertex l, strictly increasing in [0, right_n).
-    Returned as (left, right) pairs sorted by left id; scanning order is
-    fixed so the matching is deterministic.  A right id outside
-    [0, right_n) raises BadParameter.
+    Row l of ``adjacency`` holds the right neighbors of left vertex l,
+    strictly increasing in [0, right_n).  Returns each left vertex's right
+    partner (or -1) and the last layering: the breadth-first alternating
+    search from the unmatched left vertices that reached no free right
+    vertex, -1 on each left vertex it missed.  Both are deterministic.
     """
-    _check_right_ids(adjacency, right_n)
-    return _max_matching(adjacency, right_n)
-
-
-def _max_matching(adjacency, right_n: int) -> tuple[tuple[int, int], ...]:
-    """:func:`max_matching` of an adjacency whose right ids are in range."""
     left_n = len(adjacency)
     match_left = [-1] * left_n
     match_right = [-1] * right_n
@@ -132,94 +102,29 @@ def _max_matching(adjacency, right_n: int) -> tuple[tuple[int, int], ...]:
         for l in range(left_n):
             if match_left[l] == -1:
                 augment(l)
-    return tuple((l, match_left[l]) for l in range(left_n) if match_left[l] != -1)
-
-
-def konig_cover(
-    adjacency: tuple[tuple[int, ...], ...],
-    right_n: int,
-    matching: Iterable[tuple[int, int]],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimum vertex cover, from a maximum matching, of the bipartite graph
-    whose left adjacency is ``adjacency`` (as for :func:`max_matching`).
-
-    Alternating reachability from the unmatched left vertices; the cover is
-    the unreached lefts plus the reached rights.  Its size must equal the
-    matching size and it must touch every edge; anything else proves the
-    supplied matching was not maximum.  A right id outside [0, right_n)
-    raises BadParameter.
-    """
-    _check_right_ids(adjacency, right_n)
-    return _konig_cover(adjacency, right_n, matching)
-
-
-def _konig_cover(adjacency, right_n: int, matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """:func:`konig_cover` of an adjacency whose right ids are in range."""
-    matching = tuple(matching)
-    left_n = len(adjacency)
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-    for l, r in matching:
-        nbrs = adjacency[l] if 0 <= l < left_n else ()
-        i = bisect_left(nbrs, r)
-        if i == len(nbrs) or nbrs[i] != r:
-            raise BadParameter(f"({l}, {r}) is not an edge of the bipartite graph")
-        if l in match_left or r in match_right:
-            raise BadParameter("not a matching: repeated endpoint")
-        match_left[l] = r
-        match_right[r] = l
-
-    reached_left = [False] * left_n
-    reached_right = [False] * right_n
-    queue: deque[int] = deque()
-    for l in range(left_n):
-        if l not in match_left:
-            reached_left[l] = True
-            queue.append(l)
-    while queue:
-        l = queue.popleft()
-        for r in adjacency[l]:
-            if match_left.get(l) == r or reached_right[r]:
-                continue  # leave via non-matching edges only
-            reached_right[r] = True
-            partner = match_right.get(r)
-            if partner is not None and not reached_left[partner]:
-                reached_left[partner] = True
-                queue.append(partner)
-
-    cover_left = tuple(l for l in range(left_n) if not reached_left[l])
-    cover_right = tuple(r for r in range(right_n) if reached_right[r])
-    if len(cover_left) + len(cover_right) != len(matching):
-        raise NotMaximumMatching(
-            f"cover size {len(cover_left) + len(cover_right)} != matching size {len(matching)}"
-        )
-    for l in range(left_n):
-        for r in adjacency[l]:
-            if reached_left[l] and not reached_right[r]:
-                raise NotMaximumMatching(f"edge ({l}, {r}) left uncovered")
-    return cover_left, cover_right
+    return match_left, layer
 
 
 def nt_decompose(G: Graph) -> NtDecomposition:
-    """Decompose via a minimum cover of the bipartite double graph.
+    """Decompose via a minimum (Konig) cover of the bipartite double graph.
 
     Each edge (u, v) becomes (u_left, v_right) and (v_left, u_right), so the
-    double's left adjacency is ``G.adj`` itself; a vertex scores half per copy
-    inside the Konig cover, and the vertices with score 1, 1/2 and 0 form
-    ``forced``, ``half`` and ``excluded``.  A :class:`Graph`'s rows hold ids
-    in [0, n) already, so the range check of the public functions is skipped.
+    double's left adjacency is ``G.adj`` itself.  Hopcroft-Karp's last
+    layering is the alternating search from the unmatched left copies, so
+    the Konig cover is the left copies it did not reach plus every right
+    copy next to one it did.  A vertex scores half per copy inside that
+    cover, and the vertices with score 1, 1/2 and 0 form ``forced``,
+    ``half`` and ``excluded``.  Every maximum matching gives the same cover,
+    so the classes do not depend on which one the scan order finds.
     """
-    cover_left, cover_right = _konig_cover(G.adj, G.n, _max_matching(G.adj, G.n))
-    copies = [0] * G.n
-    for l in cover_left:
-        copies[l] += 1
-    for r in cover_right:
-        copies[r] += 1
-    forced = [v for v in range(G.n) if copies[v] == 2]
-    half = [v for v in range(G.n) if copies[v] == 1]
-    excluded = [v for v in range(G.n) if copies[v] == 0]
-    return NtDecomposition(
-        VertexSet.of(forced, G.n),
-        VertexSet.of(half, G.n),
-        VertexSet.of(excluded, G.n),
-    )
+    _, layer = _hopcroft_karp(G.adj, G.n)
+    right_in_cover = [False] * G.n
+    for l, row in enumerate(G.adj):
+        if layer[l] != -1:
+            for r in row:
+                right_in_cover[r] = True
+    classes: tuple[list[int], ...] = ([], [], [])  # by copies in the cover
+    for v in range(G.n):
+        classes[(layer[v] == -1) + right_in_cover[v]].append(v)
+    excluded, half, forced = (VertexSet.of(part, G.n) for part in classes)
+    return NtDecomposition(forced, half, excluded)

@@ -9,6 +9,7 @@ which must return exactly what those routines return.
 import heapq
 import math
 from bisect import bisect_right
+from collections import deque
 from itertools import combinations, product
 
 from diskapprox import checks, geometry
@@ -342,8 +343,8 @@ def find_triangle(G: Graph):
 
 
 def build_bipartite(left_n: int, right_n: int, edges) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The ``(adjacency, right_n)`` pair that ``max_matching`` and
-    ``konig_cover`` take, from (left, right) pairs, range-checked, repeats
+    """A bipartite graph as ``(adjacency, right_n)``, the left adjacency the
+    matching code takes, from (left, right) pairs, range-checked, repeats
     dropped."""
     if left_n < 0 or right_n < 0:
         raise BadParameter("side sizes must be nonnegative")
@@ -358,6 +359,57 @@ def build_bipartite(left_n: int, right_n: int, edges) -> tuple[tuple[tuple[int, 
 def bipartite_edges(adjacency) -> tuple[tuple[int, int], ...]:
     """Sorted (left, right) pairs of a left adjacency."""
     return tuple((l, r) for l, nbrs in enumerate(adjacency) for r in nbrs)
+
+
+def reference_matching(adjacency, right_n: int) -> tuple[tuple[int, int], ...]:
+    """Maximum matching of a left adjacency, as sorted (left, right) pairs:
+    one breadth-first search for an augmenting path from each left vertex in
+    turn, O(VE), with no layering."""
+    match_left = [-1] * len(adjacency)
+    match_right = [-1] * right_n
+    for root in range(len(adjacency)):
+        reached_from: dict[int, int] = {}  # right vertex -> the left it was reached from
+        queue = deque([root])
+        while queue:
+            l = queue.popleft()
+            for r in adjacency[l]:
+                if r in reached_from:
+                    continue
+                reached_from[r] = l
+                if match_right[r] == -1:
+                    while r != -1:  # flip the path back to the root
+                        l = reached_from[r]
+                        previous = match_left[l]
+                        match_left[l], match_right[r] = r, l
+                        r = previous
+                    queue.clear()
+                    break
+                queue.append(match_right[r])
+    return tuple((l, r) for l, r in enumerate(match_left) if r != -1)
+
+
+def konig_cover(adjacency, matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Konig's minimum vertex cover from a maximum matching: the left
+    vertices that no alternating path from an unmatched left vertex reaches,
+    plus the right vertices such paths reach."""
+    match_left = dict(matching)
+    match_right = {r: l for l, r in matching}
+    reached_left = {l for l in range(len(adjacency)) if l not in match_left}
+    reached_right = set()
+    queue = deque(reached_left)
+    while queue:
+        l = queue.popleft()
+        for r in adjacency[l]:
+            if r != match_left.get(l) and r not in reached_right:
+                reached_right.add(r)
+                partner = match_right.get(r)
+                if partner is not None and partner not in reached_left:
+                    reached_left.add(partner)
+                    queue.append(partner)
+    return (
+        tuple(l for l in range(len(adjacency)) if l not in reached_left),
+        tuple(sorted(reached_right)),
+    )
 
 
 def minimum_vertex_covers(G: Graph) -> list[frozenset[int]]:

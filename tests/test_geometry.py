@@ -622,8 +622,31 @@ class TestRandomInstance:
     def test_connected_sampler_gives_up(self, monkeypatch):
         # five unit disks in a box of side 1000 are almost never connected
         monkeypatch.setattr(geometry, "_CONNECTED_TRIES", 2)
-        with pytest.raises(BadParameter, match="^no connected instance found in 2 attempts$"):
+        message = ("^no connected instance found in 2 attempts; the largest component"
+                   " of the last draw holds 1 of its 5 disks$")
+        with pytest.raises(BadParameter, match=message):
             random_connected_instance(5, 1000.0, 1.0, 1)
+
+    @pytest.mark.parametrize("n, attempts", [(100, 3), (101, 3), (125, 2), (126, 2), (300, 1)])
+    def test_connected_sampler_stops_at_its_disk_budget(self, monkeypatch, n, attempts):
+        # a budget of 250 disks allows ceil(250 / n) draws of n disks
+        monkeypatch.setattr(geometry, "_CONNECTED_DISKS", 250)
+        draws = []
+        draw = geometry.random_instance
+        monkeypatch.setattr(geometry, "random_instance", lambda *args: draws.append(args) or draw(*args))
+        with pytest.raises(BadParameter, match=f"^no connected instance found in {attempts} attempts;"):
+            random_connected_instance(n, 1000.0, 1.0, 1)
+        assert len(draws) == attempts
+
+    def test_connected_sampler_budget_keeps_every_attempt_up_to_2000_disks(self, monkeypatch):
+        draws = []
+        one_disk_apart = geometry.GeometricInstance(((0.0, 0.0, 1.0), (9.0, 0.0, 1.0)))
+        monkeypatch.setattr(geometry, "random_instance", lambda *args: draws.append(args) or one_disk_apart)
+        for n, attempts in ((2000, 10_000), (2001, 9996), (10_000, 2000), (100_000, 200)):
+            draws.clear()
+            with pytest.raises(BadParameter, match=f"^no connected instance found in {attempts} attempts;"):
+                random_connected_instance(n, 1000.0, 1.0, 1)
+            assert len(draws) == attempts
 
     def test_connected_sampler_accepts_the_first_connected_attempt(self):
         # 32 disks are the last the reach search tests; 33 and 40 pair every draw

@@ -8,6 +8,7 @@ from pathlib import Path
 from diskapprox import exact
 from diskapprox.exact import DEFAULT_LIMITS, exact_domination
 from diskapprox.graphs import build_graph
+from diskapprox.problems import PROBLEMS
 from refimpl import checked_levels
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layers.py"
@@ -41,9 +42,10 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
         expected |= {f"verify_{path}.{p}" for path in ("full", "subset")
                      for p in ("vc", "mis", "color", "online-color")}
         if kind != "scale":  # the oracles' small draws would be all radius-16 disk
-            expected |= {f"oracle.{name}" for name, _, _ in tool.ORACLES}
+            expected |= {f"oracle.{p}" for p in ("vc", "color", "ds", "tds", "cds")}
         assert {name.split("/", 1)[1] for name in names if name.startswith(kind + "/")} == expected
-    caps = {f"oracle.{name}": getattr(DEFAULT_LIMITS, cap) for name, cap, _ in tool.ORACLES}
+    caps = {"oracle.vc": 24, "oracle.color": 16, "oracle.ds": 18, "oracle.tds": 18, "oracle.cds": 16}
+    assert caps == {f"oracle.{p}": getattr(DEFAULT_LIMITS, PROBLEMS[p].cap) for p in tool.ORACLE_PROBLEMS}
     for name, row in run["layers"].items():
         layer = name.split("/", 1)[1]
         assert len(row["n"]) == len(row["s"]) == len(row["ref"]) == 1

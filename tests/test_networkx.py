@@ -14,7 +14,7 @@ from diskapprox.domination import (
 from diskapprox.geometry import instance_to_graph, random_connected_instance, random_instance
 from diskapprox.graphs import components, is_connected
 from diskapprox.problems import PROBLEMS
-from diskapprox.matching import max_matching, nt_decompose
+from diskapprox.matching import nt_decompose
 from diskapprox.rng import derive_seed
 from refimpl import all_pairs, bipartite_edges, build_bipartite
 
@@ -51,15 +51,20 @@ def test_intersection_graph():
 def test_matching_on_the_bipartite_double():
     for inst in instances():
         G = instance_to_graph(inst)
-        adj, right_n = build_bipartite(G.n, G.n, list(G.edges) + [(v, u) for u, v in G.edges])
+        adj, _ = build_bipartite(G.n, G.n, list(G.edges) + [(v, u) for u, v in G.edges])
         D = nx.Graph()
         D.add_nodes_from((("left", v) for v in range(G.n)), bipartite=0)
         D.add_nodes_from((("right", v) for v in range(G.n)), bipartite=1)
         D.add_edges_from((("left", l), ("right", r)) for l, r in bipartite_edges(adj))
         size = len(nx.max_weight_matching(D, maxcardinality=True))
-        assert len(max_matching(adj, right_n)) == size
+        left = [("left", v) for v in range(G.n)]
+        cover = nx.bipartite.to_vertex_cover(D, nx.bipartite.hopcroft_karp_matching(D, left), left)
+        copies = [(("left", v) in cover) + (("right", v) in cover) for v in range(G.n)]
+        decomposition = nt_decompose(G)
+        for part, count in ((decomposition.forced, 2), (decomposition.half, 1), (decomposition.excluded, 0)):
+            assert part.members == tuple(v for v in range(G.n) if copies[v] == count)
         # the vertex-cover LP optimum is half the double's maximum matching
-        assert nt_decompose(G).lower_bound == size / 2
+        assert decomposition.lower_bound == size / 2
 
 
 def test_domination_and_independence():

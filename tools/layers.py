@@ -39,14 +39,17 @@ inputs: on a 2-vCPU VM, samples beside 10^5-disk inputs and beside none
 differed by less than the drift between rounds, which spanned 1.8 to
 3.1 ms.  A log-log least-squares slope over the sizes goes with each layer.
 
-The oracle layers, ``oracle.<solver>``, of the ``unit`` and ``mixed``
-kinds run at the oracle's own default
-size cap, whatever ``--sizes`` says: ``exact_vc`` at n = 24,
-``exact_chromatic`` at 16, ``exact_domination`` plain and total at 18 and
-connected at 16.  Each runs over the same ``ORACLE_DRAWS`` connected draws
-at mean degree 4 (as perfbench's oracle-ratio rows) and records seconds per
-call and ``nodes``, the search nodes per call, read from a counting
-subclass of the oracles' node budget.
+The oracle layers, ``oracle.<problem>`` for each problem of
+``ORACLE_PROBLEMS``, of the ``unit`` and ``mixed`` kinds run the problem
+table's oracle at the default size cap its ``cap`` names, whatever
+``--sizes`` says: ``vc`` at n = 24, ``color`` at 16, ``ds`` and ``tds`` at
+18 and ``cds`` at 16.  Each runs over the same ``ORACLE_DRAWS`` connected
+draws at mean degree 4 (as perfbench's oracle-ratio rows) and records
+seconds per call and ``nodes``, the search nodes per call, read from a
+counting subclass of the oracles' node budget.  Runs recorded before the
+layers took the problem names call them by solver: ``oracle.exact_vc``,
+``oracle.exact_chromatic`` and ``oracle.exact_domination.plain``,
+``.total`` and ``.connected``.
 
 The run (label, machine, Python version, sizes, k, layers) is appended to
 the ``runs`` list of ``--out``, which is created when missing.
@@ -87,14 +90,7 @@ ORACLE_KINDS = ("unit", "mixed")
 SIZES = (1000, 10_000, 100_000)
 ORACLE_DRAWS = 20
 ORACLE_MEAN_DEGREE = 4.0
-# (layer, size cap of OracleLimits it runs at, domination variant or None)
-ORACLES = (
-    ("exact_vc", "max_vertex_cover", None),
-    ("exact_chromatic", "max_chromatic", None),
-    ("exact_domination.plain", "max_domination", "plain"),
-    ("exact_domination.total", "max_domination", "total"),
-    ("exact_domination.connected", "max_connected_domination", "connected"),
-)
+ORACLE_PROBLEMS = ("vc", "color", "ds", "tds", "cds")
 
 
 def _inputs(kind: str, n: int):
@@ -114,7 +110,7 @@ def _inputs(kind: str, n: int):
 def layers(kind: str, n: int):
     """(name, vertices, zero-argument callable) for every layer at one size."""
     draw, inst, text, G = _inputs(kind, n)
-    variant = "unit" if kind == "unit" else "circle"
+    variant = KINDS[kind]["variant"]
     options = Options(lambda count: ArrivalSequence.of(range(count)))
     out = [
         ("random_instance", n, draw),
@@ -139,19 +135,18 @@ def layers(kind: str, n: int):
 
 
 def oracle_layers(kind: str):
-    """(``oracle.<solver>``, n, callable over ``ORACLE_DRAWS`` graphs) per oracle."""
+    """(``oracle.<problem>``, n, callable over ``ORACLE_DRAWS`` graphs) per oracle."""
     radius, radius_high = KINDS[kind]["radius"], KINDS[kind]["radius_high"]
     out = []
-    for name, cap, variant in ORACLES:
-        n = getattr(exact.DEFAULT_LIMITS, cap)
+    for name in ORACLE_PROBLEMS:
+        oracle = PROBLEMS[name].oracle
+        n = getattr(exact.DEFAULT_LIMITS, PROBLEMS[name].cap)
         box = bench.tuned_box(n, radius, radius_high, ORACLE_MEAN_DEGREE)
         graphs = [
             geometry.random_connected_instance(n, box, radius, derive_seed(SEED, draw), radius_high)[1]
             for draw in range(ORACLE_DRAWS)
         ]
-        solver = getattr(exact, name.split(".")[0])
-        args = (variant,) if variant else ()
-        out.append((f"oracle.{name}", n, lambda s=solver, a=args, gs=graphs: [s(G, *a) for G in gs]))
+        out.append((f"oracle.{name}", n, lambda o=oracle, gs=graphs: [o(G) for G in gs]))
     return out
 
 
