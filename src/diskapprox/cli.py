@@ -3,8 +3,8 @@
 Subcommands: gen, solve, exact, verify, bench, bound.  solve and exact
 print a JSON document, bench prints CSV, gen prints an instance file; with
 a fixed --seed every invocation is byte-reproducible.  Exit codes: 0 on
-success, 1 on usage or input errors, 2 when a heuristic certifies the
-input is outside its graph class.
+success, 1 on usage or input errors or when memory runs out, 2 when a
+heuristic certifies the input is outside its graph class.
 """
 
 from __future__ import annotations
@@ -272,6 +272,9 @@ def main(argv=None) -> int:
         return 2
     except (DiskApproxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the input is too large or too dense", file=sys.stderr)
         return 1
 
 

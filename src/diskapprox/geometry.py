@@ -146,12 +146,11 @@ def _strips(entries, height: float) -> tuple[list[int], list[tuple]]:
 _ALL_PAIRS_MAX = 32
 
 
-def _adjacency(disks, unit: bool) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor tuple of every disk; ``unit`` when all radii are equal.
+def _adjacency(disks, unit: bool) -> list[list[int]]:
+    """Neighbor list of every disk, in no set order; ``unit`` when all radii are equal.
 
     At most ``_ALL_PAIRS_MAX`` disks test every pair, with the same test as
-    :func:`_sweep_adjacency`, which pairs larger inputs.  The pairs come in
-    lexicographic order, so each row fills in ascending order.  The pair test
+    :func:`_sweep_adjacency`, which pairs larger inputs.  The pair test
     ``dx * dx + dy * dy <= reach * reach`` has five copies: this loop,
     :func:`_pair_equal_radii`, :func:`_pair_within` and :func:`_pair_across`
     (the strip sweep), and the sampler's connectivity search
@@ -167,11 +166,11 @@ def _adjacency(disks, unit: bool) -> tuple[tuple[int, ...], ...]:
         if dx * dx + dy * dy <= reach * reach:
             rows[i].append(j)
             rows[j].append(i)
-    return tuple(map(tuple, rows))
+    return rows
 
 
-def _sweep_adjacency(disks, unit: bool) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor tuple of every disk, found by a strip sweep.
+def _sweep_adjacency(disks, unit: bool) -> list[list[int]]:
+    """Neighbor list of every disk, in no set order, found by a strip sweep.
 
     Disks are split into radius levels, each cut into strips (see
     :func:`_levels`), so a pair within a level sits in one strip or two
@@ -181,7 +180,7 @@ def _sweep_adjacency(disks, unit: bool) -> tuple[tuple[int, ...], ...]:
     level's strips (:func:`_pair_across`), the side picked per level pair by
     :func:`_large_queries`.  Each unordered intersecting pair is found
     exactly once, so a hit is appended to both endpoints' rows with no
-    dedup, and each row is sorted once at the end.
+    dedup.
     """
     rows: list[list[int]] = [[] for _ in disks]
     if unit and disks:
@@ -195,11 +194,7 @@ def _sweep_adjacency(disks, unit: bool) -> tuple[tuple[int, ...], ...]:
                     _pair_across(large[2], small, rows)
                 else:
                     _pair_across(small[2], large, rows)
-        # Freed before the rows are sorted and copied; kept to return, 3% slower.
-        levels = small = large = None
-    for row in rows:
-        row.sort()
-    return tuple(map(tuple, rows))
+    return rows
 
 
 def _pair_equal_radii(disks, rows: list[list[int]]) -> None:
@@ -323,13 +318,14 @@ def _large_queries(small, large) -> bool:
 
 def instance_to_graph(inst: GeometricInstance) -> Graph:
     """Intersection graph of the instance: edge iff dist(centers)^2 <= (r_u + r_v)^2."""
-    return Graph(inst.n, _adjacency(inst.disks, inst.unit))
+    return Graph.of_rows(_adjacency(inst.disks, inst.unit))
 
 
 def pairwise_disjoint(inst: GeometricInstance, ids) -> bool:
     """True when no two of the disks ``ids`` (distinct, in range) intersect.
 
-    Pairs only those disks, with :func:`_adjacency`.  Its pair test is
+    Pairs only those disks, with :func:`_adjacency`; its rows are read
+    unsorted, since only their emptiness counts.  Its pair test is
     symmetric in the two disks (``xi - xj`` is the exact negation of
     ``xj - xi`` and ``ri + rj`` commutes), and the all-pairs path and both
     sweep kernels each find every pair the test accepts, so the answer is

@@ -51,6 +51,14 @@ class Graph:
         self.n = n
         self.adj = adj              # per-vertex sorted neighbor tuples
 
+    @staticmethod
+    def of_rows(rows: list[list[int]]) -> "Graph":
+        """Graph of symmetric, repeat-free neighbor lists; each is sorted and frozen in place."""
+        for v, row in enumerate(rows):
+            row.sort()
+            rows[v] = tuple(row)
+        return Graph(len(rows), tuple(rows))
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted (u, v) pairs with u < v."""

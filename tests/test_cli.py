@@ -743,6 +743,24 @@ class TestUsage:
             f"got {spec!r}\n"
         )
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_out_of_memory_is_an_error_message(self, capsys, monkeypatch, tmp_path,
+                                               geo_instance, command):
+        code, out, _ = run(capsys, "solve", geo_instance, "--problem", "mis")
+        assert code == 0
+        solution = tmp_path / "solution.json"
+        solution.write_text(out)
+
+        def exhausted(*_):
+            raise MemoryError
+
+        monkeypatch.setattr(geometry, "_adjacency", exhausted)
+        argv = {"solve": ["solve", geo_instance, "--problem", "mis"],
+                "verify": ["verify", geo_instance, str(solution)]}[command]
+        assert run(capsys, *argv) == (
+            1, "", "error: out of memory: the input is too large or too dense\n"
+        )
+
     def test_unknown_problem(self, capsys):
         code, _, _ = run(capsys, "solve", "x.udg", "--problem", "tsp")
         assert code == 1

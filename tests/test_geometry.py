@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from diskapprox.geometry import (
     sector_clique,
     sweep_order,
 )
-from diskapprox.graphs import Graph, build_graph, is_connected
+from diskapprox.graphs import Graph, build_graph, greedy_maximal_independent_set, is_connected
 from diskapprox.rng import _INCREMENT, MASK64, Rng, _lane_memo, derive_seed
 from refimpl import (
     all_pairs,
@@ -52,7 +53,7 @@ def level_count(inst):
 
 def sweep_graph(inst):
     """The strip sweep's graph, which ``instance_to_graph`` skips for small inputs."""
-    return Graph(inst.n, _sweep_adjacency(inst.disks, inst.unit))
+    return Graph.of_rows(_sweep_adjacency(inst.disks, inst.unit))
 
 
 def edge_counts(inst):
@@ -69,8 +70,9 @@ def assert_matches_all_pairs(inst, min_levels=2):
 
 def assert_both_kernels(inst):
     """Disks all of one radius give the definition's rows through either sweep kernel."""
-    expected = build_graph(inst.n, all_pairs(inst)).adj
-    assert _sweep_adjacency(inst.disks, True) == _sweep_adjacency(inst.disks, False) == expected
+    expected = build_graph(inst.n, all_pairs(inst))
+    for unit in (True, False):
+        assert Graph.of_rows(_sweep_adjacency(inst.disks, unit)) == expected
 
 
 def neighborhood_independence(G, v):
@@ -189,6 +191,29 @@ class TestInstanceToGraph:
             assert instance_to_graph(GeometricInstance(tuple(layouts[0]))).m == 39
         assert instance_to_graph(GeometricInstance(tuple(layouts[-1]))).m == 40 * 39 // 2
 
+    @pytest.mark.parametrize("radius_high", [None, 2.0], ids=["unit", "0.5-2.0"])
+    def test_pairwise_disjoint_agrees_with_the_graph(self, radius_high):
+        # maximal independent sets, parts of them, each with one more disk,
+        # and random subsets, on both sides of _ALL_PAIRS_MAX
+        rng = Rng(0x3307)
+        radius = 1.0 if radius_high is None else 0.5
+        verdicts = set()
+        for n in (12, 40, 150, 400):
+            inst = random_instance(n, 2.5 * n ** 0.5, radius, derive_seed(0x3307, n), radius_high)
+            G = instance_to_graph(inst)
+            for _ in range(10):
+                order = list(range(n))
+                rng.shuffle(order)
+                mis = list(greedy_maximal_independent_set(G, order))
+                part = mis[:1 + rng.randrange(len(mis))]
+                size = 1 + rng.randrange(n)
+                for ids in (mis, part, mis + [order[0]], part + [order[-1]], order[:size]):
+                    ids = list(dict.fromkeys(ids))
+                    disjoint = geometry.pairwise_disjoint(inst, ids)
+                    assert disjoint == checks.is_independent_set(G, ids)
+                    verdicts.add((disjoint, len(ids) > geometry._ALL_PAIRS_MAX))
+        assert verdicts == {(True, False), (True, True), (False, False), (False, True)}
+
     def test_translation_and_right_angle_rotation_invariance(self):
         inst = random_instance(30, 8.0, 1.0, 4242)
         G = instance_to_graph(inst)
@@ -196,6 +221,19 @@ class TestInstanceToGraph:
         rotated = GeometricInstance(tuple((-y, x, r) for x, y, r in inst.disks))
         assert instance_to_graph(shifted) == G
         assert instance_to_graph(rotated) == G
+
+    def test_dense_input_peak_per_edge(self):
+        # 2,000 coincident disks: each row is sorted and frozen in turn, so
+        # no row is held as a list and a tuple at once (16.3 B per edge)
+        inst = disks(*[(0.0, 0.0, 1.0)] * 2000)
+        tracemalloc.start()
+        try:
+            G = instance_to_graph(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.m == 2000 * 1999 // 2
+        assert peak <= 20 * G.m
 
 
 class TestRadiusLevels:

@@ -10,6 +10,7 @@ from diskapprox.covering import color_offline, vertex_cover
 from diskapprox.domination import connected_dominating_set
 from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NotConnected, SelfLoop
 from diskapprox.graphs import (
+    Graph,
     VertexSet,
     bfs_levels,
     build_graph,
@@ -82,6 +83,25 @@ class TestBuildGraph:
                 assert [G.has_edge(u, v) for v in range(G.n)] == [
                     (min(u, v), max(u, v)) in pairs for v in range(G.n)
                 ]
+
+
+class TestOfRows:
+    def test_shuffled_rows_give_the_canonical_graph(self):
+        rng = Rng(33)
+        for n in (0, 1, 2, 7, 30):
+            for probability in (0.0, 0.3, 1.0):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.uniform() < probability]
+                rows = [[] for _ in range(n)]
+                for u, v in edges:
+                    rows[u].append(v)
+                    rows[v].append(u)
+                for row in rows:
+                    rng.shuffle(row)
+                G = Graph.of_rows(rows)
+                assert G == build_graph(n, edges)
+                # each row was replaced in place by its sorted tuple
+                assert all(type(row) is tuple for row in rows) and tuple(rows) == G.adj
 
 
 class TestInducedSubgraph:
