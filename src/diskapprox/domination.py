@@ -13,67 +13,52 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from .errors import BadParameter, InducedStar, IsolatedVertex, NoEligibleVertex, NotConnected
-from .graphs import Graph, VertexSet, bfs_levels, greedy_maximal_independent_set
+from .graphs import Graph, VertexSet, _cover_exceeds, bfs_levels, greedy_maximal_independent_set
 
 
 def _has_independent_subset(adj, pool: list[int], size: int) -> bool:
     """Does ``pool``, ascending ids, hold ``size`` (at least 1) pairwise
     non-adjacent vertices?
 
-    Two greedy passes decide most search nodes.  A greedy clique cover of the
-    pool (see :func:`_cover_exceeds`) with at most ``size - 1`` cliques
+    The search runs on bitmasks: bit k is ``pool[k]``, and its mask holds
+    its neighbors inside the pool.  Two greedy passes decide most search
+    nodes.  The exact MIS search's clique cover
+    (:func:`graphs._cover_exceeds`) with at most ``size - 1`` cliques
     answers no, since an independent set meets each clique at most once.  A
     greedy independent set, taking each vertex not adjacent to an earlier
     pick, that reaches ``size`` answers yes.  Otherwise the node branches on
-    its lowest vertex: taken, a recursive call seeks ``size - 1`` in the
-    pool less that vertex's closed neighborhood; left out, the loop goes on
-    with the pool less that vertex.  Recursion is at most ``size`` deep, and
+    its lowest vertex: taken, a recursive call seeks ``size - 1`` among the
+    survivors less that vertex's closed neighborhood; left out, the loop
+    goes on without that vertex.  Recursion is at most ``size`` deep, and
     the search visits O(|pool|^size) nodes in the worst case, each making
     one cover and one greedy pass.
     """
-    while _cover_exceeds(adj, pool, size - 1):
-        blocked: set[int] = set()
-        found = 0
-        for v in pool:
-            if v not in blocked:
+    bits = {v: 1 << k for k, v in enumerate(pool)}
+    masks = []
+    for v in pool:
+        mask = 0
+        for u in adj[v]:
+            if u in bits:
+                mask |= bits[u]
+        masks.append(mask)
+
+    def search(alive: int, size: int) -> bool:
+        while _cover_exceeds(masks, alive, size - 1):
+            rest = alive
+            found = 0
+            while rest:
+                low = rest & -rest
                 found += 1
                 if found == size:
                     return True
-                blocked.update(adj[v])
-        rest = pool[1:]
-        first = set(adj[pool[0]])
-        if _has_independent_subset(adj, [u for u in rest if u not in first], size - 1):
-            return True
-        pool = rest
-    return False
+                rest &= ~(masks[low.bit_length() - 1] | low)
+            low = alive & -alive
+            alive ^= low
+            if search(alive & ~masks[low.bit_length() - 1], size - 1):
+                return True
+        return False
 
-
-def _cover_exceeds(adj, pool: list[int], limit: int) -> bool:
-    """Does the greedy clique cover of ``pool`` (ascending ids) need more than
-    ``limit`` cliques?
-
-    Each clique starts at the lowest uncovered vertex and grows by the lowest
-    uncovered one adjacent to all its members, as the cut of
-    ``exact._mis_search`` grows its cover: one pass over the pool per clique,
-    stopping at clique ``limit + 1``.
-    """
-    uncovered = set(pool)
-    cliques = 0
-    for index, v in enumerate(pool):
-        if v not in uncovered:
-            continue
-        if cliques == limit:
-            return True
-        cliques += 1
-        uncovered.discard(v)
-        common = uncovered.intersection(adj[v])
-        for u in pool[index + 1:]:
-            if not common:
-                break
-            if u in common:
-                uncovered.discard(u)
-                common.intersection_update(adj[u])
-    return False
+    return search((1 << len(pool)) - 1, size)
 
 
 def independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .covering import Coloring, _first_fit
 from .errors import BadParameter, IsolatedVertex, Timeout, TooLarge
-from .graphs import Graph, VertexSet, bfs_levels
+from .graphs import Graph, VertexSet, _cover_exceeds, bfs_levels
 
 DOMINATION_VARIANTS = ("plain", "independent", "total", "connected")
 
@@ -85,10 +85,9 @@ def _mis_search(G: Graph, budget: _NodeBudget) -> tuple[int, int]:
 
     Each node branches on its highest-degree survivor, taking it first.  It
     is cut when ``count`` plus a bound on the survivors cannot beat the
-    incumbent: first the number of survivors, then a greedy clique cover of
-    them (an independent set meets each clique at most once).  Each clique
-    starts at the lowest uncovered survivor and grows by the lowest one
-    adjacent to all its members.  The incumbent changes only on a strict
+    incumbent: first the number of survivors, then the greedy clique cover
+    of them that :func:`graphs._cover_exceeds` grows (an independent set
+    meets each clique at most once).  The incumbent changes only on a strict
     gain, so the cuts drop no node that could change the result: the
     returned witness is the one the search finds without them.
 
@@ -109,18 +108,7 @@ def _mis_search(G: Graph, budget: _NodeBudget) -> tuple[int, int]:
         if alive == 0:
             best_size, best_mask = count, chosen
             return
-        room = best_size - count  # cliques the cover may use and still be cut
-        rest = alive
-        while rest and room >= 0:
-            low = rest & -rest
-            rest ^= low
-            grow = rest & masks[low.bit_length() - 1]
-            while grow:
-                low = grow & -grow
-                rest ^= low
-                grow &= masks[low.bit_length() - 1]
-            room -= 1
-        if room >= 0:
+        if not _cover_exceeds(masks, alive, best_size - count):
             return
         # branch on the highest-degree survivor (lowest id on ties)
         pick = -1

@@ -95,8 +95,8 @@ def _parse_disks(lines: list[str], header_no: int) -> GeometricInstance:
         # ``count`` lines hold the ids 0..count-1 exactly when each is present
         instance = GeometricInstance(tuple(map(by_id.__getitem__, range(count))))
         # range-check the disks here, where a fault can still name its line;
-        # instance_to_graph reads the bounds this caches
-        instance.radius_range
+        # instance_to_graph reads the flag this caches
+        instance.unit
     except (ValueError, KeyError, BadParameter, NonPositiveRadius):
         raise _disk_error(lines, header_no) from None
     return instance

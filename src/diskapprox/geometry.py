@@ -32,19 +32,14 @@ class GeometricInstance:
         return len(self.disks)
 
     @cached_property
-    def radius_range(self) -> tuple[float, float]:
-        """The (smallest, largest) radius, found as every disk is range-checked.
+    def unit(self) -> bool:
+        """True when every disk has the same radius, found as every disk is range-checked.
 
         Raises :class:`NonPositiveRadius` or :class:`BadParameter` for the
         first disk :func:`_disk_fault` rejects, so an instance's disks are
         checked once however often it is paired.
         """
-        return _check_radii(self.disks)
-
-    @cached_property
-    def unit(self) -> bool:
-        """True when every disk has the same radius."""
-        low, high = self.radius_range
+        low, high = _check_radii(self.disks)
         return not self.disks or low == high
 
 

@@ -188,6 +188,30 @@ def greedy_maximal_independent_set(G: Graph, order: Iterable[int]) -> VertexSet:
     return VertexSet.of(chosen, G.n)
 
 
+def _cover_exceeds(masks: list[int], alive: int, limit: int) -> bool:
+    """Does the greedy clique cover of the vertices in bitmask ``alive`` need
+    more than ``limit`` cliques?  ``masks[v]`` is v's neighbor bitmask.
+
+    Each clique starts at the lowest uncovered vertex and grows by the lowest
+    uncovered one adjacent to all its members.  An independent set meets each
+    clique at most once, so a cover of at most ``limit`` cliques proves that
+    ``alive`` holds no ``limit + 1`` independent vertices; the exact MIS
+    search and the independent-set eligibility test both cut on it.  Any
+    ``limit < 0`` answers True.  The pass stops once ``limit`` cliques are built.
+    """
+    rest = alive
+    while rest and limit > 0:
+        low = rest & -rest
+        rest ^= low
+        grow = rest & masks[low.bit_length() - 1]
+        while grow:
+            low = grow & -grow
+            rest ^= low
+            grow &= masks[low.bit_length() - 1]
+        limit -= 1
+    return rest != 0 or limit < 0
+
+
 def bfs_levels(G: Graph, root: int) -> tuple[tuple[tuple[int, ...], ...], tuple[Optional[int], ...]]:
     """Breadth-first level sets and tree parents from ``root``.
 

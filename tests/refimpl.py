@@ -519,6 +519,30 @@ def has_independent_subset(G: Graph, candidates, size: int) -> bool:
     return extend(0, 0, frozenset())
 
 
+def greedy_cover_exceeds(adj, pool, limit: int) -> bool:
+    """Does the greedy clique cover of ``pool`` (ascending ids) need more
+    than ``limit`` cliques?  The set-based form of ``graphs._cover_exceeds``
+    that the eligibility test ran before the cover moved to bitmasks: each
+    clique starts at the lowest uncovered vertex and grows by the lowest
+    uncovered one adjacent to all its members.  It counts every clique, so
+    any ``limit < 0`` answers True."""
+    uncovered = set(pool)
+    cliques = 0
+    for index, v in enumerate(pool):
+        if v not in uncovered:
+            continue
+        cliques += 1
+        uncovered.discard(v)
+        common = uncovered.intersection(adj[v])
+        for u in pool[index + 1:]:
+            if not common:
+                break
+            if u in common:
+                uncovered.discard(u)
+                common.intersection_update(adj[u])
+    return cliques > limit
+
+
 def rescan_independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
     """``independent_set_graph`` as a re-scan: before every pick, test the
     survivors in id order with :func:`has_independent_subset` and take the

@@ -208,7 +208,7 @@ def count_search_nodes(monkeypatch):
     cover = domination._cover_exceeds
 
     def counted(*args):
-        nodes.append(len(args[1]))
+        nodes.append(args[1].bit_count())
         return cover(*args)
 
     monkeypatch.setattr(domination, "_cover_exceeds", counted)
@@ -262,7 +262,7 @@ class TestBoundedEligibility:
         # vertex 0 sees a blown-up 5-cycle: independence number 2, a greedy
         # cover of 3 cliques, and a greedy independent set of 2, so bound 2
         # needs the search; each left-out vertex costs one node
-        for g in (3, 30):
+        for g in (3, 30, 200):
             nodes = count_search_nodes(monkeypatch)
             assert independent_set_graph(clique_ring(g, 5, True), 2).members == (0,)
             assert len(nodes) == 2 * g + 1

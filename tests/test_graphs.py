@@ -12,6 +12,7 @@ from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded, Not
 from diskapprox.graphs import (
     Graph,
     VertexSet,
+    _cover_exceeds,
     bfs_levels,
     build_graph,
     components,
@@ -26,6 +27,7 @@ from refimpl import (
     brute_degeneracy,
     disk_graph,
     find_triangle,
+    greedy_cover_exceeds,
     heap_degeneracy_ordering,
     random_graph,
     union_find_components,
@@ -294,6 +296,25 @@ class TestGreedyMis:
             rng.shuffle(order)
             chosen = greedy_maximal_independent_set(G, order)
             assert checks.is_independent_dominating_set(G, chosen)
+
+
+class TestCoverExceeds:
+    """The greedy clique cover both independent-set searches cut with."""
+
+    def test_matches_the_set_based_cover(self):
+        rng = Rng(0xC0)
+        for _ in range(300):
+            n = rng.randrange(17)
+            G = random_graph(n, rng.uniform(), rng)
+            masks = [sum(1 << u for u in nbrs) for nbrs in G.adj]
+            for alive in (0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(3))):
+                pool = [v for v in range(n) if (alive >> v) & 1]
+                # limit -1 is the MIS search's first node, before any
+                # incumbent: it must answer True, even with no survivors
+                for limit in range(-1, 7):
+                    assert _cover_exceeds(masks, alive, limit) == greedy_cover_exceeds(
+                        G.adj, pool, limit
+                    ), (G.adj, pool, limit)
 
 
 class TestBfsLevels:
