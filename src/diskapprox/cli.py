@@ -26,7 +26,6 @@ from .formats import (
 from .geometry import (
     GeometricInstance,
     instance_to_graph,
-    pairwise_disjoint,
     polygon_independence_bound,
     random_connected_instance,
     random_instance,
@@ -121,17 +120,12 @@ def _cmd_solution(args) -> int:
 def _holds(problem, instance, solution) -> bool:
     """Does ``solution`` pass ``problem.check`` on the graph of ``instance``?
 
-    On a geometric instance, a problem with ``edge_free`` pairs only the
-    disks of each set it names (see :func:`geometry.pairwise_disjoint`), and
-    the whole instance is paired only for the domination family.
+    A geometric instance is not paired whole: ``problem.on_disks`` gives the
+    same verdict from the disks (see :mod:`problems`).
     """
     if isinstance(instance, Graph):
         return problem.check(instance, solution)
-    if problem.edge_free is None:
-        return problem.check(instance_to_graph(instance), solution)
-    return all(
-        pairwise_disjoint(instance, ids) for ids in problem.edge_free(instance.n, solution)
-    )
+    return problem.on_disks(instance, solution)
 
 
 def _validate_solution(instance, doc) -> tuple[bool, str]:

@@ -229,6 +229,8 @@ def parse_solution(text: str) -> dict:
         doc = json.loads(text)
     except RecursionError:
         raise BadParameter("solution document nests too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise BadParameter(f"solution document is not JSON: {exc}") from None
     if not isinstance(doc, dict) or "problem" not in doc or "value" not in doc:
         raise BadParameter("solution document needs 'problem' and 'value'")
     if not isinstance(doc["problem"], str):

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import BadParameter, ModelMismatch, NonPositiveRadius
-from .graphs import Graph, VertexSet, components, is_connected
+from .graphs import Graph, VertexSet, components, is_connected, is_connected_rows
 from .rng import Rng, derive_seed
 
 _SECTOR = math.pi / 3.0
@@ -146,10 +146,10 @@ def _adjacency(disks, unit: bool) -> list[list[int]]:
 
     At most ``_ALL_PAIRS_MAX`` disks test every pair, with the same test as
     :func:`_sweep_adjacency`, which pairs larger inputs.  The pair test
-    ``dx * dx + dy * dy <= reach * reach`` has five copies: this loop,
+    ``dx * dx + dy * dy <= reach * reach`` has seven copies: this loop,
     :func:`_pair_equal_radii`, :func:`_pair_within` and :func:`_pair_across`
-    (the strip sweep), and the sampler's connectivity search
-    :func:`_reaches_every_disk`; a change to it changes all five.
+    (the strip sweep), the sampler's :func:`_reaches_every_disk`, and the two
+    loops of :func:`_meets` (domination); a change to it changes all seven.
     """
     if len(disks) > _ALL_PAIRS_MAX:
         return _sweep_adjacency(disks, unit)
@@ -219,15 +219,13 @@ def _pair_equal_radii(disks, rows: list[list[int]]) -> None:
                     rows[j].append(i)
 
 
-def _levels(disks) -> list[tuple]:
-    """Disks split into levels of increasing radius, each cut into strips.
+def _radius_levels(disks) -> list[tuple[float, list[int]]]:
+    """Positions of ``disks`` in radius order, cut into levels: (largest radius, positions).
 
     Each level takes the remaining disks of radius at most twice their lower
     median, so it holds at least half of them and there are at most
     log2(n) + 1 levels; every radius of a later level exceeds every radius
-    of an earlier one.  A level is (its largest radius, its strip height
-    2 * that radius * (1 + 2^-20), its entries (x, y, id, r) in radius
-    order, then the strip indices and strips of :func:`_strips`).
+    of an earlier one.
     """
     n = len(disks)
     radii = [disk[2] for disk in disks]
@@ -236,13 +234,21 @@ def _levels(disks) -> list[tuple]:
     levels = []
     start = 0
     while start < n:
-        cutoff = 2.0 * radii[start + (n - start - 1) // 2]
-        end = bisect_right(radii, cutoff, start)
-        radius = radii[end - 1]
-        height = 2.0 * radius * _MARGIN
-        entries = [(x, y, i, r) for i in order[start:end] for x, y, r in (disks[i],)]
-        levels.append((radius, height, entries, *_strips(entries, height)))
+        end = bisect_right(radii, 2.0 * radii[start + (n - start - 1) // 2], start)
+        levels.append((radii[end - 1], order[start:end]))
         start = end
+    return levels
+
+
+def _levels(disks) -> list[tuple]:
+    """The levels of :func:`_radius_levels`, each (its largest radius, its strip
+    height 2 * that radius * (1 + 2^-20), its entries (x, y, id, r) in radius
+    order, then the strip indices and strips of :func:`_strips`)."""
+    levels = []
+    for radius, ids in _radius_levels(disks):
+        height = 2.0 * radius * _MARGIN
+        entries = [(x, y, i, r) for i in ids for x, y, r in (disks[i],)]
+        levels.append((radius, height, entries, *_strips(entries, height)))
     return levels
 
 
@@ -329,6 +335,85 @@ def pairwise_disjoint(inst: GeometricInstance, ids) -> bool:
     """
     disks = inst.disks
     return not any(_adjacency([disks[i] for i in ids], inst.unit))
+
+
+def _cells(disks, ids, radius: float) -> tuple:
+    """(radius, side, get): the disks ``ids`` as entries (x, y, r, id) in square
+    cells of side 4 * radius * (1 + 2^-20), keyed (floor(x / side), floor(y / side))."""
+    floor = math.floor
+    side = 4.0 * radius * _MARGIN
+    cells: dict[tuple[int, int], list[tuple]] = {}
+    for i in ids:
+        x, y, r = disks[i]
+        cells.setdefault((floor(x / side), floor(y / side)), []).append((x, y, r, i))
+    return radius, side, cells.get
+
+
+def _meets(index, xi, yi, ri, i) -> bool:
+    """Does disk ``i``, (xi, yi, ri), meet another disk in a level of ``index``
+    (:func:`_cells`) of radius R >= ri?  The disks the pair test accepts lie in
+    the cells of [x -+ w] x [y -+ w], w = (ri + R)(1 + 2^-20), as for ``_MARGIN``'s
+    strips (rounding, division and floor are monotone, also past 2^53): 2 x 2
+    cells, up to rounding.  The query's own cell is read first."""
+    floor = math.floor
+    for radius, side, cell in index:
+        if radius < ri:
+            continue
+        cx, cy = floor(xi / side), floor(yi / side)
+        for xj, yj, rj, j in cell((cx, cy), ()):
+            dx = xi - xj
+            dy = yi - yj
+            reach = ri + rj
+            if dx * dx + dy * dy <= reach * reach and j != i:
+                return True
+        w = (ri + radius) * _MARGIN
+        left, right = floor((xi - w) / side), floor((xi + w) / side)
+        low, high = floor((yi - w) / side), floor((yi + w) / side)
+        if right - left < 2 and high - low < 2:
+            ox, oy = left + right - cx, low + high - cy
+            keys = (((ox, cy), (cx, oy), (ox, oy)) if ox != cx and oy != cy
+                    else ((ox, oy),) if ox != cx or oy != cy else ())
+        else:
+            keys = [(a, b) for a in range(left, right + 1) for b in range(low, high + 1)]
+        for key in keys:
+            for xj, yj, rj, j in cell(key, ()):
+                dx = xi - xj
+                dy = yi - yj
+                reach = ri + rj
+                if dx * dx + dy * dy <= reach * reach and j != i:
+                    return True
+    return False
+
+
+def dominated(inst: GeometricInstance, ids, total: bool = False) -> bool:
+    """True when every disk not in ``ids`` (every disk, with ``total``) meets a
+    disk of ``ids`` other than itself; ``ids`` is a sequence of distinct ids.
+    Each level of :func:`_radius_levels` of the ``ids`` disks is hashed by
+    :func:`_cells`.  A disk queries the levels no narrower than it; those wider
+    than a level that stay undominated query, per level of their own, the
+    ``ids`` disks no wider than it, so each pair is hashed by its narrower disk.
+    """
+    disks = inst.disks
+    index = [_cells(disks, [ids[p] for p in positions], radius)
+             for radius, positions in _radius_levels([disks[i] for i in ids])]
+    skip = () if total else set(ids)
+    wide = []
+    for i, (x, y, r) in enumerate(disks):
+        if i in skip or _meets(index, x, y, r, i):
+            continue
+        if not index or r <= index[0][0]:
+            return False
+        wide.append(i)
+    for radius, positions in _radius_levels([disks[i] for i in wide]):
+        members = [_cells(disks, [i for i in ids if disks[i][2] <= radius], radius)]
+        if not all(_meets(members, *disks[wide[p]], wide[p]) for p in positions):
+            return False
+    return True
+
+
+def connected(inst: GeometricInstance, ids) -> bool:
+    """True when the disks ``ids`` (distinct, in range) induce a connected graph; pairs only them."""
+    return is_connected_rows(_adjacency([inst.disks[i] for i in ids], inst.unit))
 
 
 def random_instance(

@@ -258,9 +258,14 @@ def _reach(adj, start: int, seen: list[bool]) -> list[int]:
     return reached
 
 
+def is_connected_rows(adj) -> bool:
+    """True when the graph with adjacency rows ``adj`` has one component or none."""
+    return not adj or len(_reach(adj, 0, [False] * len(adj))) == len(adj)
+
+
 def is_connected(G: Graph) -> bool:
     """True when ``G`` has at most one component (so the empty graph is connected)."""
-    return G.n == 0 or len(_reach(G.adj, 0, [False] * G.n)) == G.n
+    return is_connected_rows(G.adj)
 
 
 def components(G: Graph) -> tuple[tuple[int, ...], ...]:

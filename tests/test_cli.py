@@ -15,7 +15,7 @@ from diskapprox.domination import connected_dominating_set
 from diskapprox.errors import BadParameter
 from diskapprox.formats import read_instance, write_instance
 from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
-from diskapprox.graphs import build_graph, is_connected
+from diskapprox.graphs import VertexSet, build_graph, induced_subgraph, is_connected
 from diskapprox.problems import PROBLEMS
 from diskapprox.rng import Rng
 
@@ -387,6 +387,10 @@ class TestVerify:
         pytest.param('{"problem": "color", "value": 1, "colors": {"0": 1}}', "error: ", id="colors-dict"),
         pytest.param('{"problem": "color", "value": 1, "colors": [[1]]}', "error: ", id="nested-color"),
         pytest.param("[" * 100_000, "error: ", id="deep-nesting"),
+        pytest.param("", "error: solution document is not JSON: Expecting value: line 1 column 1"
+                     " (char 0)\n", id="empty-file"),
+        pytest.param("{", "error: solution document is not JSON: Expecting property name enclosed"
+                     " in double quotes: line 1 column 2 (char 1)\n", id="open-brace"),
         # the instance has 10 vertices and some edge; a verdict ending in a
         # newline must be the whole first line
         pytest.param('{"problem": "tsp", "value": 0, "vertices": []}',
@@ -459,13 +463,25 @@ def _documents(problem, G, doc):
         docs = [{"problem": problem, "value": max(c, default=0), "colors": c} for c in lists]
         return docs + [{"problem": problem, "value": doc["value"] + 1, "colors": colors}]
     vertices = doc["vertices"]
+    dropped = [[u for u in vertices if u != v] for v in vertices[:4]]
     if problem == "vc":
         # dropping a cover vertex leaves its edges into the complement uncovered
-        sets = [vertices, list(range(n))] + [[u for u in vertices if u != v] for v in vertices[:4]]
-    else:
+        sets = [vertices, list(range(n))] + dropped
+    elif problem == "mis":
         # a maximal independent set meets every other vertex's neighborhood
         outside = sorted(set(range(n)).difference(vertices))
         sets = [vertices, []] + [sorted(vertices + [v]) for v in outside[:4]]
+    else:
+        # dropping a member may leave a disk undominated
+        sets = [vertices, [], list(range(n))] + dropped
+        chosen = set(vertices)
+        if problem == "ids":  # a member's neighbor joins it
+            sets += [sorted(vertices + [u]) for v in vertices[:4] for u in G.adj[v][:1]
+                     if u not in chosen]
+        if problem == "cds":  # a member whose loss disconnects the set
+            rests = ([u for u in vertices if u != v] for v in vertices)
+            sets += [rest for rest in rests
+                     if not is_connected(induced_subgraph(G, VertexSet.of(rest, n))[0])][:1]
     docs = [{"problem": problem, "value": len(s), "vertices": s} for s in sets]
     return docs + [
         {"problem": problem, "value": len(vertices) + 1, "vertices": vertices + [n]},
@@ -475,8 +491,9 @@ def _documents(problem, G, doc):
 
 
 class TestVerifyPairsASubset:
-    """verify of vc, mis and the colorings on disks pairs only the sets whose
-    edges decide the verdict, and gives the verdict of the full graph."""
+    """verify on disks never pairs the whole instance: it pairs only the sets
+    whose edges decide the verdict, tests domination against a cell index of
+    the chosen disks, and gives the verdict of the full graph."""
 
     @pytest.mark.parametrize("name", sorted(VERIFY_INSTANCES))
     def test_verdicts_equal_the_full_graph_checks(self, capsys, monkeypatch, tmp_path, name):
@@ -491,16 +508,23 @@ class TestVerifyPairsASubset:
             return adjacency(disks, *rest)
 
         monkeypatch.setattr(geometry, "_adjacency", counted)
-        forged_edges = 0
+        forged = 0
         paired = []
-        for problem in ("vc", "mis", "color", "online-color"):
+        base = None
+        for problem in PROBLEMS:
             code, out, _ = run(capsys, "solve", str(path), "--problem", problem)
-            assert code == 0, problem
+            if code != 0:
+                # tds with an isolated disk, cds on a disconnected instance:
+                # start from the dominating set
+                assert problem in ("tds", "cds") and code == 1, problem
+                out = json.dumps(dict(base, problem=problem))
+            elif problem == "ds":
+                base = json.loads(out)
             sizes.clear()
             for doc in _documents(problem, G, json.loads(out)):
                 # the verdict of the full graph: abstract files still run checks
                 expected_ok, reason = cli._validate_solution(G, doc)
-                forged_edges += not expected_ok and reason.startswith(("not a valid", "coloring"))
+                forged += not expected_ok and reason.startswith(("not a valid", "coloring"))
                 solution = tmp_path / "solution.json"
                 solution.write_text(json.dumps(doc))
                 verdict = "valid\n" if expected_ok else f"invalid: {reason}\n"
@@ -508,11 +532,11 @@ class TestVerifyPairsASubset:
                     0 if expected_ok else 1, verdict, ""
                 ), (problem, doc)
             paired += sizes
-        assert forged_edges > 0 and min(paired) <= geometry._ALL_PAIRS_MAX
+        assert forged > 0 and min(paired) <= geometry._ALL_PAIRS_MAX
         if G.n >= 80:  # the strip sweep pairs some set here
             assert max(paired) > geometry._ALL_PAIRS_MAX
 
-    @pytest.mark.parametrize("problem", ["vc", "mis", "color", "online-color", "ds", "cds"])
+    @pytest.mark.parametrize("problem", ["vc", "mis", "color", "online-color", "ds", "ids", "tds", "cds"])
     def test_pairs_only_what_the_predicate_reads(self, capsys, monkeypatch, tmp_path, problem):
         path = tmp_path / "unit.udg"
         inst = GeometricInstance(VERIFY_INSTANCES["tangent-chain-100"])
@@ -528,22 +552,21 @@ class TestVerifyPairsASubset:
             calls.append(len(disks))
             return adjacency(disks, *rest)
 
-        monkeypatch.setattr(geometry, "_adjacency", counted)
-        if PROBLEMS[problem].edge_free is not None:
-            def refuse(*_):
-                raise AssertionError("the whole instance was paired")
+        def refuse(*_):
+            raise AssertionError("the whole instance was paired")
 
-            monkeypatch.setattr(cli, "instance_to_graph", refuse)
-            monkeypatch.setattr(geometry, "instance_to_graph", refuse)
+        monkeypatch.setattr(geometry, "_adjacency", counted)
+        monkeypatch.setattr(cli, "instance_to_graph", refuse)
+        monkeypatch.setattr(geometry, "instance_to_graph", refuse)
         assert run(capsys, "verify", str(path), str(solution)) == (0, "valid\n", "")
         if problem == "vc":
             expected = [inst.n - len(doc["vertices"])]
-        elif problem == "mis":
+        elif problem in ("mis", "ids", "cds"):
             expected = [len(doc["vertices"])]
         elif "colors" in doc:
             expected = [doc["colors"].count(c) for c in dict.fromkeys(doc["colors"])]
         else:
-            expected = [inst.n]
+            expected = []  # ds and tds query a cell index and pair nothing
         assert calls == expected
 
 

@@ -257,6 +257,11 @@ class TestSolutionDocuments:
         with pytest.raises(BadParameter):
             parse_solution(text)
 
+    @pytest.mark.parametrize("text", ["", "{"])
+    def test_names_text_that_is_not_json(self, text):
+        with pytest.raises(BadParameter, match="^solution document is not JSON: Expecting "):
+            parse_solution(text)
+
     def test_json_is_stable(self):
         doc = solution_document("mis", 1, vertices=[0], meta={"b": 1, "a": 2})
         assert solution_to_json(doc) == solution_to_json(parse_solution(solution_to_json(doc)))

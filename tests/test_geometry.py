@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from diskapprox import checks, geometry
+from diskapprox import checks, domination, geometry
 from diskapprox.bench import tuned_box
 from diskapprox.errors import BadParameter, ModelMismatch, NonPositiveRadius
 from diskapprox.geometry import (
@@ -19,7 +19,14 @@ from diskapprox.geometry import (
     sector_clique,
     sweep_order,
 )
-from diskapprox.graphs import Graph, build_graph, greedy_maximal_independent_set, is_connected
+from diskapprox.graphs import (
+    Graph,
+    VertexSet,
+    build_graph,
+    greedy_maximal_independent_set,
+    induced_subgraph,
+    is_connected,
+)
 from diskapprox.rng import _INCREMENT, MASK64, Rng, _lane_memo, derive_seed
 from refimpl import (
     all_pairs,
@@ -462,6 +469,136 @@ class TestStripSweep:
         assert not geometry._large_queries(*levels)
         assert_matches_all_pairs(inst)
         assert 0 < sum(map(len, instance_to_graph(inst).adj[:300]))
+
+
+def domination_verdicts(inst, ids):
+    """``dominated``, ``dominated(total=True)`` and ``connected`` on ``ids``,
+    each asserted equal to its predicate on the full graph."""
+    G = instance_to_graph(inst)
+    verdicts = (geometry.dominated(inst, ids), geometry.dominated(inst, ids, total=True),
+                geometry.connected(inst, ids))
+    assert verdicts == (checks.is_dominating_set(G, ids), checks.is_total_dominating_set(G, ids),
+                        is_connected(induced_subgraph(G, VertexSet.of(ids, G.n))[0])), ids
+    return verdicts
+
+
+def candidate_sets(inst, rng):
+    """The greedy dominating set, it with a member dropped or a disk added,
+    random subsets, no disks and all of them."""
+    n = inst.n
+    chosen = list(domination.dominating_set(instance_to_graph(inst)))
+    outside = sorted(set(range(n)).difference(chosen))
+    sets = [chosen, [], list(range(n))]
+    sets += [chosen[:k] + chosen[k + 1:] for k in range(min(len(chosen), 3))]
+    sets += [chosen + [v] for v in outside[:2]]
+    for _ in range(3):
+        order = list(range(n))
+        rng.shuffle(order)
+        sets.append(order[:rng.randrange(n + 1)])
+    return sets
+
+
+class TestDominationOnDisks:
+    """``dominated`` answers from a cell index of the chosen disks and
+    ``connected`` pairs only them; both equal the full graph's predicates."""
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (2.0 ** 400, 0.0), (2.0 ** -400, 2.0 ** -350),
+                                              (2.0 ** -400, 2.0 ** 100)],
+                             ids=["plain", "2^400", "2^-400-near-ulp", "2^-400-past-2^53"])
+    def test_random_draws_with_a_radius_16_disk(self, scale, shift):
+        # x is shifted: near 2^-350 the centers round onto a few ulps per
+        # radius, and at 2^100 cell indices pass 2^53 and every x rounds to
+        # the shift, so the disks meet as intervals of y
+        rng = Rng(0xD0)
+        seen = set()
+        for n, radius_high in ((3, None), (40, None), (120, None), (40, 2.0), (160, 2.0)):
+            radius = 1.0 if radius_high is None else 0.5
+            draw = random_instance(n, 2.2 * n ** 0.5, radius, derive_seed(0xD0, n), radius_high).disks
+            if radius_high is not None:
+                draw += ((0.5 * n ** 0.5, 0.5 * n ** 0.5, 16.0),)
+            inst = GeometricInstance(tuple((shift + scale * x, scale * y, scale * r)
+                                           for x, y, r in draw))
+            for ids in candidate_sets(inst, rng):
+                seen.update(enumerate(domination_verdicts(inst, ids)))
+        assert seen == {(k, verdict) for k in range(3) for verdict in (True, False)}
+
+    def test_empty_sets_and_tiny_instances(self):
+        assert domination_verdicts(disks(), []) == (True, True, True)
+        one = disks((0.0, 0.0, 1.0))
+        assert domination_verdicts(one, []) == (False, False, True)
+        assert domination_verdicts(one, [0]) == (True, False, True)
+
+    def test_coincident_disks_dominate_each_other_totally(self):
+        # three disks on one center and one tangent to them: a member needs
+        # another member, its twin counting
+        inst = disks(*[(1.0, 1.0, 1.0)] * 3, (3.0, 1.0, 1.0))
+        assert domination_verdicts(inst, [0]) == (True, False, True)
+        assert domination_verdicts(inst, [0, 1]) == (True, True, True)
+        assert domination_verdicts(inst, [3]) == (True, False, True)
+        assert domination_verdicts(inst, [2, 3]) == (True, True, True)
+        assert domination_verdicts(disks(*[(1.0, 1.0, 1.0)] * 2, (5.0, 1.0, 1.0)), [0, 2]) == (
+            True, False, False)
+
+    def test_rounding_pair_across_a_cell_boundary(self):
+        # 2 + 1e-20 apart, joined by the rounded test; -1e-20 and 2 fall in
+        # the cells -1 and 0 of side 4 * (1 + 2^-20)
+        inst = disks((-1e-20, 0.0, 1.0), (2.0, 0.0, 1.0))
+        for ids in ([0], [1]):
+            assert domination_verdicts(inst, ids) == (True, False, True)
+        assert domination_verdicts(inst, [0, 1]) == (True, True, True)
+
+    def test_a_query_wider_than_every_member_level_waits(self):
+        # the radius-16 disk's only neighbor lies four cells of the members'
+        # level from its own: it is found once the members are hashed at 16
+        inst = disks((16.5, 0.0, 1.0), (0.0, 0.0, 16.0), (40.0, 0.0, 1.0), (41.5, 0.0, 0.5))
+        side = 4.0 * geometry._MARGIN
+        assert math.floor(16.5 / side) - math.floor(0.0 / side) == 4
+        assert domination_verdicts(inst, [0, 2]) == (True, False, False)
+        assert domination_verdicts(inst, [2]) == (False, False, True)
+        assert domination_verdicts(inst, [0, 1, 2, 3]) == (True, True, False)
+        # a radius-10^5 disk and a disk far above the members' row
+        inst = disks(*[(float(x), 0.0, 1.0) for x in range(100)], (0.0, 5.0, 1e5), (0.0, 1e5 + 4.0, 1.0))
+        assert domination_verdicts(inst, range(100)) == (False, False, True)
+        assert domination_verdicts(inst, range(101)) == (True, True, True)
+
+    def test_a_box_three_cells_wide_by_rounding(self):
+        # r = R = 1: (x -+ w) / side straddles two cell boundaries after
+        # rounding, so the query reads the box's cells, not a 2 x 2 block
+        x = 2.0000019073486324
+        side, w = 4.0 * geometry._MARGIN, 2.0 * geometry._MARGIN
+        assert math.floor((x + w) / side) - math.floor((x - w) / side) == 2
+        for dx in (-2.0, 2.0, 4.0):
+            inst = disks((x, 0.0, 1.0), (x + dx, 0.0, 1.0), (x, 2.0, 1.0))
+            domination_verdicts(inst, [1])
+            domination_verdicts(inst, [0, 1])
+
+    def test_wide_disks_over_a_sparse_member_level_read_few_cells(self, monkeypatch):
+        # 300 radius-400 disks, each within 300 of one of 300 unit members
+        # 600 apart: every query, at either radius, reads at most 2 x 2 cells
+        # of each level, where a radius-400 disk's box holds about 40,000
+        # cells of side 4 and the members' level has 300
+        reads = [0]
+
+        def counted(disks_, ids, radius):
+            radius, side, get = cells(disks_, ids, radius)
+
+            def read(key, default):
+                reads[0] += 1
+                return get(key, default)
+
+            return radius, side, read
+
+        cells = geometry._cells
+        monkeypatch.setattr(geometry, "_cells", counted)
+        rng = Rng(0x51DE)
+        members = [(600.0 * x, 600.0 * y, 1.0) for x in range(20) for y in range(15)]
+        wide = [(x + 200.0 * rng.uniform(), y + 200.0 * rng.uniform(), 400.0) for x, y, _ in members]
+        inst = disks(*members, *wide)
+        G = instance_to_graph(inst)
+        for ids in (list(range(300)), list(range(1, 300))):
+            reads[0] = 0
+            assert geometry.dominated(inst, ids) is checks.is_dominating_set(G, ids) is (len(ids) == 300)
+            assert 0 < reads[0] <= 4 * 2 * inst.n
 
 
 class TestStructuredInstances:

@@ -2,8 +2,11 @@
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
+
+import pytest
 
 from diskapprox import exact
 from diskapprox.exact import DEFAULT_LIMITS, exact_domination
@@ -39,8 +42,7 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
         expected = {"random_instance", "parse_instance", "instance_to_graph", "nt_decompose",
                     f"heuristic.mis.{mis}"}
         expected |= {f"heuristic.{p}" for p in ("vc", "color", "online-color", "ds", "ids", "tds", "cds")}
-        expected |= {f"verify_{path}.{p}" for path in ("full", "subset")
-                     for p in ("vc", "mis", "color", "online-color")}
+        expected |= {f"verify_{path}.{p}" for path in ("full", "subset") for p in PROBLEMS}
         if kind != "scale":  # the oracles' small draws would be all radius-16 disk
             expected |= {f"oracle.{p}" for p in ("vc", "color", "ds", "tds", "cds")}
         assert {name.split("/", 1)[1] for name in names if name.startswith(kind + "/")} == expected
@@ -58,6 +60,56 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
         else:
             assert set(row) == {"n", "s", "ref", "slope"}
             assert 2 <= row["n"][0] <= (101 if name.startswith("scale/") else 100)
+
+
+@pytest.fixture
+def parent_modules():
+    """Drops the second copy of the package from ``sys.modules`` afterwards."""
+    yield
+    for name in [name for name in sys.modules if name.split(".")[0] == "diskapprox_parent"]:
+        del sys.modules[name]
+
+
+def test_ab_against_this_checkout_at_n_60(tmp_path, monkeypatch, parent_modules):
+    # this checkout's own src/ as the parent: every layer's outputs agree
+    # and every ratio, A/B and A/A, is finite
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = load_tool()
+    root = TOOL.parent.parent
+    parent = tool.load_parent(root)
+    for name in tool.MODULES:
+        assert getattr(parent, name).__name__ == f"diskapprox_parent.{name}"
+        assert getattr(tool.CHANGE, name).__name__ == f"diskapprox.{name}"
+        assert getattr(parent, name) is not getattr(tool.CHANGE, name)
+    out = tmp_path / "layers.json"
+    argv = ["--sizes", "60", "-k", "2", "--parent", str(root), "--label", "a/a", "--out", str(out)]
+    assert tool.main(argv) == 0
+    document = json.loads(out.read_text())
+    assert document["runs"] == [] and len(document["ab"]) == 1
+    record = document["ab"][0]
+    assert set(record) == {"label", "machine", "python", "seed", "mean_degree", "sizes", "parent",
+                           "k", "layers"}
+    assert record["sizes"] == [60] and record["k"] == 2 and record["parent"] == str(root)
+    names = {name.split("/", 1)[1] for name in record["layers"] if name.startswith("unit/")}
+    assert {f"verify_{path}.{p}" for path in ("full", "subset") for p in PROBLEMS} <= names
+    assert "oracle.cds" in names
+    for name, row in record["layers"].items():
+        assert set(row) == {"n", "ratio", "won", "control"}, name
+        assert 0 <= row["won"][0] <= 2
+        for q1, median, q3 in row["ratio"] + row["control"]:
+            assert all(map(math.isfinite, (q1, median, q3))) and 0 < q1 <= median <= q3, name
+
+
+def test_ab_stops_on_a_layer_whose_outputs_differ(monkeypatch, parent_modules):
+    # a parent that draws other disks: no ratio is reported for that layer
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = load_tool()
+    parent = tool.load_parent(TOOL.parent.parent)
+    draw = parent.geometry.random_instance
+    monkeypatch.setattr(parent.geometry, "random_instance",
+                        lambda n, *args: draw(n + 1, *args))
+    with pytest.raises(ValueError, match="random_instance at n=60: the outputs differ"):
+        tool.compare([60], 1, parent)
 
 
 def test_scale_kind_pairs_across_radius_levels():
