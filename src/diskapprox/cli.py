@@ -16,8 +16,8 @@ from . import bench as bench_mod
 from . import covering
 from .errors import BadParameter, ClassCertificateError, DiskApproxError
 from .formats import (
-    parse_solution,
     read_instance,
+    read_solution,
     render_instance,
     solution_document,
     solution_to_json,
@@ -157,8 +157,7 @@ def _validate_solution(instance, doc) -> tuple[bool, str]:
 
 def _cmd_verify(args) -> int:
     instance = read_instance(args.instance)
-    with open(args.solution, "r", encoding="utf-8") as handle:
-        solution = parse_solution(handle.read())
+    solution = read_solution(args.solution)
     ok, reason = _validate_solution(instance, solution)
     print("valid" if ok else f"invalid: {reason}")
     return 0 if ok else 1

@@ -245,3 +245,17 @@ def parse_solution(text: str) -> dict:
         ):
             raise BadParameter(f"solution {field!r} must be a list of integers")
     return doc
+
+
+def read_solution(path) -> dict:
+    """The solution document at ``path``, by :func:`parse_solution`; a byte
+    that is not UTF-8 is an error naming the byte and its offset."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadParameter(
+            f"solution document is not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    return parse_solution(text)

@@ -414,6 +414,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", connected_instance, str(forged))
         assert code == 1 and (out + err).startswith(verdict)
 
+    @pytest.mark.parametrize("prefix, tail", [
+        pytest.param(b"", b"\xfe", id="byte-order-mark"),
+        pytest.param(b'{"problem": "vc", "value": 1, "vertices": [', b"0]}", id="after-json-prefix"),
+    ])
+    def test_names_a_byte_that_is_not_utf8(self, capsys, tmp_path, connected_instance, prefix, tail):
+        forged = tmp_path / "forged.json"
+        forged.write_bytes(prefix + b"\xff" + tail)
+        code, out, err = run(capsys, "verify", connected_instance, str(forged))
+        assert (code, out) == (1, "")
+        assert err == f"error: solution document is not UTF-8: byte 0xff at offset {len(prefix)}\n"
+
 
 def _near_tangent_fuzz(seed, pairs=40):
     """Pairs of disks with radii in [0.5, 2] placed at tangency by a rotation,

@@ -1,10 +1,12 @@
 """The layer runner ``tools/layers.py`` at a tiny size, so it cannot rot."""
 
+import gc
 import importlib.util
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -109,7 +111,77 @@ def test_ab_stops_on_a_layer_whose_outputs_differ(monkeypatch, parent_modules):
     monkeypatch.setattr(parent.geometry, "random_instance",
                         lambda n, *args: draw(n + 1, *args))
     with pytest.raises(ValueError, match="random_instance at n=60: the outputs differ"):
-        tool.compare([60], 1, parent)
+        tool.measure([60], 1, parent)
+
+
+def test_ab_mismatch_through_main_is_an_error_line(tmp_path, monkeypatch, capsys, parent_modules):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = load_tool()
+    root = TOOL.parent.parent
+    parent = tool.load_parent(root)
+    draw = parent.geometry.random_instance
+    monkeypatch.setattr(parent.geometry, "random_instance", lambda n, *args: draw(n + 1, *args))
+    monkeypatch.setattr(tool, "load_parent", lambda path: parent)
+    out = tmp_path / "layers.json"
+    assert tool.main(["--sizes", "60", "-k", "1", "--parent", str(root), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: layer unit/random_instance at n=60: the outputs differ\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sizes", "10,abc"], "argument --sizes: invalid size_list value: '10,abc'"),
+    (["--sizes", "1"], "every size at least 2"),
+    (["-k", "0"], "-k must be at least 1"),
+    (["--parent", "{tmp}"], "--parent: no package at {tmp}/src/diskapprox/__init__.py"),
+], ids=["sizes-not-integers", "size-below-2", "k-zero", "parent-without-package"])
+def test_argument_errors_exit_2(tmp_path, capsys, argv, message):
+    tool = load_tool()
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "layers.json")]
+    with pytest.raises(SystemExit) as exc:
+        tool.main(argv)
+    assert exc.value.code == 2
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not (tmp_path / "layers.json").exists()
+
+
+@pytest.mark.parametrize("parent", [None, SimpleNamespace()], ids=["plain", "ab"])
+def test_rounds_interleave_layers_and_sides_beside_frozen_inputs(parent):
+    # three fake layers that log (layer, side, frozen since their build)
+    tool = load_tool()
+    log = []
+
+    def build(pkg):
+        side = "change" if pkg is tool.CHANGE else "parent"
+        frozen_at_build = gc.get_freeze_count()
+
+        def layer(name):
+            return lambda: log.append((name, side, gc.get_freeze_count() > frozen_at_build))
+        return [(name, 1, layer(name)) for name in "abc"]
+
+    timed = tool.time_group(build, 3, tool.Reference(), parent)
+    sides = 1 if parent is None else 3
+    if parent is not None:
+        # the outputs are compared once per layer before the freeze
+        assert log[:6] == [(name, side, False) for name in "abc" for side in ("change", "parent")]
+        del log[:6]
+    assert len(log) == 3 * 3 * sides and all(frozen for _, _, frozen in log)
+    rounds = [log[at:at + 3 * sides] for at in range(0, len(log), 3 * sides)]
+    # each round runs every layer once, its sides back to back, and the
+    # first layer moves on by one each round
+    runs = [[chunk[at:at + sides] for at in range(0, len(chunk), sides)] for chunk in rounds]
+    assert ["".join(run[0][0] for run in chunk) for chunk in runs] == ["abc", "bca", "cab"]
+    assert all(len({name for name, _, _ in run}) == 1 for chunk in runs for run in chunk)
+    if parent is not None:
+        # change, parent, control rotated by the round: the change runs
+        # first, then last, then second
+        assert [[sorted(side for _, side, _ in run) for run in chunk] for chunk in runs] == \
+            [[["change", "parent", "parent"]] * 3] * 3
+        assert [[[side for _, side, _ in run].index("change") for run in chunk] for chunk in runs] == \
+            [[0] * 3, [2] * 3, [1] * 3]
+    assert [name for name, *_ in timed] == ["a", "b", "c"]
+    for _, _, _, seconds, units in timed:
+        assert set(seconds) == ({"change"} if parent is None else {"change", "parent", "control"})
+        assert all(len(times) == 3 for times in seconds.values()) and len(units) == 3
 
 
 def test_scale_kind_pairs_across_radius_levels():

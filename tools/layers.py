@@ -2,6 +2,7 @@
 
     python3 tools/layers.py --label "abc1234" --out BENCH_layers.json
     python3 tools/layers.py --sizes 100 -k 1 --out /tmp/layers.json
+    python3 tools/layers.py --parent ../parent -k 10 --label "abc1234 vs parent"
 
 Run from any directory; the package is imported from this checkout's
 ``src/``.  For three kinds of radii, ``unit`` (perfbench's unit-scale
@@ -10,7 +11,7 @@ mixed-scale workload: ``mixed`` plus one radius-16 disk per 1000 disks, so
 pairing crosses radius levels), at each size n it takes perfbench's scale
 instance, ``workloads._scale_instance``: ``random_instance`` at mean
 degree 6, reduced to its giant component (so every heuristic, ``tds`` and
-``cds`` included, has an input), and times each layer ``k`` times:
+``cds`` included, has an input), and times these layers:
 
 * ``random_instance`` (the raw draw of n disks, without the radius-16 ones)
   and ``parse_instance`` of the component's file text;
@@ -25,48 +26,44 @@ degree 6, reduced to its giant component (so every heuristic, ``tds`` and
   edges decide the verdict and tests domination against a cell index of
   the chosen disks.
 
-The runs are timed with the objects made before them frozen
-(``gc.freeze``), so the collection before each run scans only what the
-layers made; times taken before this was done are not comparable.
-
-Each layer records, per size, the median of the ``k`` times in seconds and
-in reference units: the time over the median of the last
-``Reference.WINDOW`` samples of ``perfbench/workloads.Reference``.  The
-layer takes them next to its own runs, one before each run and one after
-the last, so CPU speed drift on a shared machine mostly cancels, also over
-a size group that lasts a minute.  The samples run beside the size's live
-inputs: on a 2-vCPU VM, samples beside 10^5-disk inputs and beside none
-differed by less than the drift between rounds, which spanned 1.8 to
-3.1 ms.  A log-log least-squares slope over the sizes goes with each layer.
-
 The oracle layers, ``oracle.<problem>`` for each problem of
 ``ORACLE_PROBLEMS``, of the ``unit`` and ``mixed`` kinds run the problem
 table's oracle at the default size cap its ``cap`` names, whatever
 ``--sizes`` says: ``vc`` at n = 24, ``color`` at 16, ``ds`` and ``tds`` at
-18 and ``cds`` at 16.  Each runs over the same ``ORACLE_DRAWS`` connected
-draws at mean degree 4 (as perfbench's oracle-ratio rows) and records
-seconds per call and ``nodes``, the search nodes per call, read from a
-counting subclass of the oracles' node budget.  Runs recorded before the
-layers took the problem names call them by solver: ``oracle.exact_vc``,
-``oracle.exact_chromatic`` and ``oracle.exact_domination.plain``,
-``.total`` and ``.connected``.
+18 and ``cds`` at 16, each over the same ``ORACLE_DRAWS`` connected draws
+at mean degree 4 (as perfbench's oracle-ratio rows).  Older runs name them
+by solver: ``oracle.exact_vc``, ``oracle.exact_chromatic`` and
+``oracle.exact_domination.plain``, ``.total`` and ``.connected``.
 
-The run (label, machine, Python version, sizes, k, layers) is appended to
-the ``runs`` list of ``--out``, which is created when missing.
+Both modes share one timing loop, :func:`time_group`, over groups: one
+size of one kind, or a kind's oracles.  A group's inputs are built, then
+frozen (``gc.freeze``), so the collection before each run scans only what
+the layers made.  In each of ``-k`` rounds every layer runs once, starting
+one layer later than the round before, so drift that lasts a few runs
+reaches one run of a layer, not all of them.
 
-    python3 tools/layers.py --parent ../parent -k 10 --label "abc1234 vs parent"
+A plain run records per layer and size the median seconds, the median
+reference units (each run over the median of the last ``Reference.WINDOW``
+samples of ``perfbench/workloads.Reference``, one taken after each layer,
+so CPU speed drift on a shared machine mostly cancels) and a log-log
+least-squares slope over the sizes; an oracle layer's times are per call,
+and it adds ``nodes``, the search nodes per call, from a counting
+subclass of the oracles' node budget.  The run goes to the ``runs`` list
+of ``--out``, created when missing.  Runs recorded before both modes
+shared the loop ran a layer's ``k`` runs back to back: on a 2-vCPU VM at
+n = 3000 their ``ref`` medians read within a few percent of this loop's,
+but this loop reads ``random_instance`` 4-16% higher, as its runs are no
+longer back to back.
 
 With ``--parent PATH`` the tool runs an A/B comparison instead.  It loads
-a second copy of the package from ``PATH/src`` under the module name
-``diskapprox_parent`` (the package imports itself only relatively), builds
-every layer for both copies on the same disks, and stops with an error
-naming the first layer whose outputs differ.  It then times the layers in
-``-k`` rounds (10 or more for a reading), each round running the change,
-the parent and the parent again (an A/A control) in an order that rotates
-with the round.  Per layer and size it records the median change/parent
-ratio and its quartiles, the rounds the change won, and the same median
-and quartiles for the control, so a reader sees the machine's resolution
-next to each ratio.  The record goes to the ``ab`` list of ``--out``.
+``PATH/src`` as ``diskapprox_parent`` (the package imports itself only
+relatively), builds every group with both copies on the same disks, and
+stops with an error naming the first layer whose outputs differ.  Each
+layer of a round runs the change, the parent and the parent again (an A/A
+control) back to back, in an order that rotates with the round; 10 or
+more rounds make a reading.  The ``ab`` list of ``--out`` gets per layer
+and size the quartiles of the change/parent ratio, the rounds the change
+won, and the control's quartiles, the machine's resolution.
 """
 
 from __future__ import annotations
@@ -149,7 +146,7 @@ def _inputs(kind: str, n: int, pkg: SimpleNamespace = CHANGE):
 
 
 def layers(kind: str, n: int, pkg: SimpleNamespace = CHANGE):
-    """(name, vertices, zero-argument callable) for every layer at one size."""
+    """(``<kind>/<layer>``, vertices, zero-argument callable) for every layer at one size."""
     draw, inst, text, G = _inputs(kind, n, pkg)
     variant = KINDS[kind]["variant"]
     options = pkg.problems.Options(lambda count: pkg.covering.ArrivalSequence.of(range(count)))
@@ -171,11 +168,11 @@ def layers(kind: str, n: int, pkg: SimpleNamespace = CHANGE):
             (f"verify_subset.{name}", inst.n,
              lambda p=problem, s=solution: pkg.cli._holds(p, inst, s)),
         ]
-    return out
+    return [(f"{kind}/{name}", vertices, fn) for name, vertices, fn in out]
 
 
 def oracle_layers(kind: str, pkg: SimpleNamespace = CHANGE):
-    """(``oracle.<problem>``, n, callable over ``ORACLE_DRAWS`` graphs) per oracle."""
+    """(``<kind>/oracle.<problem>``, n, callable over ``ORACLE_DRAWS`` graphs) per oracle."""
     radius, radius_high = KINDS[kind]["radius"], KINDS[kind]["radius_high"]
     out = []
     for name in ORACLE_PROBLEMS:
@@ -186,7 +183,7 @@ def oracle_layers(kind: str, pkg: SimpleNamespace = CHANGE):
             pkg.geometry.random_connected_instance(n, box, radius, derive_seed(SEED, draw), radius_high)[1]
             for draw in range(ORACLE_DRAWS)
         ]
-        out.append((f"oracle.{name}", n, lambda o=oracle, gs=graphs: [o(G) for G in gs]))
+        out.append((f"{kind}/oracle.{name}", n, lambda o=oracle, gs=graphs: [o(G) for G in gs]))
     return out
 
 
@@ -221,51 +218,6 @@ def slope(ns, times) -> float | None:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den if den else None
 
 
-def measure(sizes, k: int) -> dict:
-    """Per ``<kind>/<layer>``: n, median seconds, median ref units and slope,
-    and for an oracle layer its search nodes per call."""
-    reference = Reference()
-    table: dict[str, dict] = {}
-    gc.freeze()
-    try:
-        for kind in KINDS:
-            for n in sizes:
-                time_layers(table, kind, lambda: layers(kind, n), 1, k, reference)
-            if kind in ORACLE_KINDS:
-                time_layers(table, kind, lambda: oracle_layers(kind), ORACLE_DRAWS, k, reference)
-    finally:
-        gc.unfreeze()
-    for row in table.values():
-        row["slope"] = slope(row["n"], row["s"])
-        if row["slope"] is not None:
-            row["slope"] = round(row["slope"], 3)
-    return table
-
-
-def time_layers(table: dict, kind: str, build, calls: int, k: int, reference) -> None:
-    """Build the layers and time each ``k`` times between reference samples.
-
-    Each layer's callable makes ``calls`` calls; an oracle layer
-    (``calls`` > 1) also records its search nodes.
-    """
-    for name, vertices, fn in build():
-        reference.sample()
-        seconds = []
-        for _ in range(k):
-            gc.collect()
-            started = time.perf_counter()
-            fn()
-            seconds.append((time.perf_counter() - started) / calls)
-            reference.sample()
-        unit = reference.unit()
-        row = table.setdefault(f"{kind}/{name}", {"n": [], "s": [], "ref": []})
-        row["n"].append(vertices)
-        row["s"].append(round(statistics.median(seconds), 6))
-        row["ref"].append(round(statistics.median(seconds) / unit, 4))
-        if calls > 1:
-            row["nodes"] = [round(search_nodes(fn) / calls, 1)]
-
-
 def plain(value):
     """``value`` with the package's records turned into tuples, so outputs
     of the two copies, whose classes differ, compare by content."""
@@ -286,59 +238,104 @@ def quartiles(values) -> tuple[float, float, float]:
     return round(q1, 4), round(q2, 4), round(q3, 4)
 
 
-def compare(sizes, rounds: int, parent: SimpleNamespace) -> dict:
-    """Per ``<kind>/<layer>``: n, the change/parent and control ratios'
-    quartiles and the rounds the change won; raises ValueError on the first
-    layer whose outputs differ between the two copies."""
+class Mismatch(ValueError):
+    """A layer whose outputs differ between the change and the parent."""
+
+
+def time_group(build, k: int, reference, parent: SimpleNamespace | None = None) -> list:
+    """Build one group's layers and time them in ``k`` interleaved rounds.
+
+    ``build(pkg)`` gives (name, vertices, callable) per layer made with the
+    modules ``pkg``; with ``parent`` both copies are built and compared
+    first (:class:`Mismatch`).  Per layer it returns (name, vertices,
+    callable, each side's ``k`` seconds, the ``k`` reference units read
+    after the layer's runs).
+    """
+    built = build(CHANGE)
+    sides = [[("change", fn)] for _, _, fn in built]
+    if parent is not None:
+        for (name, vertices, new), (parent_name, _, old), row in zip(built, build(parent), sides):
+            if name != parent_name:
+                raise Mismatch(f"layer {name} of the change meets {parent_name} of the parent")
+            if plain(new()) != plain(old()):
+                raise Mismatch(f"layer {name} at n={vertices}: the outputs differ")
+            row += [("parent", old), ("control", old)]
+    seconds = [{side: [] for side, _ in row} for row in sides]
+    units: list[list[float]] = [[] for _ in built]
+    gc.collect()
+    gc.freeze()
+    try:
+        reference.sample()
+        for round_ in range(k):
+            for i in [(round_ + j) % len(built) for j in range(len(built))]:
+                row = sides[i][round_ % len(sides[i]):] + sides[i][:round_ % len(sides[i])]
+                for side, fn in row:
+                    gc.collect()
+                    started = time.perf_counter()
+                    fn()
+                    seconds[i][side].append(time.perf_counter() - started)
+                reference.sample()
+                units[i].append(reference.unit())
+    finally:
+        gc.unfreeze()
+    return [(*layer, times, unit) for layer, times, unit in zip(built, seconds, units)]
+
+
+def measure(sizes, k: int, parent: SimpleNamespace | None = None) -> dict:
+    """Per ``<kind>/<layer>`` over the groups (each size of each kind, then
+    the kind's oracles): plain, n, median seconds and ref units, slope and
+    an oracle's search nodes per call; against ``parent``, n, the
+    change/parent and control ratios' quartiles and the rounds the change won."""
+    reference = Reference()
     table: dict[str, dict] = {}
     for kind in KINDS:
-        groups = [(lambda pkg, n=n: layers(kind, n, pkg)) for n in sizes]
+        groups = [(1, lambda pkg, n=n: layers(kind, n, pkg)) for n in sizes]
         if kind in ORACLE_KINDS:
-            groups.append(lambda pkg: oracle_layers(kind, pkg))
-        for build in groups:
-            pairs = list(zip(build(CHANGE), build(parent)))
-            gc.collect()
-            gc.freeze()
-            try:
-                for (name, vertices, new), (parent_name, _, old) in pairs:
-                    if name != parent_name:
-                        raise ValueError(f"layer {name} of the change meets {parent_name} of the parent")
-                    if plain(new()) != plain(old()):
-                        raise ValueError(f"layer {kind}/{name} at n={vertices}: the outputs differ")
-                    row = table.setdefault(f"{kind}/{name}", {"n": [], "ratio": [], "won": [], "control": []})
-                    row["n"].append(vertices)
-                    ratios, controls = [], []
-                    for round_ in range(rounds):
-                        seconds = {}
-                        sides = (("change", new), ("parent", old), ("control", old))
-                        for side, fn in sides[round_ % 3:] + sides[:round_ % 3]:
-                            gc.collect()
-                            started = time.perf_counter()
-                            fn()
-                            seconds[side] = time.perf_counter() - started
-                        ratios.append(seconds["change"] / seconds["parent"])
-                        controls.append(seconds["control"] / seconds["parent"])
+            groups.append((ORACLE_DRAWS, lambda pkg: oracle_layers(kind, pkg)))
+        for calls, build in groups:
+            for name, vertices, fn, seconds, units in time_group(build, k, reference, parent):
+                change = seconds["change"]
+                if parent is None:
+                    row = table.setdefault(name, {"n": [], "s": [], "ref": []})
+                    row["s"].append(round(statistics.median(change) / calls, 6))
+                    refs = [run / unit for run, unit in zip(change, units)]
+                    row["ref"].append(round(statistics.median(refs) / calls, 4))
+                    if calls > 1:
+                        row["nodes"] = [round(search_nodes(fn) / calls, 1)]
+                else:
+                    row = table.setdefault(name, {"n": [], "ratio": [], "won": [], "control": []})
+                    ratios = [new / old for new, old in zip(change, seconds["parent"])]
                     row["ratio"].append(quartiles(ratios))
                     row["won"].append(sum(ratio < 1.0 for ratio in ratios))
+                    controls = [again / old for again, old in zip(seconds["control"], seconds["parent"])]
                     row["control"].append(quartiles(controls))
-            finally:
-                gc.unfreeze()
+                row["n"].append(vertices)
+    if parent is None:
+        for row in table.values():
+            fit = slope(row["n"], row["s"])
+            row["slope"] = None if fit is None else round(fit, 3)
     return table
+
+
+def size_list(text: str) -> list[int]:
+    """The comma-separated disk counts of ``--sizes``."""
+    return [int(token) for token in text.split(",")]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)),
+    parser.add_argument("--sizes", type=size_list, default=",".join(map(str, SIZES)),
                         help="comma-separated disk counts (default 1000,10000,100000)")
     parser.add_argument("-k", type=int, default=3,
-                        help="timed runs per layer and size (A/B rounds with --parent)")
+                        help="timed rounds per layer and size")
     parser.add_argument("--label", default="", help="names the run, e.g. a commit")
     parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
     parser.add_argument("--parent", help="A/B against the package in PARENT/src")
     args = parser.parse_args(argv)
-    sizes = [int(tok) for tok in args.sizes.split(",")]
-    if args.k < 1 or not sizes or min(sizes) < 2:
+    if args.k < 1 or min(args.sizes) < 2:
         parser.error("-k must be at least 1 and every size at least 2")
+    if args.parent and not (init := Path(args.parent, "src", "diskapprox", "__init__.py")).is_file():
+        parser.error(f"--parent: no package at {init}")
 
     run = {
         "label": args.label,
@@ -350,18 +347,20 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "seed": SEED,
         "mean_degree": MEAN_DEGREE,
-        "sizes": sizes,
+        "sizes": args.sizes,
         "k": args.k,
     }
-    if args.parent:
-        run.update(parent=str(args.parent), layers=compare(sizes, args.k, load_parent(args.parent)))
-        key = "ab"
-    else:
-        run["layers"] = measure(sizes, args.k)
-        key = "runs"
+    parent = load_parent(args.parent) if args.parent else None
+    if parent:
+        run["parent"] = str(args.parent)
+    try:
+        run["layers"] = measure(args.sizes, args.k, parent)
+    except Mismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     document = json.loads(out.read_text()) if out.exists() else {"runs": []}
-    document.setdefault(key, []).append(run)
+    document.setdefault("ab" if parent else "runs", []).append(run)
     out.write_text(json.dumps(document, indent=1) + "\n")
     return 0
 
