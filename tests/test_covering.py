@@ -51,6 +51,10 @@ class TestColoring:
     def test_check_proper(self):
         assert checks.is_proper_coloring(build_graph(2, [(0, 1)]), Coloring.of([1, 2]).colors)
         assert not checks.is_proper_coloring(build_graph(2, [(0, 1)]), Coloring.of([1, 1]).colors)
+        # a list of the wrong length, or one holding a color below 1, is not
+        # a coloring, whatever its edges say (cli filters both before this)
+        assert not checks.is_proper_coloring(build_graph(2, []), [1])
+        assert not checks.is_proper_coloring(build_graph(2, []), [0, 1])
 
 
 class TestArrivalSequence:

@@ -41,10 +41,10 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
     names = set(run["layers"])
     assert {name.split("/", 1)[0] for name in names} == set(tool.KINDS) == {"unit", "mixed", "scale"}
     for kind, mis in (("unit", "sweep"), ("mixed", "eligibility-search"), ("scale", "eligibility-search")):
-        expected = {"random_instance", "parse_instance", "instance_to_graph", "nt_decompose",
-                    f"heuristic.mis.{mis}"}
+        expected = {"random_instance", "parse_instance", "read_instance", "cli_parser",
+                    "instance_to_graph", "nt_decompose", f"heuristic.mis.{mis}"}
         expected |= {f"heuristic.{p}" for p in ("vc", "color", "online-color", "ds", "ids", "tds", "cds")}
-        expected |= {f"verify_{path}.{p}" for path in ("full", "subset") for p in PROBLEMS}
+        expected |= {f"verify_subset.{p}" for p in PROBLEMS}
         if kind != "scale":  # the oracles' small draws would be all radius-16 disk
             expected |= {f"oracle.{p}" for p in ("vc", "color", "ds", "tds", "cds")}
         assert {name.split("/", 1)[1] for name in names if name.startswith(kind + "/")} == expected
@@ -93,7 +93,8 @@ def test_ab_against_this_checkout_at_n_60(tmp_path, monkeypatch, parent_modules)
                            "k", "layers"}
     assert record["sizes"] == [60] and record["k"] == 2 and record["parent"] == str(root)
     names = {name.split("/", 1)[1] for name in record["layers"] if name.startswith("unit/")}
-    assert {f"verify_{path}.{p}" for path in ("full", "subset") for p in PROBLEMS} <= names
+    assert {"read_instance", "cli_parser"} | {f"verify_subset.{p}" for p in PROBLEMS} <= names
+    assert not any(name.startswith("verify_full.") for name in names)
     assert "oracle.cds" in names
     for name, row in record["layers"].items():
         assert set(row) == {"n", "ratio", "won", "control"}, name

@@ -13,18 +13,22 @@ instance, ``workloads._scale_instance``: ``random_instance`` at mean
 degree 6, reduced to its giant component (so every heuristic, ``tds`` and
 ``cds`` included, has an input), and times these layers:
 
-* ``random_instance`` (the raw draw of n disks, without the radius-16 ones)
-  and ``parse_instance`` of the component's file text;
+* ``random_instance`` (the raw draw of n disks, without the radius-16 ones),
+  ``parse_instance`` of the component's file text, and ``read_instance``
+  of that text, written to a temporary file once per group;
+* ``cli_parser``, the work every ``cli.main`` job does before it
+  dispatches: ``cli._build_parser()`` and ``parse_args`` of a ``solve``
+  argv naming that file;
 * ``instance_to_graph`` and ``nt_decompose`` on the whole graph;
 * every heuristic of the problem table, named ``heuristic.<problem>``; the
   ``mis`` layer adds its method, ``sweep`` on unit disks and
   ``eligibility-search`` on the other radii;
-* the verify core of every problem: ``verify_full.<problem>`` pairs the
-  whole instance and runs the problem's ``checks`` predicate,
-  ``verify_subset.<problem>`` runs what ``verify`` runs on a geometric
-  file, the table entry's ``on_disks``, which pairs only the sets whose
-  edges decide the verdict and tests domination against a cell index of
-  the chosen disks.
+* ``verify_subset.<problem>``, the verify core of every problem: what
+  ``verify`` runs on a geometric file, the table entry's ``on_disks``,
+  which pairs only the sets whose edges decide the verdict and tests
+  domination against a cell index of the chosen disks.  Older runs also
+  time ``verify_full.<problem>``, the whole instance paired and the
+  problem's ``checks`` predicate, a path ``verify`` no longer takes.
 
 The oracle layers, ``oracle.<problem>`` for each problem of
 ``ORACLE_PROBLEMS``, of the ``unit`` and ``mixed`` kinds run the problem
@@ -79,6 +83,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -145,16 +150,22 @@ def _inputs(kind: str, n: int, pkg: SimpleNamespace = CHANGE):
     return draw, inst, pkg.formats.render_instance(inst), pkg.geometry.instance_to_graph(inst)
 
 
-def layers(kind: str, n: int, pkg: SimpleNamespace = CHANGE):
-    """(``<kind>/<layer>``, vertices, zero-argument callable) for every layer at one size."""
+def layers(kind: str, n: int, folder: str, pkg: SimpleNamespace = CHANGE):
+    """(``<kind>/<layer>``, vertices, zero-argument callable) for every layer at
+    one size; the instance file is written into the directory ``folder``."""
     draw, inst, text, G = _inputs(kind, n, pkg)
+    path = Path(folder, f"{kind}-{n}.udg")
+    if not path.exists():  # the copy built first writes it, so both copies read the same bytes
+        path.write_text(text)
+    argv = ["solve", str(path), "--problem", "vc"]
     variant = KINDS[kind]["variant"]
     options = pkg.problems.Options(lambda count: pkg.covering.ArrivalSequence.of(range(count)))
-    to_graph = pkg.geometry.instance_to_graph
     out = [
         ("random_instance", n, draw),
         ("parse_instance", inst.n, lambda: pkg.formats.parse_instance(text)),
-        ("instance_to_graph", inst.n, lambda: to_graph(inst)),
+        ("read_instance", inst.n, lambda: pkg.formats.read_instance(path)),
+        ("cli_parser", inst.n, lambda: pkg.cli._build_parser().parse_args(argv)),
+        ("instance_to_graph", inst.n, lambda: pkg.geometry.instance_to_graph(inst)),
         ("nt_decompose", inst.n, lambda: pkg.matching.nt_decompose(G)),
     ]
     for name, problem in pkg.problems.PROBLEMS.items():
@@ -164,7 +175,6 @@ def layers(kind: str, n: int, pkg: SimpleNamespace = CHANGE):
         solution = answer.colors if problem.coloring else answer.members
         out += [
             (label, inst.n, lambda p=problem: p.heuristic(G, inst, variant, options, {})),
-            (f"verify_full.{name}", inst.n, lambda p=problem, s=solution: p.check(to_graph(inst), s)),
             (f"verify_subset.{name}", inst.n,
              lambda p=problem, s=solution: pkg.cli._holds(p, inst, s)),
         ]
@@ -225,6 +235,8 @@ def plain(value):
         return tuple(plain(getattr(value, field.name)) for field in dataclasses.fields(value))
     if hasattr(value, "adj"):  # a Graph
         return tuple(map(tuple, value.adj))
+    if isinstance(value, argparse.Namespace):  # parsed arguments; the command by name
+        return tuple(sorted((key, getattr(item, "__name__", item)) for key, item in vars(value).items()))
     if isinstance(value, (list, tuple)):
         return tuple(map(plain, value))
     return value
@@ -288,28 +300,30 @@ def measure(sizes, k: int, parent: SimpleNamespace | None = None) -> dict:
     change/parent and control ratios' quartiles and the rounds the change won."""
     reference = Reference()
     table: dict[str, dict] = {}
-    for kind in KINDS:
-        groups = [(1, lambda pkg, n=n: layers(kind, n, pkg)) for n in sizes]
-        if kind in ORACLE_KINDS:
-            groups.append((ORACLE_DRAWS, lambda pkg: oracle_layers(kind, pkg)))
-        for calls, build in groups:
-            for name, vertices, fn, seconds, units in time_group(build, k, reference, parent):
-                change = seconds["change"]
-                if parent is None:
-                    row = table.setdefault(name, {"n": [], "s": [], "ref": []})
-                    row["s"].append(round(statistics.median(change) / calls, 6))
-                    refs = [run / unit for run, unit in zip(change, units)]
-                    row["ref"].append(round(statistics.median(refs) / calls, 4))
-                    if calls > 1:
-                        row["nodes"] = [round(search_nodes(fn) / calls, 1)]
-                else:
-                    row = table.setdefault(name, {"n": [], "ratio": [], "won": [], "control": []})
-                    ratios = [new / old for new, old in zip(change, seconds["parent"])]
-                    row["ratio"].append(quartiles(ratios))
-                    row["won"].append(sum(ratio < 1.0 for ratio in ratios))
-                    controls = [again / old for again, old in zip(seconds["control"], seconds["parent"])]
-                    row["control"].append(quartiles(controls))
-                row["n"].append(vertices)
+    with tempfile.TemporaryDirectory(prefix="layers-") as folder:
+        for kind in KINDS:
+            groups = [(1, lambda pkg, n=n: layers(kind, n, folder, pkg)) for n in sizes]
+            if kind in ORACLE_KINDS:
+                groups.append((ORACLE_DRAWS, lambda pkg: oracle_layers(kind, pkg)))
+            for calls, build in groups:
+                for name, vertices, fn, seconds, units in time_group(build, k, reference, parent):
+                    change = seconds["change"]
+                    if parent is None:
+                        row = table.setdefault(name, {"n": [], "s": [], "ref": []})
+                        row["s"].append(round(statistics.median(change) / calls, 6))
+                        refs = [run / unit for run, unit in zip(change, units)]
+                        row["ref"].append(round(statistics.median(refs) / calls, 4))
+                        if calls > 1:
+                            row["nodes"] = [round(search_nodes(fn) / calls, 1)]
+                    else:
+                        row = table.setdefault(name, {"n": [], "ratio": [], "won": [], "control": []})
+                        ratios = [new / old for new, old in zip(change, seconds["parent"])]
+                        row["ratio"].append(quartiles(ratios))
+                        row["won"].append(sum(ratio < 1.0 for ratio in ratios))
+                        controls = [again / old
+                                    for again, old in zip(seconds["control"], seconds["parent"])]
+                        row["control"].append(quartiles(controls))
+                    row["n"].append(vertices)
     if parent is None:
         for row in table.values():
             fit = slope(row["n"], row["s"])
