@@ -132,6 +132,8 @@ def run_bench(
         raise BadParameter("need at least one instance")
     if not 1 <= n_low <= n_high:
         raise BadParameter("bad n range")
+    if not problems:
+        raise BadParameter("need at least one problem")
     unknown = [p for p in problems if p not in PROBLEMS]
     if unknown:
         raise BadParameter(f"unknown problems: {unknown}")

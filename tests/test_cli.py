@@ -647,7 +647,8 @@ class TestBench:
         (0, 6, 8, ("vc",), "need at least one instance"),
         (1, 8, 6, ("vc",), "bad n range"),
         (1, 6, 8, ("vc", "tsp"), "unknown problems: ['tsp']"),
-    ], ids=["no-instances", "misordered-n-range", "unknown-problem"])
+        (1, 6, 8, (), "need at least one problem"),
+    ], ids=["no-instances", "misordered-n-range", "unknown-problem", "no-problems"])
     def test_run_bench_rejects_bad_arguments(self, instances, n_low, n_high, problems, message):
         with pytest.raises(BadParameter) as info:
             bench.run_bench(instances, n_low, n_high, problems, seed=1)
@@ -659,6 +660,9 @@ class TestBench:
         (17, "mis,cds", "n=17 exceeds the connected-domination cap 16"),
         (19, "ds", "n=19 exceeds the domination cap 18"),
         (17, "color", "n=17 exceeds the chromatic cap 16"),
+        # nothing to solve: refused before a draw of 20,000 disks
+        (20_000, ",", "need at least one problem"),
+        (20_000, "", "need at least one problem"),
     ])
     def test_oracle_cap_is_checked_before_the_draw(self, capsys, monkeypatch, n, problems, message):
         def no_draw(*args):

@@ -41,8 +41,8 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
     names = set(run["layers"])
     assert {name.split("/", 1)[0] for name in names} == set(tool.KINDS) == {"unit", "mixed", "scale"}
     for kind, mis in (("unit", "sweep"), ("mixed", "eligibility-search"), ("scale", "eligibility-search")):
-        expected = {"random_instance", "parse_instance", "read_instance", "cli_parser",
-                    "instance_to_graph", "nt_decompose", f"heuristic.mis.{mis}"}
+        expected = {"random_instance", "read_instance", "cli_parser", "instance_to_graph",
+                    f"heuristic.mis.{mis}"}
         expected |= {f"heuristic.{p}" for p in ("vc", "color", "online-color", "ds", "ids", "tds", "cds")}
         expected |= {f"verify_subset.{p}" for p in PROBLEMS}
         if kind != "scale":  # the oracles' small draws would be all radius-16 disk
@@ -134,15 +134,24 @@ def test_ab_mismatch_through_main_is_an_error_line(tmp_path, monkeypatch, capsys
     (["--sizes", "1"], "every size at least 2"),
     (["-k", "0"], "-k must be at least 1"),
     (["--parent", "{tmp}"], "--parent: no package at {tmp}/src/diskapprox/__init__.py"),
-], ids=["sizes-not-integers", "size-below-2", "k-zero", "parent-without-package"])
-def test_argument_errors_exit_2(tmp_path, capsys, argv, message):
+    # the case's --out follows the test's own, so it wins
+    (["--out", "{tmp}/missing/layers.json"], "--out: no directory {tmp}/missing"),
+    (["--out", "{tmp}/text.json"], "--out: {tmp}/text.json holds no JSON object"),
+    (["--out", "{tmp}/list.json"], "--out: {tmp}/list.json holds no JSON object"),
+], ids=["sizes-not-integers", "size-below-2", "k-zero", "parent-without-package",
+        "out-in-missing-directory", "out-not-json", "out-not-an-object"])
+def test_argument_errors_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     tool = load_tool()
-    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "layers.json")]
+    monkeypatch.setattr(tool, "measure", lambda *args: pytest.fail("measured before the error"))
+    (tmp_path / "text.json").write_text("runs\n")
+    (tmp_path / "list.json").write_text("[]\n")
+    argv = ["--out", str(tmp_path / "layers.json")] + [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exc:
         tool.main(argv)
     assert exc.value.code == 2
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
     assert not (tmp_path / "layers.json").exists()
+    assert [(tmp_path / name).read_text() for name in ("text.json", "list.json")] == ["runs\n", "[]\n"]
 
 
 @pytest.mark.parametrize("parent", [None, SimpleNamespace()], ids=["plain", "ab"])

@@ -13,22 +13,27 @@ instance, ``workloads._scale_instance``: ``random_instance`` at mean
 degree 6, reduced to its giant component (so every heuristic, ``tds`` and
 ``cds`` included, has an input), and times these layers:
 
-* ``random_instance`` (the raw draw of n disks, without the radius-16 ones),
-  ``parse_instance`` of the component's file text, and ``read_instance``
-  of that text, written to a temporary file once per group;
+* ``random_instance`` (the raw draw of n disks, without the radius-16 ones)
+  and ``read_instance`` of the component's file text, written to a
+  temporary file once per group;
 * ``cli_parser``, the work every ``cli.main`` job does before it
   dispatches: ``cli._build_parser()`` and ``parse_args`` of a ``solve``
   argv naming that file;
-* ``instance_to_graph`` and ``nt_decompose`` on the whole graph;
+* ``instance_to_graph``;
 * every heuristic of the problem table, named ``heuristic.<problem>``; the
   ``mis`` layer adds its method, ``sweep`` on unit disks and
   ``eligibility-search`` on the other radii;
 * ``verify_subset.<problem>``, the verify core of every problem: what
   ``verify`` runs on a geometric file, the table entry's ``on_disks``,
   which pairs only the sets whose edges decide the verdict and tests
-  domination against a cell index of the chosen disks.  Older runs also
-  time ``verify_full.<problem>``, the whole instance paired and the
-  problem's ``checks`` predicate, a path ``verify`` no longer takes.
+  domination against a cell index of the chosen disks.
+
+Older runs, whose rows stay in ``BENCH_layers.json``, also time three
+layers that measure no step of a job: ``verify_full.<problem>`` (the whole
+instance paired and the problem's ``checks`` predicate, a path ``verify``
+no longer takes), ``parse_instance`` (the inner call of ``read_instance``)
+and ``nt_decompose`` of the whole graph (``vc`` decomposes only its
+triangle-free core).
 
 The oracle layers, ``oracle.<problem>`` for each problem of
 ``ORACLE_PROBLEMS``, of the ``unit`` and ``mixed`` kinds run the problem
@@ -53,7 +58,9 @@ so CPU speed drift on a shared machine mostly cancels) and a log-log
 least-squares slope over the sizes; an oracle layer's times are per call,
 and it adds ``nodes``, the search nodes per call, from a counting
 subclass of the oracles' node budget.  The run goes to the ``runs`` list
-of ``--out``, created when missing.  Runs recorded before both modes
+of ``--out``, created when missing; ``--out`` in a missing directory, or
+naming a file that holds no JSON object, is an argument error before
+anything is measured.  Runs recorded before both modes
 shared the loop ran a layer's ``k`` runs back to back: on a 2-vCPU VM at
 n = 3000 their ``ref`` medians read within a few percent of this loop's,
 but this loop reads ``random_instance`` 4-16% higher, as its runs are no
@@ -98,7 +105,7 @@ from diskapprox.problems import PROBLEMS  # noqa: E402
 from diskapprox.rng import derive_seed  # noqa: E402
 from workloads import CATALOG, MEAN_DEGREE, Reference, _scale_instance  # noqa: E402
 
-MODULES = ("bench", "cli", "covering", "formats", "geometry", "matching", "problems")
+MODULES = ("bench", "cli", "covering", "formats", "geometry", "problems")
 
 
 def modules(package: str) -> SimpleNamespace:
@@ -162,11 +169,9 @@ def layers(kind: str, n: int, folder: str, pkg: SimpleNamespace = CHANGE):
     options = pkg.problems.Options(lambda count: pkg.covering.ArrivalSequence.of(range(count)))
     out = [
         ("random_instance", n, draw),
-        ("parse_instance", inst.n, lambda: pkg.formats.parse_instance(text)),
         ("read_instance", inst.n, lambda: pkg.formats.read_instance(path)),
         ("cli_parser", inst.n, lambda: pkg.cli._build_parser().parse_args(argv)),
         ("instance_to_graph", inst.n, lambda: pkg.geometry.instance_to_graph(inst)),
-        ("nt_decompose", inst.n, lambda: pkg.matching.nt_decompose(G)),
     ]
     for name, problem in pkg.problems.PROBLEMS.items():
         meta: dict = {}
@@ -350,6 +355,15 @@ def main(argv=None) -> int:
         parser.error("-k must be at least 1 and every size at least 2")
     if args.parent and not (init := Path(args.parent, "src", "diskapprox", "__init__.py")).is_file():
         parser.error(f"--parent: no package at {init}")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        parser.error(f"--out: no directory {out.parent}")
+    try:
+        document = json.loads(out.read_text()) if out.exists() else {"runs": []}
+    except (OSError, ValueError):
+        document = None
+    if not isinstance(document, dict):
+        parser.error(f"--out: {out} holds no JSON object")
 
     run = {
         "label": args.label,
@@ -372,8 +386,6 @@ def main(argv=None) -> int:
     except Mismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = Path(args.out)
-    document = json.loads(out.read_text()) if out.exists() else {"runs": []}
     document.setdefault("ab" if parent else "runs", []).append(run)
     out.write_text(json.dumps(document, indent=1) + "\n")
     return 0
