@@ -95,14 +95,15 @@ def _colors_disks(inst, colors):
 
 
 def _refuse_induced_star(G, inst, variant, independent):
-    """On abstract input that claims the unit bound, refuse a graph in which
-    some vertex has six neighbors in ``independent()``, the heuristic's
-    greedy independent set (see ``domination.refuse_induced_star``).
+    """On input that claims the unit bound, refuse a graph in which some
+    vertex has six neighbors in ``independent()``, the heuristic's greedy
+    independent set (see ``domination.refuse_induced_star``).
 
-    Geometric input is exempt: its graph comes from disks, up to the
-    rounding of the pair test.
+    Disks of one radius are exempt: their graph is a unit disk graph, up to
+    the rounding of the pair test.  Disks of mixed radii are not, so they
+    are counted as an abstract graph is.
     """
-    if inst is None and variant == "unit":
+    if variant == "unit" and (inst is None or not inst.unit):
         domination.refuse_induced_star(G, independent())
 
 

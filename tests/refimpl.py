@@ -1,21 +1,28 @@
-"""Naive exhaustive references the library's solvers are audited against.
+"""Naive exhaustive references the library's solvers are audited against,
+and the test shapes and runners the test modules share.
 
 The brute-force ones enumerate subsets or color assignments directly: slow
 but obviously correct on the small graphs the tests feed them.  The others
 are definitions or earlier, plainer forms of optimized library routines,
-which must return exactly what those routines return.
+which must return exactly what those routines return.  Each shared graph
+shape (``c5``, ``complete``, ``path``, ``cycle``, ``star``, ``grid``), the
+seeded graph generators and the captured CLI runner :func:`run_cli` are
+defined here once.
 """
 
 import heapq
+import io
 import math
 from bisect import bisect_right
 from collections import deque
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
 
-from diskapprox import checks, geometry
+from diskapprox import checks, cli, geometry
+from diskapprox.bench import tuned_box
 from diskapprox.covering import ArrivalSequence, color_online_firstfit
 from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NoEligibleVertex
-from diskapprox.geometry import instance_to_graph, random_instance
+from diskapprox.geometry import instance_to_graph, random_connected_instance, random_instance
 from diskapprox.graphs import (
     Graph,
     VertexSet,
@@ -571,6 +578,37 @@ def rescan_independent_set_graph(G: Graph, bound: int = 3) -> VertexSet:
     return VertexSet.of(chosen, G.n)
 
 
+C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+
+
+def c5() -> Graph:
+    return build_graph(5, C5_EDGES)
+
+
+def complete(n: int) -> Graph:
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def path(n: int) -> Graph:
+    return build_graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def cycle(n: int) -> Graph:
+    return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def star(leaves: int) -> Graph:
+    """K_{1,leaves} with the center at id 0."""
+    return build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertex r * cols + c at row r, column c."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, edges)
+
+
 def all_labeled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -612,6 +650,27 @@ def disk_graph(n: int, radius: float, radius_high, seed: int, degree: float = 6.
     mean_radius = radius if radius_high is None else (radius + radius_high) / 2
     box = math.sqrt(n * math.pi * (2 * mean_radius) ** 2 / degree)
     return instance_to_graph(random_instance(n, box, radius, seed, radius_high))
+
+
+def connected_disk_graphs(count: int, n_low: int, n_high: int, seed: int, degrees):
+    """The graphs of ``count`` draws of ``random_connected_instance``, radii
+    in [0.5, 2] at even indices and unit at odd ones.  Draw ``index`` has
+    ``n_low + index % (n_high - n_low + 1)`` disks, seed
+    ``derive_seed(seed, index)`` and a box tuned to mean degree
+    ``degrees[index % len(degrees)]``."""
+    for index in range(count):
+        n = n_low + index % (n_high - n_low + 1)
+        radius, radius_high = (1.0, None) if index % 2 else (0.5, 2.0)
+        box = tuned_box(n, radius, radius_high, degrees[index % len(degrees)])
+        yield random_connected_instance(n, box, radius, derive_seed(seed, index), radius_high)[1]
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """``cli.main(argv)`` with stdout and stderr captured: (exit code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def complement(G: Graph) -> Graph:

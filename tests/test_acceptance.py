@@ -41,31 +41,11 @@ from diskapprox.geometry import (
 from diskapprox.graphs import build_graph, degeneracy_ordering, greedy_maximal_independent_set
 from diskapprox.matching import nt_decompose
 from diskapprox.rng import Rng, derive_seed
-from refimpl import all_labeled_graphs, random_graph
+from refimpl import all_labeled_graphs, has_independent_subset, random_graph
 
 
 def unit_box(n, mean_degree=4.0):
     return tuned_box(n, 1.0, None, mean_degree)
-
-
-def independent_subset_exists(G, candidates, size):
-    """Exhaustive search for `size` pairwise non-adjacent vertices."""
-    pool = list(candidates)
-
-    def extend(start, chosen):
-        if len(chosen) == size:
-            return True
-        for idx in range(start, len(pool)):
-            if len(chosen) + (len(pool) - idx) < size:
-                return False
-            v = pool[idx]
-            if any(G.has_edge(v, u) for u in chosen):
-                continue
-            if extend(idx + 1, chosen + [v]):
-                return True
-        return False
-
-    return extend(0, [])
 
 
 def test_criterion_1_vertex_cover_ratio(criterion):
@@ -277,10 +257,10 @@ def test_criterion_7_structural_properties(criterion):
 
         for v in range(G.n):
             nbrs = G.adj[v]
-            if len(nbrs) >= 6 and independent_subset_exists(G, nbrs, 6):
+            if len(nbrs) >= 6 and has_independent_subset(G, nbrs, 6):
                 failures.append((index, v, "induced six-star"))
         first = sweep_order(inst)[0]
-        if independent_subset_exists(G, G.adj[first], 4):
+        if has_independent_subset(G, G.adj[first], 4):
             failures.append((index, "sweep-first independence > 3"))
 
         clique = sector_clique(inst, G)

@@ -547,7 +547,7 @@ class TestVerifyPairsASubset:
         if G.n >= 80:  # the strip sweep pairs some set here
             assert max(paired) > geometry._ALL_PAIRS_MAX
 
-    @pytest.mark.parametrize("problem", ["vc", "mis", "color", "online-color", "ds", "ids", "tds", "cds"])
+    @pytest.mark.parametrize("problem", list(PROBLEMS))
     def test_pairs_only_what_the_predicate_reads(self, capsys, monkeypatch, tmp_path, problem):
         path = tmp_path / "unit.udg"
         inst = GeometricInstance(VERIFY_INSTANCES["tangent-chain-100"])

@@ -16,17 +16,7 @@ from diskapprox.exact import exact_chromatic, exact_vc
 from diskapprox.geometry import GeometricInstance, instance_to_graph, random_instance
 from diskapprox.graphs import build_graph, degeneracy_ordering
 from diskapprox.rng import Rng, derive_seed
-from refimpl import disk_graph, edges_vertex_cover, random_graph
-
-C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-
-
-def c5():
-    return build_graph(5, C5_EDGES)
-
-
-def complete(n):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+from refimpl import c5, complete, disk_graph, edges_vertex_cover, random_graph, star
 
 
 def complete_bipartite(a, b):
@@ -109,8 +99,7 @@ class TestVertexCover:
         assert vertex_cover(complete(3)).members == (0, 1, 2)
 
     def test_star_takes_center(self):
-        star = build_graph(6, [(0, v) for v in range(1, 6)])
-        assert vertex_cover(star).members == (0,)
+        assert vertex_cover(star(5)).members == (0,)
 
     def test_edgeless(self):
         assert len(vertex_cover(build_graph(4, []))) == 0

@@ -33,26 +33,16 @@ from diskapprox.rng import Rng, derive_seed
 from diskapprox.formats import write_instance
 from refimpl import (
     all_subsets,
+    c5,
+    complete,
     disk_graph,
     has_independent_subset,
     random_graph,
     rescan_independent_set_graph,
+    run_cli,
+    star,
     sweep_mis,
 )
-
-C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-
-
-def c5():
-    return build_graph(5, C5_EDGES)
-
-
-def complete(n):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def star(leaves):
-    return build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
 def unit_instance(index, n, mean_degree=4.0):
@@ -484,6 +474,15 @@ def star_center_last(leaves):
     return build_graph(leaves + 1, [(v, leaves) for v in range(leaves)])
 
 
+def disk_star(leaves, distance, radius):
+    """``leaves`` radius-0.5 disks evenly spaced at ``distance`` around one
+    disk of ``radius`` at the origin, whose id is last."""
+    return tuple(
+        (distance * math.cos(2 * k * math.pi / leaves), distance * math.sin(2 * k * math.pi / leaves), 0.5)
+        for k in range(leaves)
+    ) + ((0.0, 0.0, radius),)
+
+
 def is_induced_star(G, vertices, leaves):
     """Naive: some member is adjacent to every other member, and the others
     are ``leaves`` pairwise non-adjacent vertices."""
@@ -561,16 +560,28 @@ class TestInducedStarCertificate:
         # no bound claimed: the circle variant has none for this family
         G = star_center_last(10)
         assert len(run_domination(name, G, variant="circle")) >= 10
-        # disks: ten of radius 0.5 around one of radius 10, ids before it
-        disks = tuple(
-            (10.0 * math.cos(k * math.pi / 5), 10.0 * math.sin(k * math.pi / 5), 0.5)
-            for k in range(10)
-        ) + ((0.0, 0.0, 10.0),)
-        inst = GeometricInstance(disks)
+        # disks: ten of radius 0.5 around one of radius 10, ids before it;
+        # mixed radii draw no unit disk graph, so a unit claim is checked
+        inst = GeometricInstance(disk_star(10, 10.0, 10.0))
         G = instance_to_graph(inst)
         assert G == star_center_last(10)
-        for variant in ("unit", "circle"):
-            assert PROBLEMS[name].check(G, run_domination(name, G, inst, variant))
+        with pytest.raises(InducedStar):
+            run_domination(name, G, inst, "unit")
+        assert PROBLEMS[name].check(G, run_domination(name, G, inst, "circle"))
+
+    @pytest.mark.parametrize("name", DOMINATION)
+    def test_cli_refuses_mixed_radii_claiming_the_unit_bound(self, name, tmp_path):
+        # six radius-0.5 disks around one of radius 16: under --variant unit
+        # the file is refused as its graph, written as an abstract file, is
+        inst = GeometricInstance(disk_star(6, 16.48, 16.0))
+        geometric, abstract = tmp_path / "star.udg", tmp_path / "graph.udg"
+        write_instance(inst, geometric)
+        write_instance(instance_to_graph(inst), abstract)
+        refused = run_cli(["solve", str(abstract), "--problem", name])
+        assert refused[0] == 2 and "induced K_{1,6}" in refused[2]
+        assert run_cli(["solve", str(geometric), "--problem", name, "--variant", "unit"]) == refused
+        # the default variant of mixed radii is circle, which claims no bound
+        assert run_cli(["solve", str(geometric), "--problem", name])[0] == 0
 
     def test_count_reaches_six_only_outside_the_set(self):
         # a member's closed neighborhood meets the set in itself alone: K_{1,6}

@@ -11,7 +11,6 @@ from diskapprox.errors import (
     Timeout,
     TooLarge,
 )
-from diskapprox.bench import tuned_box
 from diskapprox.exact import (
     DEFAULT_LIMITS,
     DOMINATION_VARIANTS,
@@ -31,10 +30,9 @@ from diskapprox.exact import (
 from diskapprox import exact
 from diskapprox.covering import Coloring, _first_fit
 from diskapprox.domination import connected_dominating_set
-from diskapprox.geometry import random_connected_instance
 from diskapprox.graphs import VertexSet, build_graph, is_connected
 from diskapprox.problems import PROBLEMS
-from diskapprox.rng import Rng, derive_seed
+from diskapprox.rng import Rng
 from refimpl import (
     all_labeled_graphs,
     brute_chromatic,
@@ -42,31 +40,20 @@ from refimpl import (
     brute_domination,
     brute_mis,
     brute_vc,
+    c5,
     complement,
+    complete,
+    connected_disk_graphs,
+    cycle,
     eccentricity_connected_bound,
     first_dominating_set,
+    grid,
+    path,
     random_graph,
     recount_k_coloring,
     scan_first_mis_search,
+    star,
 )
-
-C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-
-
-def c5():
-    return build_graph(5, C5_EDGES)
-
-
-def complete(n):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path(n):
-    return build_graph(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def cycle(n):
-    return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def disjoint_union(*graphs):
@@ -97,7 +84,7 @@ class TestExamples:
     def test_vc(self):
         assert exact_vc(c5())[0] == 3
         assert exact_vc(complete(3))[0] == 2
-        assert exact_vc(build_graph(6, [(0, v) for v in range(1, 6)]))[0] == 1
+        assert exact_vc(star(5))[0] == 1
 
     def test_chromatic(self):
         assert exact_chromatic(c5())[0] == 3
@@ -112,10 +99,9 @@ class TestExamples:
     def test_domination(self):
         assert exact_domination(c5(), "plain")[0] == 2
         assert exact_domination(c5(), "connected")[0] == 3
-        star = build_graph(6, [(0, v) for v in range(1, 6)])
-        assert exact_domination(star, "plain")[0] == 1
-        assert exact_domination(star, "connected")[0] == 1
-        assert exact_domination(star, "total")[0] == 2
+        assert exact_domination(star(5), "plain")[0] == 1
+        assert exact_domination(star(5), "connected")[0] == 1
+        assert exact_domination(star(5), "total")[0] == 2
 
     def test_empty_graph(self):
         empty = build_graph(0, [])
@@ -310,13 +296,6 @@ def lower_bound(G, variant):
     return _domination_lower_bound(G, variant, masks if variant == "total" else closed)
 
 
-def grid(rows, cols):
-    cell = lambda r, c: r * cols + c
-    edges = [(cell(r, c), cell(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
-    edges += [(cell(r, c), cell(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
-    return build_graph(rows * cols, edges)
-
-
 def _domination_graphs():
     """Labeled, structured and random disk graphs up to the domination caps."""
     for n in range(6):
@@ -324,7 +303,7 @@ def _domination_graphs():
     top = max(map(_cap, DOMINATION_VARIANTS))
     for n in range(1, top + 1):
         yield path(n)
-        yield build_graph(n, [(0, v) for v in range(1, n)])
+        yield star(n - 1)
         if n >= 3:
             yield cycle(n)
     # several components, so no member of one can cover another
@@ -335,12 +314,7 @@ def _domination_graphs():
         for cols in range(rows, top // rows + 1):
             yield grid(rows, cols)
     for cap in sorted({_cap(v) for v in DOMINATION_VARIANTS}):
-        for index in range(100):
-            n = cap // 2 + index % (cap - cap // 2 + 1)
-            radius_high = None if index % 2 else 2.0
-            radius = 1.0 if radius_high is None else 0.5
-            box = tuned_box(n, radius, radius_high, 4.0)
-            yield random_connected_instance(n, box, radius, derive_seed(0xE5 + cap, index), radius_high)[1]
+        yield from connected_disk_graphs(100, cap // 2, cap, 0xE5 + cap, (4.0,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,7 +378,7 @@ def _mis_graphs():
     top = DEFAULT_LIMITS.max_independent_set
     for n in range(1, top + 1):
         yield path(n)
-        yield build_graph(n, [(0, v) for v in range(1, n)])
+        yield star(n - 1)
         if n >= 3:
             yield cycle(n)
     for rows in range(2, 5):
@@ -418,12 +392,7 @@ def _mis_graphs():
     rng = Rng(609)
     for index in range(40):
         yield complement(random_graph(8 + index % 17, 0.1 + 0.4 * rng.uniform(), rng))
-    for index in range(200):
-        n = 12 + index % 13
-        radius_high = None if index % 2 else 2.0
-        radius = 1.0 if radius_high is None else 0.5
-        box = tuned_box(n, radius, radius_high, 3.0 + index % 4)
-        yield random_connected_instance(n, box, radius, derive_seed(0x3A5, index), radius_high)[1]
+    yield from connected_disk_graphs(200, 12, 24, 0x3A5, (3.0, 4.0, 5.0, 6.0))
 
 
 class TestMisWitness:
@@ -454,14 +423,7 @@ def _oracle_graphs():
             graphs.append(cycle(n))
         if n % 2 == 0 and n >= 4:
             graphs.append(crown(n // 2))
-    for index in range(600):
-        n = 8 + index % 9
-        radius_high = None if index % 2 else 2.0
-        radius = 1.0 if radius_high is None else 0.5
-        box = tuned_box(n, radius, radius_high, 3.0 + index % 3)
-        graphs.append(
-            random_connected_instance(n, box, radius, derive_seed(0xC01, index), radius_high)[1]
-        )
+    graphs.extend(connected_disk_graphs(600, 8, 16, 0xC01, (3.0, 4.0, 5.0)))
     return tuple(graphs)
 
 

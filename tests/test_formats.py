@@ -22,8 +22,7 @@ from diskapprox.geometry import (
 )
 from diskapprox.graphs import Graph, build_graph
 from diskapprox.problems import PROBLEMS, Options
-
-C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+from refimpl import C5_EDGES, c5
 
 
 class TestGeometricFiles:
@@ -169,10 +168,10 @@ class TestAbstractFiles:
     def test_c5_file(self):
         text = "udg 1 abstract\nn 5\n" + "".join(f"edge {u} {v}\n" for u, v in C5_EDGES)
         G = parse_instance(text)
-        assert isinstance(G, Graph) and G == build_graph(5, C5_EDGES)
+        assert isinstance(G, Graph) and G == c5()
 
     def test_round_trip(self, tmp_path):
-        G = build_graph(5, C5_EDGES)
+        G = c5()
         path = tmp_path / "abstract.udg"
         write_instance(G, path)
         assert read_instance(path) == G
@@ -180,7 +179,7 @@ class TestAbstractFiles:
     def test_blank_line_between_edges(self):
         lines = [f"edge {u} {v}" for u, v in C5_EDGES]
         text = "udg 1 abstract\nn 5\n" + "\n\n".join(lines) + "\n"
-        assert parse_instance(text) == build_graph(5, C5_EDGES)
+        assert parse_instance(text) == c5()
 
     @pytest.mark.parametrize("body, line_no, reason", [
         ("n -5\n", 2, "vertex count must be nonnegative"),

@@ -30,8 +30,8 @@ from diskapprox.graphs import (
 from diskapprox.rng import _INCREMENT, MASK64, Rng, _lane_memo, derive_seed
 from refimpl import (
     all_pairs,
-    brute_mis,
     checked_levels,
+    has_independent_subset,
     per_draw_disks,
     reference_connected_instance,
     scalar_uniforms,
@@ -80,15 +80,6 @@ def assert_both_kernels(inst):
     expected = build_graph(inst.n, all_pairs(inst))
     for unit in (True, False):
         assert Graph.of_rows(_sweep_adjacency(inst.disks, unit)) == expected
-
-
-def neighborhood_independence(G, v):
-    nbrs = G.adj[v]
-    sub_edges = [
-        (a, b) for a, b in combinations(range(len(nbrs)), 2)
-        if G.has_edge(nbrs[a], nbrs[b])
-    ]
-    return brute_mis(build_graph(len(nbrs), sub_edges)) if nbrs else 0
 
 
 class TestInstanceToGraph:
@@ -943,14 +934,14 @@ class TestUnitDiskStructure:
             inst = random_instance(16, 4.5, 1.0, derive_seed(5, index))
             G = instance_to_graph(inst)
             for v in range(G.n):
-                assert neighborhood_independence(G, v) <= 5
+                assert not has_independent_subset(G, G.adj[v], 6)
 
     def test_leftmost_vertex_neighborhood_independence(self):
         for index in range(80):
             inst = random_instance(16, 4.0, 1.0, derive_seed(6, index))
             G = instance_to_graph(inst)
             first = sweep_order(inst)[0]
-            assert neighborhood_independence(G, first) <= 3
+            assert not has_independent_subset(G, G.adj[first], 4)
 
 
 class TestPolygonBound:

@@ -7,14 +7,13 @@ dispatch, or the output formats moves the digest.
 """
 
 import hashlib
-import io
-from contextlib import redirect_stderr, redirect_stdout
 
 from diskapprox import cli, problems
 from diskapprox.covering import ArrivalSequence
 from diskapprox.formats import write_instance
 from diskapprox.geometry import random_connected_instance
 from diskapprox.graphs import build_graph
+from refimpl import run_cli
 
 ALL = ("vc", "color", "online-color", "mis", "ds", "ids", "tds", "cds")
 
@@ -23,19 +22,12 @@ ALL = ("vc", "color", "online-color", "mis", "ds", "ids", "tds", "cds")
 GOLDEN = "f32a0be38eb158327cf4541e0d72afef69d01e70fc5a1bf3e729ad7dc6631664"
 
 
-def _call(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def matrix_digest(workdir) -> str:
     """Run the CLI matrix with files under ``workdir``; digest of every argv and result."""
     total = hashlib.sha256()
 
     def record(argv, files=()):
-        code, out, err = _call([*argv, *files])
+        code, out, err = run_cli([*argv, *files])
         names = [str(f).rsplit("/", 1)[-1] for f in files]
         total.update(repr((argv, names, code, out, err)).encode())
         return code, out

@@ -25,23 +25,19 @@ from diskapprox.rng import Rng, derive_seed
 from refimpl import (
     all_labeled_graphs,
     brute_degeneracy,
+    c5,
+    complete,
+    cycle,
     disk_graph,
     find_triangle,
     greedy_cover_exceeds,
+    grid,
     heap_degeneracy_ordering,
+    path,
     random_graph,
+    star,
     union_find_components,
 )
-
-C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-
-
-def c5():
-    return build_graph(5, C5_EDGES)
-
-
-def complete(n):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 class TestBuildGraph:
@@ -193,12 +189,6 @@ def assert_peel_matches_heap(G):
         assert peel_outcome(degeneracy_ordering, G, degree_cap) == expected_outcome
 
 
-def grid(rows, cols):
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return build_graph(rows * cols, edges)
-
-
 class TestDegeneracyAgainstHeapPeel:
     """The bucket peel returns what the (degree, id) heap peel returns, and
     under every degree cap raises the same message with the same witness."""
@@ -215,12 +205,9 @@ class TestDegeneracyAgainstHeapPeel:
 
     def test_structured_graphs(self):
         n = 12
-        ring = build_graph(n, [(v, (v + 1) % n) for v in range(n)])
-        path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
-        star = build_graph(n, [(0, v) for v in range(1, n)])
         isolated = build_graph(n, [(2, 5), (5, 9), (9, 2), (9, 11)])
         empty = build_graph(0, [])
-        for G in (ring, path, star, grid(5, 7), complete(9), empty, build_graph(n, []), isolated):
+        for G in (cycle(n), path(n), star(n - 1), grid(5, 7), complete(9), empty, build_graph(n, []), isolated):
             assert_peel_matches_heap(G)
 
     @pytest.mark.parametrize("radius, radius_high", [(1.0, None), (0.5, 2.0)])
@@ -329,8 +316,7 @@ class TestBfsLevels:
         assert [len(level) for level in levels] == [1, 3]
 
     def test_star_from_leaf(self):
-        star = build_graph(6, [(0, v) for v in range(1, 6)])
-        levels, parent = bfs_levels(star, 1)
+        levels, parent = bfs_levels(star(5), 1)
         assert [len(level) for level in levels] == [1, 1, 4]
         assert parent[0] == 1
 
@@ -393,7 +379,7 @@ class TestLongChain:
     n = 2 * 10 ** 4
 
     def chain(self):
-        return build_graph(self.n, [(i, i + 1) for i in range(self.n - 1)])
+        return path(self.n)
 
     def test_vertex_cover(self):
         G = self.chain()

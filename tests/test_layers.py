@@ -12,9 +12,8 @@ import pytest
 
 from diskapprox import exact
 from diskapprox.exact import DEFAULT_LIMITS, exact_domination
-from diskapprox.graphs import build_graph
 from diskapprox.problems import PROBLEMS
-from refimpl import checked_levels
+from refimpl import checked_levels, cycle
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layers.py"
 
@@ -129,6 +128,32 @@ def test_ab_mismatch_through_main_is_an_error_line(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side", ["change", "parent"])
+def test_ab_stops_on_a_layer_without_a_counterpart(tmp_path, monkeypatch, capsys, parent_modules, side):
+    # one copy's table gains a problem, so it has two layers more than the
+    # other: one error line before any layer is timed
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = load_tool()
+    root = TOOL.parent.parent
+    parent = tool.load_parent(root)
+    table = (tool.CHANGE if side == "change" else parent).problems.PROBLEMS
+    monkeypatch.setitem(table, "extra", table["vc"])
+    monkeypatch.setattr(tool, "load_parent", lambda path: parent)
+
+    class Untimed:
+        def sample(self):
+            pytest.fail("timed before the layers were compared")
+
+    monkeypatch.setattr(tool, "Reference", Untimed)
+    out = tmp_path / "layers.json"
+    assert tool.main(["--sizes", "60", "-k", "1", "--parent", str(root), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: layer unit/heuristic.extra of the {side} has no counterpart in the "
+        f"{'parent' if side == 'change' else 'change'}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--sizes", "10,abc"], "argument --sizes: invalid size_list value: '10,abc'"),
     (["--sizes", "1"], "every size at least 2"),
@@ -232,10 +257,6 @@ def test_search_nodes_counts_every_budget():
     assert [exact._try_k_coloring(C5, k, clique, budget) is None for k in (2, 3)] == [True, False]
     assert tool.search_nodes(lambda: exact.exact_chromatic(C5)) == clique_nodes + budget.nodes
     assert exact._NodeBudget is plain
-
-
-def cycle(n):
-    return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def test_slope_of_a_power_law():

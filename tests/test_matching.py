@@ -20,6 +20,7 @@ from refimpl import (
     minimum_vertex_covers,
     random_graph,
     reference_matching,
+    star,
 )
 
 
@@ -195,8 +196,7 @@ def assert_valid_decomposition(G, decomposition):
 
 class TestNtDecomposition:
     def test_star_forces_its_center(self):
-        star = build_graph(6, [(0, v) for v in range(1, 6)])
-        decomposition = nt_decompose(star)
+        decomposition = nt_decompose(star(5))
         assert decomposition.forced.members == (0,)
         assert decomposition.half.members == ()
         assert decomposition.excluded.members == (1, 2, 3, 4, 5)

@@ -7,8 +7,6 @@ disks (``Problem.on_disks``) and an abstract file from the graph
 (``Problem.check``); ``solve`` runs the heuristics on the graph either way.
 """
 
-import contextlib
-import io
 import tempfile
 from pathlib import Path
 
@@ -19,13 +17,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from diskapprox import cli  # noqa: E402
 from diskapprox.bench import tuned_box  # noqa: E402
 from diskapprox.covering import ArrivalSequence  # noqa: E402
 from diskapprox.formats import write_instance  # noqa: E402
 from diskapprox.geometry import GeometricInstance, instance_to_graph  # noqa: E402
 from diskapprox.graphs import components  # noqa: E402
 from diskapprox.problems import PROBLEMS, Options  # noqa: E402
+from refimpl import run_cli  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 # kind: (radius strategy, the radius range its box is tuned for, the variant)
@@ -83,10 +81,7 @@ def test_disk_verdict_equals_graph_verdict(drawn, data):
 
 
 def solve(path, problem: str, variant: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["solve", str(path), "--problem", problem, "--variant", variant])
-    return code, out.getvalue(), err.getvalue()
+    return run_cli(["solve", str(path), "--problem", problem, "--variant", variant])
 
 
 @PROPERTY

@@ -69,7 +69,8 @@ longer back to back.
 With ``--parent PATH`` the tool runs an A/B comparison instead.  It loads
 ``PATH/src`` as ``diskapprox_parent`` (the package imports itself only
 relatively), builds every group with both copies on the same disks, and
-stops with an error naming the first layer whose outputs differ.  Each
+before timing it stops with an error naming the first layer that one copy
+has and the other lacks, or whose outputs differ.  Each
 layer of a round runs the change, the parent and the parent again (an A/A
 control) back to back, in an order that rotates with the round; 10 or
 more rounds make a reading.  The ``ab`` list of ``--out`` gets per layer
@@ -256,7 +257,8 @@ def quartiles(values) -> tuple[float, float, float]:
 
 
 class Mismatch(ValueError):
-    """A layer whose outputs differ between the change and the parent."""
+    """A layer that only one copy has, or whose outputs differ between the
+    change and the parent."""
 
 
 def time_group(build, k: int, reference, parent: SimpleNamespace | None = None) -> list:
@@ -264,14 +266,23 @@ def time_group(build, k: int, reference, parent: SimpleNamespace | None = None) 
 
     ``build(pkg)`` gives (name, vertices, callable) per layer made with the
     modules ``pkg``; with ``parent`` both copies are built and compared
-    first (:class:`Mismatch`).  Per layer it returns (name, vertices,
+    first, their layer names and then each layer's outputs
+    (:class:`Mismatch`).  Per layer it returns (name, vertices,
     callable, each side's ``k`` seconds, the ``k`` reference units read
     after the layer's runs).
     """
     built = build(CHANGE)
     sides = [[("change", fn)] for _, _, fn in built]
     if parent is not None:
-        for (name, vertices, new), (parent_name, _, old), row in zip(built, build(parent), sides):
+        old_built = build(parent)
+        names, parent_names = [layer[0] for layer in built], [layer[0] for layer in old_built]
+        lone = [f"layer {name} of the change has no counterpart in the parent"
+                for name in names if name not in parent_names]
+        lone += [f"layer {name} of the parent has no counterpart in the change"
+                 for name in parent_names if name not in names]
+        if lone:
+            raise Mismatch(lone[0])
+        for (name, vertices, new), (parent_name, _, old), row in zip(built, old_built, sides):
             if name != parent_name:
                 raise Mismatch(f"layer {name} of the change meets {parent_name} of the parent")
             if plain(new()) != plain(old()):
