@@ -24,7 +24,6 @@ from .formats import (
     write_instance,
 )
 from .geometry import (
-    GeometricInstance,
     instance_to_graph,
     polygon_independence_bound,
     random_connected_instance,
@@ -83,21 +82,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load(path) -> tuple[GeometricInstance | None, Graph]:
-    """The instance file at ``path`` as (its disks, or None for an abstract file; its graph)."""
-    instance = read_instance(path)
-    if isinstance(instance, Graph):
-        return None, instance
-    return instance, instance_to_graph(instance)
-
-
 def _cmd_solution(args) -> int:
     """solve and exact: the problem's heuristic or its exact oracle, as a solution document."""
     # --root and --order exist on args only when given (argparse.SUPPRESS)
     for flag, owner in (("root", "cds"), ("order", "online-color")):
         if hasattr(args, flag) and args.problem != owner:
             raise BadParameter(f"--{flag} applies only to --problem {owner}")
-    inst, G = _load(args.instance)
+    instance = read_instance(args.instance)
+    if isinstance(instance, Graph):
+        inst, G = None, instance
+    else:
+        inst, G = instance, instance_to_graph(instance)
     problem = PROBLEMS[args.problem]
     if args.command == "exact":
         meta: dict = {"n": G.n, "m": G.m, "oracle": True}
@@ -117,28 +112,23 @@ def _cmd_solution(args) -> int:
     return 0
 
 
-def _holds(problem, instance, solution) -> bool:
-    """Does ``solution`` pass ``problem.check`` on the graph of ``instance``?
-
-    A geometric instance is not paired whole: ``problem.on_disks`` gives the
-    same verdict from the disks (see :mod:`problems`).
-    """
-    if isinstance(instance, Graph):
-        return problem.check(instance, solution)
-    return problem.on_disks(instance, solution)
-
-
 def _validate_solution(instance, doc) -> tuple[bool, str]:
     """Check a document from parse_solution against an instance (disks or a
-    Graph); (ok, reason)."""
+    Graph); (ok, reason).
+
+    A Graph is checked by ``problem.check``.  A geometric instance is not
+    paired whole: ``problem.on_disks`` gives the same verdict from the disks
+    (see :mod:`problems`).
+    """
     name = doc["problem"]
     problem = PROBLEMS.get(name)
     if problem is None:
         return False, f"unknown problem {name!r}"
     n = instance.n
+    holds = problem.check if isinstance(instance, Graph) else problem.on_disks
     if problem.coloring:
         colors = doc.get("colors", [])
-        if len(colors) != n or min(colors, default=1) < 1 or not _holds(problem, instance, colors):
+        if len(colors) != n or min(colors, default=1) < 1 or not holds(instance, colors):
             return False, "coloring is not proper"
         if doc["value"] != max(colors, default=0):
             return False, "value does not match the number of colors"
@@ -150,7 +140,7 @@ def _validate_solution(instance, doc) -> tuple[bool, str]:
             return False, "repeated vertex id"
         if doc["value"] != len(vertices):
             return False, "value does not match the vertex count"
-        if not _holds(problem, instance, vertices):
+        if not holds(instance, vertices):
             return False, f"not a valid {name} solution"
     return True, "ok"
 

@@ -24,15 +24,11 @@ from .graphs import Graph, build_graph
 FORMAT_VERSION = 1
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def render_instance(instance: GeometricInstance | Graph) -> str:
     if isinstance(instance, GeometricInstance):
         lines = [f"udg {FORMAT_VERSION} geometric"]
         for i, (x, y, r) in enumerate(instance.disks):
-            lines.append(f"disk {i} {_fmt(x)} {_fmt(y)} {_fmt(r)}")
+            lines.append(f"disk {i} {x:.17g} {y:.17g} {r:.17g}")
     else:
         lines = [f"udg {FORMAT_VERSION} abstract", f"n {instance.n}"]
         for u, v in instance.edges:
@@ -219,10 +215,6 @@ def _render(value, newline: str) -> str:
     return json.dumps(value)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_solution(text: str) -> dict:
     """Solution document with a string problem, an integer value, and integer lists."""
     try:
@@ -235,10 +227,10 @@ def parse_solution(text: str) -> dict:
         raise BadParameter("solution document needs 'problem' and 'value'")
     if not isinstance(doc["problem"], str):
         raise BadParameter("solution 'problem' must be a string")
-    if not _is_int(doc["value"]):
+    # json.loads makes no subclass of int but bool, so the exact type tells
+    # an integer from a bool, for the value and for every list element
+    if type(doc["value"]) is not int:
         raise BadParameter("solution 'value' must be an integer")
-    # json.loads makes no subclass of int but bool, so one pass over the
-    # exact types tests every element as _is_int would
     for field in ("vertices", "colors"):
         if field in doc and not (
             isinstance(doc[field], list) and set(map(type, doc[field])) <= {int}

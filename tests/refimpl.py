@@ -507,7 +507,10 @@ def sweep_mis(inst) -> tuple[int, ...]:
 def has_independent_subset(G: Graph, candidates, size: int) -> bool:
     """Is there a set of ``size`` pairwise non-adjacent vertices among
     ``candidates``?  Plain backtracking, cut only when too few candidates
-    remain: exponential in ``size`` on a neighborhood of near-cliques."""
+    remain: exponential in ``size`` on a neighborhood of near-cliques.  The
+    empty set answers every ``size <= 0``."""
+    if size <= 0:
+        return True
     pool = sorted(candidates)
 
     def extend(start: int, chosen: int, blocked: frozenset) -> bool:

@@ -37,6 +37,7 @@ from refimpl import (
     complete,
     disk_graph,
     has_independent_subset,
+    path,
     random_graph,
     rescan_independent_set_graph,
     run_cli,
@@ -218,6 +219,15 @@ class TestBoundedEligibility:
                 assert domination._has_independent_subset(G.adj, pool, size) == (
                     has_independent_subset(G, pool, size)
                 ), (G.adj, pool, size)
+
+    @pytest.mark.parametrize(
+        "pool, size, expected",
+        [([], 0, True), ([0, 1, 2], 0, True), ([], 1, False)],
+        ids=["size-0-empty-pool", "size-0-full-pool", "size-1-empty-pool"],
+    )
+    def test_reference_answers_the_empty_set(self, pool, size, expected):
+        # the empty set is independent, so size 0 holds in any pool
+        assert has_independent_subset(path(3), pool, size) is expected
 
     @pytest.mark.parametrize("g", [1, 2, 3, 5])
     def test_matches_the_rescan_on_cluster_instances(self, g):

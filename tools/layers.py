@@ -23,10 +23,11 @@ degree 6, reduced to its giant component (so every heuristic, ``tds`` and
 * every heuristic of the problem table, named ``heuristic.<problem>``; the
   ``mis`` layer adds its method, ``sweep`` on unit disks and
   ``eligibility-search`` on the other radii;
-* ``verify_subset.<problem>``, the verify core of every problem: what
-  ``verify`` runs on a geometric file, the table entry's ``on_disks``,
-  which pairs only the sets whose edges decide the verdict and tests
-  domination against a cell index of the chosen disks.
+* ``verify_subset.<problem>``, the verify core of every problem: a call
+  of the table entry's ``on_disks`` on the heuristic's answer, which is
+  what ``verify`` runs on a geometric file.  It pairs only the sets whose
+  edges decide the verdict and tests domination against a cell index of
+  the chosen disks.
 
 Older runs, whose rows stay in ``BENCH_layers.json``, also time three
 layers that measure no step of a job: ``verify_full.<problem>`` (the whole
@@ -182,7 +183,7 @@ def layers(kind: str, n: int, folder: str, pkg: SimpleNamespace = CHANGE):
         out += [
             (label, inst.n, lambda p=problem: p.heuristic(G, inst, variant, options, {})),
             (f"verify_subset.{name}", inst.n,
-             lambda p=problem, s=solution: pkg.cli._holds(p, inst, s)),
+             lambda p=problem, s=solution: p.on_disks(inst, s)),
         ]
     return [(f"{kind}/{name}", vertices, fn) for name, vertices, fn in out]
 
