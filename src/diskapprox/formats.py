@@ -15,9 +15,8 @@ always re-derived from the disks.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
-from .errors import BadParameter, NonPositiveRadius, ParseError
+from .errors import BadParameter, IdOutOfRange, NonPositiveRadius, ParseError, SelfLoop
 from .geometry import GeometricInstance, _disk_fault
 from .graphs import Graph, build_graph
 
@@ -122,40 +121,52 @@ def _disk_error(lines: list[str], header_no: int) -> ParseError:
 
 
 def _parse_graph(lines: list[str], header_no: int) -> Graph:
-    """The graph on the lines after the header: a vertex count, then edges."""
-    count: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(lines[header_no:], start=header_no + 1):
+    """The graph on the lines after the header: a vertex count, then edges.
+
+    The edge lines stream into :func:`build_graph`, which checks each edge
+    as it is read, so no edge list is kept; an endpoint out of range or a
+    self-loop it finds is raised again naming the line being read.
+    """
+    numbered = enumerate(lines[header_no:], start=header_no + 1)
+    for line_no, raw in numbered:
         tokens = raw.split()
         if not tokens:
             continue
-        keyword = tokens[0]
-        if keyword == "n" and len(tokens) == 2:
-            if count is not None:
-                raise ParseError(line_no, "duplicate vertex count")
+        if tokens[0] == "n" and len(tokens) == 2:
             try:
                 count = int(tokens[1])
             except ValueError:
                 raise ParseError(line_no, f"bad vertex count {tokens[1]!r}") from None
             if count < 0:
                 raise ParseError(line_no, "vertex count must be nonnegative")
-        elif keyword == "edge" and len(tokens) == 3:
-            if count is None:
-                raise ParseError(line_no, "edge before vertex count")
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(line_no, "bad edge endpoints") from None
-            if not (0 <= u < count and 0 <= v < count):
-                raise ParseError(line_no, f"edge ({u}, {v}) outside [0, {count})")
-            if u == v:
-                raise ParseError(line_no, f"self-loop at vertex {u}")
-            edges.append((u, v))
-        else:
-            raise ParseError(line_no, f"unexpected line {raw!r}")
-    if count is None:
+            break
+        if tokens[0] == "edge" and len(tokens) == 3:
+            raise ParseError(line_no, "edge before vertex count")
+        raise ParseError(line_no, f"unexpected line {raw!r}")
+    else:
         raise ParseError(len(lines), "missing vertex count")
-    return build_graph(count, edges)
+
+    def edges():
+        nonlocal line_no
+        for line_no, raw in numbered:
+            tokens = raw.split()
+            if not tokens:
+                continue
+            if tokens[0] == "edge" and len(tokens) == 3:
+                try:
+                    edge = int(tokens[1]), int(tokens[2])
+                except ValueError:
+                    raise ParseError(line_no, "bad edge endpoints") from None
+                yield edge
+            elif tokens[0] == "n" and len(tokens) == 2:
+                raise ParseError(line_no, "duplicate vertex count")
+            else:
+                raise ParseError(line_no, f"unexpected line {raw!r}")
+
+    try:
+        return build_graph(count, edges())
+    except (IdOutOfRange, SelfLoop) as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 def write_instance(instance: GeometricInstance | Graph, path) -> None:

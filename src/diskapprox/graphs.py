@@ -13,7 +13,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NotConnected, SelfLoop
+from .errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NotConnected, SelfLoop, TooLarge
+
+# The most vertices build_graph allocates rows for: an empty row costs about
+# 64 bytes, so a graph at the cap with no edges peaks near 270 MB (README).
+MAX_VERTICES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -87,18 +91,28 @@ class Graph:
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Canonical graph on ``n`` vertices; (u, v) and (v, u) collapse, duplicates too."""
+    """Canonical graph on ``n`` vertices; (u, v) and (v, u) collapse, duplicates too.
+
+    Each edge is checked as it is read, so ``edge_list`` may be a generator
+    that is never held whole.  ``n`` above ``MAX_VERTICES`` raises
+    TooLarge before any row is allocated.
+    """
     if n < 0:
         raise BadParameter("vertex count must be nonnegative")
-    neighbors: list[set[int]] = [set() for _ in range(n)]
+    if n > MAX_VERTICES:
+        raise TooLarge(f"n={n} exceeds the vertex cap {MAX_VERTICES}")
+    rows: list[list[int]] = [[] for _ in range(n)]
     for u, v in edge_list:
         if not (0 <= u < n) or not (0 <= v < n):
             raise IdOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}")
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
+        rows[u].append(v)
+        rows[v].append(u)
+    for v, row in enumerate(rows):
+        if len(row) > 1:
+            rows[v] = list(set(row))
+    return Graph.of_rows(rows)
 
 
 def induced_subgraph(G: Graph, subset: VertexSet) -> tuple[Graph, tuple[int, ...]]:

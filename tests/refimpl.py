@@ -628,6 +628,16 @@ def random_graph(n: int, probability: float, rng: Rng) -> Graph:
     return build_graph(n, edges)
 
 
+def set_build_graph(n: int, edge_list) -> Graph:
+    """``build_graph`` as it was before it filled rows for ``Graph.of_rows``:
+    one set of neighbors per vertex, each sorted into a tuple at the end."""
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edge_list:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
+
+
 def union_find_components(G: Graph) -> tuple[tuple[int, ...], ...]:
     """Components by union-find over the edge list, in the format of
     ``graphs.components``: sorted tuples ordered by smallest member."""

@@ -48,7 +48,7 @@ from diskapprox.problems import PROBLEMS, Options  # noqa: E402
 from diskapprox.rng import Rng  # noqa: E402
 from refimpl import disk_graph, has_independent_subset, random_graph, star  # noqa: E402
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+PROPERTY = settings(max_examples=30)  # over the profile tests/conftest.py loads
 OPTIONS = Options(lambda n: ArrivalSequence.of(range(n)))
 CASES = [
     (name, variant)

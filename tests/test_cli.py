@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,17 @@ class TestSolve:
         path.write_text("udg 1 abstract\nn 3\nedge 0 7\n")
         code, out, err = run(capsys, "solve", str(path), "--problem", "vc")
         assert code == 1 and out == "" and err == "error: line 3: edge (0, 7) outside [0, 3)\n"
+
+    def test_vertex_count_past_the_cap_fails_before_allocating(self, capsys, tmp_path):
+        # 31 bytes that declare 10^12 vertices
+        path = tmp_path / "huge.udg"
+        path.write_text("udg 1 abstract\nn 1000000000000\n")
+        assert path.stat().st_size == 31
+        started = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(path), "--problem", "ds")
+        assert time.perf_counter() - started < 0.5
+        assert code == 1 and out == ""
+        assert err == "error: n=1000000000000 exceeds the vertex cap 4194304\n"
 
     def test_mis_pairs_the_disks_once(self, capsys, monkeypatch, geo_instance):
         calls = []

@@ -20,7 +20,7 @@ from diskapprox.formats import parse_instance, render_instance  # noqa: E402
 from diskapprox.geometry import GeometricInstance  # noqa: E402
 from diskapprox.graphs import build_graph  # noqa: E402
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+PROPERTY = settings(max_examples=60)  # over the profile tests/conftest.py loads
 # the ends of the range, negative zero, the least and the largest subnormal
 COORDINATES = st.one_of(
     st.floats(-(2.0 ** 500), 2.0 ** 500),

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 
 from diskapprox import geometry
 from diskapprox.covering import ArrivalSequence
-from diskapprox.errors import BadParameter, ParseError
+from diskapprox.bench import tuned_box
+from diskapprox.errors import BadParameter, ParseError, TooLarge
 from diskapprox.formats import (
     parse_instance,
     parse_solution,
@@ -20,7 +22,7 @@ from diskapprox.geometry import (
     random_connected_instance,
     random_instance,
 )
-from diskapprox.graphs import Graph, build_graph
+from diskapprox.graphs import Graph, build_graph, components
 from diskapprox.problems import PROBLEMS, Options
 from refimpl import C5_EDGES, c5
 
@@ -200,6 +202,57 @@ class TestAbstractFiles:
         with pytest.raises(ParseError) as info:
             parse_instance(f"udg 1 abstract\n{body}")
         assert info.value.line_no == line_no and info.value.reason == reason
+
+
+class TestStreamedEdges:
+    """The edge lines stream into ``build_graph``, which checks each one:
+    the first fault in file order still names its line."""
+
+    GOOD = "".join(f"edge {v} {v + 1}\n" for v in range(499))  # lines 3..501
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("edge 3 500", "edge (3, 500) outside [0, 500)"),
+        ("edge 7 7", "self-loop at vertex 7"),
+        ("n 500", "duplicate vertex count"),
+    ], ids=["bad-endpoint", "self-loop", "duplicate-count"])
+    def test_first_fault_after_many_good_edges(self, fault, reason):
+        # the three faults after it would each name a later line
+        later = "edge 0 999\nedge 2 2\nn 1\n"
+        with pytest.raises(ParseError) as info:
+            parse_instance(f"udg 1 abstract\nn 500\n{self.GOOD}{fault}\n{later}")
+        assert info.value.line_no == 502 and info.value.reason == reason
+
+    def test_repeated_and_reversed_edges_collapse(self):
+        lines = [f"edge {u} {v}" for u, v in C5_EDGES]
+        lines += [f"edge {v} {u}" for u, v in C5_EDGES] + lines[:3]
+        assert parse_instance("udg 1 abstract\nn 5\n" + "\n".join(lines) + "\n") == c5()
+
+    def test_vertex_count_past_the_cap_fails_before_the_edges(self):
+        # the bad edge after the count is never read
+        with pytest.raises(TooLarge, match=r"^n=1000000000000 exceeds the vertex cap 4194304$"):
+            parse_instance("udg 1 abstract\nn 1000000000000\nedge 0 0\n")
+
+    def test_peak_per_edge_within_twice_the_disk_file(self):
+        # the unit giant component of 10^4 disks at mean degree 6, parsed as
+        # the abstract file of its graph and as its disks paired (measured
+        # 177 and 128 bytes per edge)
+        disks = random_instance(10_000, tuned_box(10_000, 1.0, None, 6.0), 1.0, 7).disks
+        giant = max(components(instance_to_graph(GeometricInstance(disks))), key=len)
+        inst = GeometricInstance(tuple(disks[v] for v in giant))
+        G = instance_to_graph(inst)
+        abstract, geometric = render_instance(G), render_instance(inst)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        abstract_peak = peak(lambda: parse_instance(abstract))
+        disk_peak = peak(lambda: instance_to_graph(parse_instance(geometric)))
+        assert G.m > 25_000 and abstract_peak <= 2 * disk_peak
 
 
 class TestHeaders:

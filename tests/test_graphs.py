@@ -8,7 +8,15 @@ import diskapprox
 from diskapprox import checks
 from diskapprox.covering import color_offline, vertex_cover
 from diskapprox.domination import connected_dominating_set
-from diskapprox.errors import BadParameter, IdOutOfRange, MinDegreeExceeded, NotConnected, SelfLoop
+from diskapprox import graphs
+from diskapprox.errors import (
+    BadParameter,
+    IdOutOfRange,
+    MinDegreeExceeded,
+    NotConnected,
+    SelfLoop,
+    TooLarge,
+)
 from diskapprox.graphs import (
     Graph,
     VertexSet,
@@ -35,6 +43,7 @@ from refimpl import (
     heap_degeneracy_ordering,
     path,
     random_graph,
+    set_build_graph,
     star,
     union_find_components,
 )
@@ -66,6 +75,23 @@ class TestBuildGraph:
     def test_negative_vertex_count(self):
         with pytest.raises(BadParameter, match="^vertex count must be nonnegative$"):
             build_graph(-1, [])
+
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
+        assert build_graph(10, []).n == 10
+        with pytest.raises(TooLarge, match=r"^n=11 exceeds the vertex cap 10$"):
+            build_graph(11, [])
+
+    def test_matches_the_per_vertex_sets_on_edge_lists_with_repeats(self):
+        # every edge also reversed, then a third of them repeated, shuffled
+        rng = Rng(45)
+        for trial in range(1000):
+            n = 1 + trial % 20
+            edges = list(random_graph(n, 0.1 + 0.8 * rng.uniform(), rng).edges)
+            edges += [(v, u) for u, v in edges]
+            edges += [edges[rng.randrange(len(edges))] for _ in range(len(edges) // 3)]
+            rng.shuffle(edges)
+            assert build_graph(n, edges) == set_build_graph(n, edges)
 
     def test_graphs_compare_by_structure(self):
         assert build_graph(3, [(0, 1)]) == build_graph(3, [(1, 0), (0, 1)])

@@ -38,13 +38,16 @@ def test_one_run_at_n_100_has_the_schema(tmp_path, monkeypatch):
     assert run["sizes"] == [100] and run["k"] == 1
     assert set(run["machine"]) == {"platform", "processor", "cpus"}
     names = set(run["layers"])
-    assert {name.split("/", 1)[0] for name in names} == set(tool.KINDS) == {"unit", "mixed", "scale"}
-    for kind, mis in (("unit", "sweep"), ("mixed", "eligibility-search"), ("scale", "eligibility-search")):
-        expected = {"random_instance", "read_instance", "cli_parser", "instance_to_graph",
-                    f"heuristic.mis.{mis}"}
+    assert {name.split("/", 1)[0] for name in names} == set(tool.KINDS) == {
+        "unit", "mixed", "scale", "abstract"}
+    for kind, mis in (("unit", "sweep"), ("mixed", "eligibility-search"),
+                      ("scale", "eligibility-search"), ("abstract", "eligibility-search")):
+        expected = {"read_instance", f"heuristic.mis.{mis}"}
+        if kind != "abstract":  # an abstract file is neither drawn nor paired
+            expected |= {"random_instance", "cli_parser", "instance_to_graph"}
         expected |= {f"heuristic.{p}" for p in ("vc", "color", "online-color", "ds", "ids", "tds", "cds")}
         expected |= {f"verify_subset.{p}" for p in PROBLEMS}
-        if kind != "scale":  # the oracles' small draws would be all radius-16 disk
+        if kind in ("unit", "mixed"):  # scale: the oracles' small draws would be all radius-16 disk
             expected |= {f"oracle.{p}" for p in ("vc", "color", "ds", "tds", "cds")}
         assert {name.split("/", 1)[1] for name in names if name.startswith(kind + "/")} == expected
     caps = {"oracle.vc": 24, "oracle.color": 16, "oracle.ds": 18, "oracle.tds": 18, "oracle.cds": 16}
@@ -231,6 +234,13 @@ def test_scale_kind_pairs_across_radius_levels():
         assert radii.count(big_radius) == big
         assert max(r for r in radii if r != big_radius) <= 2.0
         assert len(checked_levels(inst.disks)) == 2
+
+
+def test_abstract_kind_reads_the_unit_kinds_graph(tmp_path):
+    tool = load_tool()
+    timed = {name: fn for name, _, fn in tool.layers("abstract", 100, str(tmp_path))}
+    assert timed["abstract/read_instance"]() == tool._inputs("unit", 100)[3]
+    assert (tmp_path / "abstract-100.udg").read_text().startswith("udg 1 abstract\n")
 
 
 def test_mixed_and_scale_levels_match_the_reference():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 from diskapprox.geometry import GeometricInstance, instance_to_graph  # noqa: E402
 from refimpl import all_pairs  # noqa: E402
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+PROPERTY = settings(max_examples=60)  # over the profile tests/conftest.py loads
 POWERS = st.integers(-40, 40).map(lambda k: 2.0 ** k)
 
 

@@ -4,7 +4,8 @@ Each instance is a draw of 48-96 disks at mean degree about 6, reduced to
 its giant component, with unit radii, radii in [0.5, 2], or radii from
 {0.05, 1, 30} (mostly 1).  ``verify`` decides a geometric file from the
 disks (``Problem.on_disks``) and an abstract file from the graph
-(``Problem.check``); ``solve`` runs the heuristics on the graph either way.
+(``Problem.check``); ``solve`` runs the heuristics on the graph either way,
+and what it prints for either file ``verify`` reads back as valid.
 """
 
 import tempfile
@@ -25,7 +26,7 @@ from diskapprox.graphs import components  # noqa: E402
 from diskapprox.problems import PROBLEMS, Options  # noqa: E402
 from refimpl import run_cli  # noqa: E402
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+PROPERTY = settings(max_examples=25)  # over the profile tests/conftest.py loads
 # kind: (radius strategy, the radius range its box is tuned for, the variant)
 RADII = {
     "unit": (st.just(1.0), (1.0, None), "unit"),
@@ -99,3 +100,23 @@ def test_geometric_and_abstract_files_solve_alike(drawn):
                 document = solve(geometric, name, variant)
                 assert document[0] == 0, (name, document)
                 assert solve(abstract, name, variant) == document, name
+
+
+@settings(PROPERTY, max_examples=12)
+@given(giant_components())
+def test_solve_then_verify_prints_valid(drawn):
+    # every problem, unit mis included, on both files: the answer solve
+    # prints, read back by verify from the same file
+    kind, inst = drawn
+    variant = RADII[kind][2]
+    with tempfile.TemporaryDirectory() as folder:
+        geometric, abstract = Path(folder, "disks.udg"), Path(folder, "graph.udg")
+        write_instance(inst, geometric)
+        write_instance(instance_to_graph(inst), abstract)
+        answer = Path(folder, "answer.json")
+        for path in (geometric, abstract):
+            for name in PROBLEMS:
+                code, out, err = solve(path, name, variant)
+                assert code == 0, (path.name, name, err)
+                answer.write_text(out)
+                assert run_cli(["verify", str(path), str(answer)]) == (0, "valid\n", ""), (path.name, name)

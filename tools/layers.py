@@ -29,6 +29,13 @@ degree 6, reduced to its giant component (so every heuristic, ``tds`` and
   edges decide the verdict and tests domination against a cell index of
   the chosen disks.
 
+A fourth kind, ``abstract``, takes the ``unit`` kind's component as the
+abstract file of its graph and times three of these: ``read_instance``,
+each ``heuristic.<problem>`` given the graph alone (so the class
+certificates run, and ``mis`` takes its eligibility search), and
+``verify_subset.<problem>`` as the table entry's ``check`` on that graph,
+which is what ``verify`` runs on an abstract file.
+
 Older runs, whose rows stay in ``BENCH_layers.json``, also time three
 layers that measure no step of a job: ``verify_full.<problem>`` (the whole
 instance paired and the problem's ``checks`` predicate, a path ``verify``
@@ -136,6 +143,7 @@ KINDS = {
     "unit": CATALOG["unit-scale"],
     "mixed": dict(CATALOG["mixed-scale"], big_per=0),
     "scale": CATALOG["mixed-scale"],
+    "abstract": CATALOG["unit-scale"],  # the unit kind's graph, as an abstract file
 }
 ORACLE_KINDS = ("unit", "mixed")
 SIZES = (1000, 10_000, 100_000)
@@ -163,27 +171,34 @@ def layers(kind: str, n: int, folder: str, pkg: SimpleNamespace = CHANGE):
     """(``<kind>/<layer>``, vertices, zero-argument callable) for every layer at
     one size; the instance file is written into the directory ``folder``."""
     draw, inst, text, G = _inputs(kind, n, pkg)
+    # what the heuristics and the verify core are given: the disks, or for
+    # an abstract file only its graph
+    disks = None if kind == "abstract" else inst
+    if disks is None:
+        text = pkg.formats.render_instance(G)
     path = Path(folder, f"{kind}-{n}.udg")
     if not path.exists():  # the copy built first writes it, so both copies read the same bytes
         path.write_text(text)
     argv = ["solve", str(path), "--problem", "vc"]
     variant = KINDS[kind]["variant"]
     options = pkg.problems.Options(lambda count: pkg.covering.ArrivalSequence.of(range(count)))
-    out = [
-        ("random_instance", n, draw),
-        ("read_instance", inst.n, lambda: pkg.formats.read_instance(path)),
-        ("cli_parser", inst.n, lambda: pkg.cli._build_parser().parse_args(argv)),
-        ("instance_to_graph", inst.n, lambda: pkg.geometry.instance_to_graph(inst)),
-    ]
+    out = [("read_instance", inst.n, lambda: pkg.formats.read_instance(path))]
+    if disks is not None:  # an abstract file's graph is neither drawn nor paired
+        out = [
+            ("random_instance", n, draw),
+            *out,
+            ("cli_parser", inst.n, lambda: pkg.cli._build_parser().parse_args(argv)),
+            ("instance_to_graph", inst.n, lambda: pkg.geometry.instance_to_graph(inst)),
+        ]
     for name, problem in pkg.problems.PROBLEMS.items():
         meta: dict = {}
-        answer = problem.heuristic(G, inst, variant, options, meta)
+        answer = problem.heuristic(G, disks, variant, options, meta)
         label = f"heuristic.{name}" + (f".{meta['method']}" if "method" in meta else "")
         solution = answer.colors if problem.coloring else answer.members
         out += [
-            (label, inst.n, lambda p=problem: p.heuristic(G, inst, variant, options, {})),
+            (label, inst.n, lambda p=problem: p.heuristic(G, disks, variant, options, {})),
             (f"verify_subset.{name}", inst.n,
-             lambda p=problem, s=solution: p.on_disks(inst, s)),
+             lambda p=problem, s=solution: p.check(G, s) if disks is None else p.on_disks(inst, s)),
         ]
     return [(f"{kind}/{name}", vertices, fn) for name, vertices, fn in out]
 
